@@ -13,7 +13,6 @@ from typing import Optional, Sequence
 
 from ixsim.engine import (
     DOT_LAYERS,
-    NonconvergenceError,
     Simulation,
     UnknownEntityError,
     export_dot,
@@ -40,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="write the report here instead of stdout")
     run.add_argument("--trace", metavar="PATH",
                      help="write the frame trace log here")
-    run.add_argument("--max-rounds", type=int, metavar="N",
-                     help="override the route-exchange round cap")
 
     dot = sub.add_parser("dot", help="export one layer as graphviz text")
     dot.add_argument("scenario")
@@ -49,7 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ribs = sub.add_parser("ribs", help="dump every member's selected routes")
     ribs.add_argument("scenario")
-    ribs.add_argument("--max-rounds", type=int, metavar="N")
     return parser
 
 
@@ -62,47 +58,38 @@ def _load(path: str) -> Scenario:
         raise ParseError(0, "cannot read %s: %s" % (path, err.strerror))
 
 
-def _run_to_completion(scenario: Scenario, max_rounds: Optional[int]) -> Simulation:
-    sim = Simulation(scenario, max_rounds=max_rounds)
-    sim.run()
-    return sim
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         scenario = _load(args.scenario)
         if args.command == "check":
             return EXIT_OK
-        if args.command == "run":
-            sim = _run_to_completion(scenario, args.max_rounds)
-            report = sim.report().to_text()
-            if args.report:
-                with open(args.report, "w", encoding="utf-8") as handle:
-                    handle.write(report)
-            else:
-                sys.stdout.write(report)
-            if args.trace:
-                with open(args.trace, "w", encoding="utf-8") as handle:
-                    handle.write(sim.trace_dump())
-            return EXIT_OK
+        sim = Simulation(scenario)
         if args.command == "dot":
-            sim = Simulation(scenario)
             sim.converge()
             sys.stdout.write(export_dot(sim, args.layer))
             return EXIT_OK
+        sim.run()
         if args.command == "ribs":
-            sim = _run_to_completion(scenario, args.max_rounds)
             sys.stdout.write(sim.rib_dump())
             return EXIT_OK
-        raise AssertionError("unreachable command %r" % args.command)
+        report = sim.report().to_text()
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as handle:
+                handle.write(report)
+        else:
+            sys.stdout.write(report)
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as handle:
+                handle.write(sim.trace_dump())
+        return EXIT_OK
     except ScenarioValidationError as err:
         print("invalid scenario: %s" % err, file=sys.stderr)
         return EXIT_INVALID
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return EXIT_PARSE
-    except (NonconvergenceError, UnknownEntityError) as err:
+    except UnknownEntityError as err:
         print("run failed: %s" % err, file=sys.stderr)
         return EXIT_INVALID
 

@@ -152,7 +152,7 @@ def bridge_forward(
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int = 0,
-) -> Tuple[List[Emission], BridgeState]:
+) -> List[Emission]:
     """Learn, then flood or forward.  The caller has already run the ingress
     policy when the frame came from a local port; pseudo-wire arrivals were
     filtered once at their ingress PE and are trusted here.
@@ -178,16 +178,16 @@ def bridge_forward(
         entry = bridge.lookup(frame.dst_mac, round_no)
         if entry is not None:
             if entry.where == arrived_via:
-                return [], bridge  # would hairpin; the destination already saw it
+                return []  # would hairpin; the destination already saw it
             if isinstance(entry.where, PortRef) and entry.where.asn not in bridge.ports:
                 del bridge.mac_table[frame.dst_mac]  # port went away; relearn
             else:
-                return [_emit(frame, entry.where)], bridge
+                return [_emit(frame, entry.where)]
 
     targets: List[Attachment] = list(local_targets)
     if not isinstance(arrived_via, PwRef):
         targets += wire_targets
-    return [_emit(frame, t) for t in targets], bridge
+    return [_emit(frame, t) for t in targets]
 
 
 def transmit(emission: Emission, links: Iterable[Link]) -> Optional[Link]:
@@ -328,16 +328,15 @@ class Fabric:
         while queue:
             here, arrived = queue.popleft()
             result.visited_pes.append(here.pe)
-            emissions, _ = bridge_forward(here, frame, arrived, round_no)
+            emissions = bridge_forward(here, frame, arrived, round_no)
             for em in emissions:
                 result.emissions += 1
                 label = attachment_label(em.via)
                 self._log(round_no, frame.trace_id, here.pe, label, "emit")
                 if isinstance(em.via, PortRef):
                     # Local hand-off: no tunnel, no modelled access link.
-                    if transmit(em, ()) is None:
-                        self._log(round_no, frame.trace_id, here.pe, label, "deliver")
-                        result.deliveries.append(em.via.asn)
+                    self._log(round_no, frame.trace_id, here.pe, label, "deliver")
+                    result.deliveries.append(em.via.asn)
                     continue
                 pw = here.pws[em.via.remote_pe]
                 bad = transmit(em, self._transport_links(pw, here.pe))

@@ -3,8 +3,10 @@
 One Simulation owns all mutable run state.  converge() rebuilds every
 derived layer in a fixed order: shortest-path trees, label bindings, the
 signalling session graph, membership adverts, the pseudo-wire mesh, then
-member route exchange until no RIB changes.  Events mutate configuration
-and re-converge; frame injection exercises only the data plane.
+one sweep of member route exchange.  Route servers only reflect what
+members announce, so that sweep reads configuration alone and is already
+final.  Events mutate configuration and re-converge; frame injection
+exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ixsim.dataplane import (
     DEFAULT_PROBATION_ROUNDS,
@@ -31,8 +33,6 @@ from ixsim.exchange_l3 import (
     PeerKind,
     PeeringSession,
     RouteServer,
-    TransitPolicy,
-    arp_resolve,
     reachability_matrix,
     rs_redistribute,
     transit_deliveries,
@@ -44,13 +44,11 @@ from ixsim.model import (
     MemberAs,
     MemberPort,
     PortState,
-    Topology,
     full_mesh_size,
 )
 from ixsim.scenario import Event, EventKind, Scenario
 from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf
 from ixsim.vpls_signal import (
-    IbgpKind,
     build_session_graph,
     derive_pseudowires,
     originate_adverts,
@@ -62,41 +60,26 @@ class UnknownEntityError(Exception):
     """An event referenced something the scenario does not contain."""
 
 
-class NonconvergenceError(Exception):
-    """Route exchange kept churning past the round cap; that is a bug."""
-
-
-def round_cap(topo: Topology, members) -> int:
-    return 4 * (len(topo.nodes) + len(members))
-
-
 @dataclass
 class _L3State:
-    """Outcome of one full route-exchange sweep.  Comparable, so the
-    convergence loop can detect its fixpoint."""
+    """Outcome of one full route-exchange sweep."""
 
     ribs: Dict[int, MemberRib] = field(default_factory=dict)
-    deliveries: List[Tuple[int, BgpRoute]] = field(default_factory=list)
     loop_drops: List[Tuple[str, int, BgpRoute]] = field(default_factory=list)
     upstream: List[BgpRoute] = field(default_factory=list)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _L3State) and self.ribs == other.ribs
 
 
 class Simulation:
     """All state for one scenario run."""
 
-    def __init__(self, scenario: Scenario, max_rounds: Optional[int] = None):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.topo = scenario.topology
         self.members: Dict[int, MemberAs] = {m.asn: m for m in scenario.members}
         self.ports: Dict[int, MemberPort] = {p.member_asn: p for p in scenario.ports}
-        self.max_rounds = max_rounds
 
         self.current_round = 0
         self.rounds_total = 0
-        self.converge_count = 0
         self._trace_seq = 0
 
         self.trees = {}
@@ -140,7 +123,8 @@ class Simulation:
     # -- convergence ---------------------------------------------------------
 
     def converge(self) -> int:
-        """Rebuild every derived layer; returns route-exchange rounds taken."""
+        """Rebuild every derived layer.  Returns 1 when the member RIBs
+        changed and 0 when they did not."""
         self.trees = compute_all_spf(self.topo)
         alloc = LabelAllocator()
         self.labels = allocate_labels(self.topo, self.trees, alloc)
@@ -151,21 +135,11 @@ class Simulation:
             self.received, self.labels, self.trees)
         self._rebuild_fabric()
 
-        cap = self.max_rounds if self.max_rounds is not None \
-            else round_cap(self.topo, self.members)
-        rounds = 0
-        while True:
-            sweep = self._exchange_routes()
-            if sweep == self.l3:
-                break
-            self.l3 = sweep
-            rounds += 1
-            if rounds > cap:
-                raise NonconvergenceError(
-                    "route exchange still churning after %d rounds" % rounds)
-        self.rounds_total += rounds
-        self.converge_count += 1
-        return rounds
+        sweep = self._exchange_routes()
+        changed = int(sweep.ribs != self.l3.ribs)
+        self.l3 = sweep
+        self.rounds_total += changed
+        return changed
 
     def _rebuild_fabric(self) -> None:
         """Fresh bridges wired to the current pseudo-wire mesh.  Learned MACs
@@ -184,17 +158,14 @@ class Simulation:
     def _exchange_routes(self) -> _L3State:
         """One synchronous sweep of every active session."""
         state = _L3State(ribs={asn: MemberRib(asn) for asn in self.members})
+        ribs = state.ribs
         sessions = self.active_sessions()
-
-        def deliver(to_asn: int, route: BgpRoute) -> None:
-            state.deliveries.append((to_asn, route))
-            state.ribs[to_asn].add(route)
 
         for s in sorted((x for x in sessions if x.kind is PeerKind.BILATERAL),
                         key=lambda x: (x.a, x.b)):
             for left, right in ((s.a, s.b), (s.b, s.a)):
                 for pfx in self.announced(left):
-                    deliver(right, BgpRoute(
+                    ribs[right].add(BgpRoute(
                         pfx, (left,), self.ports[left].exchange_ip, "bgp/%d" % left))
 
         for server in self.active_servers():
@@ -205,7 +176,7 @@ class Simulation:
                                      self.ports[client].exchange_ip, learned)
                     for to_asn, reflected in rs_redistribute(
                             server, route, client, diagnostics=state.loop_drops):
-                        deliver(to_asn, reflected)
+                        ribs[to_asn].add(reflected)
 
         for asn in sorted(self.members):
             member = self.members[asn]
@@ -214,7 +185,7 @@ class Simulation:
             for to_asn, route in transit_deliveries(
                     member, self.ports[asn].exchange_ip, sessions,
                     self.scenario.external_prefixes):
-                deliver(to_asn, route)
+                ribs[to_asn].add(route)
 
         member_prefixes = [p for m in self.members.values()
                            for p in m.announced_prefixes]
@@ -222,7 +193,7 @@ class Simulation:
             member = self.members[asn]
             if member.is_transit and self._port_active(asn):
                 state.upstream.extend(upstream_announcements(
-                    member, state.ribs[asn], member_prefixes))
+                    member, ribs[asn], member_prefixes))
         return state
 
     # -- events ----------------------------------------------------------
@@ -238,11 +209,6 @@ class Simulation:
             target = LinkState.DOWN if kind is EventKind.LINK_DOWN else LinkState.UP
             for i in indices:
                 self.topo = self.topo.with_link_state(i, target)
-            self.converge()
-        elif kind is EventKind.PORT_ADD:
-            member, port = event.args
-            self.members[member.asn] = member
-            self.ports[port.member_asn] = port
             self.converge()
         elif kind is EventKind.PORT_PROMOTE_CHECK:
             (asn,) = event.args
@@ -270,15 +236,6 @@ class Simulation:
                 trace_id="t%d" % self._trace_seq,
             )
             self.fabric.inject(asn, frame, event.at_round)
-        elif kind is EventKind.MEMBER_ANNOUNCE:
-            asn, prefix = event.args
-            if asn not in self.members:
-                raise UnknownEntityError("no member %d" % asn)
-            member = self.members[asn]
-            if prefix not in member.announced_prefixes:
-                self.members[asn] = replace(
-                    member, announced_prefixes=member.announced_prefixes + (prefix,))
-            self.converge()
         elif kind is EventKind.MEMBER_WITHDRAW:
             asn, prefix = event.args
             if asn not in self.members:
@@ -295,11 +252,11 @@ class Simulation:
         else:
             raise UnknownEntityError("unhandled event kind %s" % kind)
 
-    def run(self) -> "Report":
+    def run(self) -> None:
+        """Converge, then apply the scenario's events in round order."""
         self.converge()
         for event in self.scenario.events:
             self.apply_event(event)
-        return self.report()
 
     # -- outputs ---------------------------------------------------------
 
@@ -399,16 +356,6 @@ class Report:
             lines.append("upstream.%s=%s" % (
                 route.prefix, " ".join(str(n) for n in route.as_path)))
         return "\n".join(sorted(lines)) + "\n"
-
-
-def converge(sim: Simulation) -> Tuple[Simulation, int]:
-    """Drive sim to its fixpoint; returns it with the rounds this call took."""
-    return sim, sim.converge()
-
-
-def apply_event(sim: Simulation, event: Event) -> Simulation:
-    sim.apply_event(event)
-    return sim
 
 
 # -- graph export ----------------------------------------------------------

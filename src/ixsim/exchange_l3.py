@@ -9,7 +9,7 @@ rewrites the next hop, so traffic flows directly between member ports.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -19,15 +19,9 @@ from ixsim.dataplane import (
     EthernetFrame,
     Fabric,
 )
-from ixsim.model import MemberAs, MemberPort, PortState
+from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST, MemberAs, MemberPort, PortState
 
 DEFAULT_ROUTE = ipaddress.IPv4Network("0.0.0.0/0")
-
-# Identities invented by the simulator sit in the 32-bit documentation ASN
-# block (RFC 5398): route-server service ASNs count up from the bottom,
-# synthetic origins for external prefixes count down from the top.
-DOC_ASN32_FIRST = 65536
-DOC_ASN32_LAST = 65551
 
 ARP_PAYLOAD_SIZE = 28
 PROBE_PAYLOAD_SIZE = 100

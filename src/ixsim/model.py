@@ -18,6 +18,13 @@ from typing import Iterable, Iterator, Optional
 PRIVATE_ASN_FIRST = 64512
 PRIVATE_ASN_LAST = 65534
 
+# Identities invented by the simulator sit in the 32-bit documentation ASN
+# block (RFC 5398): route-server service ASNs count up from the bottom,
+# synthetic origins for external prefixes count down from the top.  Members
+# may not use them.
+DOC_ASN32_FIRST = 65536
+DOC_ASN32_LAST = 65551
+
 # Smallest link MTU that leaves headroom for tunnel headers on top of a
 # full-size Ethernet payload.
 MIN_FABRIC_MTU = 1600
@@ -251,6 +258,8 @@ def validate_topology(
     for m in members:
         if PRIVATE_ASN_FIRST <= m.asn <= PRIVATE_ASN_LAST:
             found.append(Violation("PRIVATE_ASN", str(m.asn), m.name))
+        if DOC_ASN32_FIRST <= m.asn <= DOC_ASN32_LAST:
+            found.append(Violation("RESERVED_ASN", str(m.asn), m.name))
     for asn, owners in _dup_groups((str(m.asn), m.name) for m in members):
         found.append(Violation("DUP_ASN", asn, " ".join(owners)))
     announced = sorted(

@@ -32,17 +32,12 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from ixsim.dataplane import BROADCAST_MAC, EtherType
-from ixsim.exchange_l3 import (
-    DOC_ASN32_FIRST,
-    DOC_ASN32_LAST,
-    PeerKind,
-    PeeringSession,
-    RouteServer,
-    TransitPolicy,
-)
+from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
 from ixsim.model import (
     DEFAULT_LINK_COST,
     DEFAULT_LINK_MTU,
+    DOC_ASN32_FIRST,
+    DOC_ASN32_LAST,
     Link,
     LinkKind,
     MemberAs,
@@ -78,10 +73,8 @@ class ScenarioValidationError(ParseError):
 class EventKind(Enum):
     LINK_DOWN = "link_down"
     LINK_UP = "link_up"
-    PORT_ADD = "port_add"
     PORT_PROMOTE_CHECK = "port_promote_check"
     INJECT_FRAME = "inject_frame"
-    MEMBER_ANNOUNCE = "member_announce"
     MEMBER_WITHDRAW = "member_withdraw"
 
 

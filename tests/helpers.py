@@ -5,11 +5,11 @@ from __future__ import annotations
 import ipaddress
 import random
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ixsim.dataplane import BridgeState, Fabric
 from ixsim.engine import Simulation
-from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
+from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer
 from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf
 from ixsim.vpls_signal import build_session_graph, derive_pseudowires, originate_adverts, propagate
 from ixsim.model import (
@@ -169,8 +169,11 @@ def random_connected_topology(rng: random.Random, n: int,
         else make_topology([], extra_nodes=names)
 
 
-def random_exchange(rng: random.Random, n: int) -> Simulation:
-    """Converged fabric over a random topology, one or two members per PE."""
+def random_exchange(rng: random.Random, n: int,
+                    route_server: bool = False) -> Simulation:
+    """Converged fabric over a random topology, one or two members per PE.
+    With route_server, the reflector hosts one and every member is its
+    client."""
     topo = random_connected_topology(rng, n)
     placements = []
     asn = 63001
@@ -178,9 +181,12 @@ def random_exchange(rng: random.Random, n: int) -> Simulation:
         for _ in range(rng.randint(1, 2)):
             placements.append((asn, name))
             asn += 1
+    reflectors = [n.name for n in topo.nodes if n.is_route_reflector]
     scenario = make_exchange(
         [(l.a, l.b, l.cost, l.mtu) for l in topo.links],
         placements,
-        reflectors=[n.name for n in topo.nodes if n.is_route_reflector],
+        reflectors=reflectors,
+        rs_nodes=reflectors if route_server else (),
+        all_on_rs=route_server,
     )
     return converged(scenario)

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
+import ixsim.engine
 from helpers import WHIX
 from ixsim.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from ixsim.dataplane import TRACE_HEADER
+from ixsim.engine import DOT_LAYERS
 
 GOOD = str(WHIX)
+SRC = WHIX.parent.parent / "src"
 
 
 def write(tmp_path, text, name="case.scn"):
@@ -71,9 +77,30 @@ def test_run_redirects_artefacts_to_files(tmp_path, capsys):
     assert trace_text.count("\n") == 75 + 1  # rows plus the header
 
 
-def test_run_with_impossible_round_cap_fails(capsys):
-    assert main(["run", GOOD, "--max-rounds", "0"]) == EXIT_INVALID
-    assert "run failed" in capsys.readouterr().err
+@pytest.mark.parametrize("asn", ["65536", "65551"])
+def test_member_asn_in_the_simulator_block_is_invalid(tmp_path, capsys, asn):
+    # 65536 is route server 0's service ASN; 65551 is the synthetic origin
+    # of the first external prefix.
+    path = write(tmp_path, WHIX.read_text(encoding="utf-8").replace("64511", asn))
+    assert main(["run", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ") and err.count("\n") == 1
+    assert "RESERVED_ASN %s" % asn in err
+
+
+def test_reachability_is_probed_only_for_the_report(monkeypatch):
+    calls = []
+    probe = ixsim.engine.reachability_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return probe(*args, **kwargs)
+
+    monkeypatch.setattr(ixsim.engine, "reachability_matrix", counted)
+    assert main(["ribs", GOOD]) == EXIT_OK
+    assert len(calls) == 0
+    assert main(["run", GOOD]) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_runtime_event_against_missing_entity_fails(tmp_path, capsys):
@@ -120,3 +147,21 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
 def test_missing_subcommand_is_a_usage_error():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    def ixsim(seed, command, *flags):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+        return subprocess.run(
+            [sys.executable, "-m", "ixsim.cli", command, GOOD, *flags],
+            env=env, capture_output=True, check=True).stdout
+
+    outputs = []
+    for seed in ("0", "1"):
+        trace = tmp_path / ("trace-%s.csv" % seed)
+        got = [ixsim(seed, "run", "--trace", str(trace)), trace.read_bytes(),
+               ixsim(seed, "ribs")]
+        got += [ixsim(seed, "dot", "--layer", layer) for layer in DOT_LAYERS]
+        outputs.append(got)
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0])

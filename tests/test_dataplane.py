@@ -86,7 +86,7 @@ def test_flood_goes_to_active_ports_and_all_wires_in_stable_order():
     bridge.ports[63009] = make_port(63009, "a", 9, PortState.QUARANTINE)
     bridge.pws = {"c": None, "b": None}  # placeholders; flood never dereferences
     frame = _frame(_mac(1), _mac(77), trace="t1")
-    emissions, _ = bridge_forward(bridge, frame, PortRef(63001))
+    emissions = bridge_forward(bridge, frame, PortRef(63001))
     assert [e.via for e in emissions] == [
         PortRef(63002), PortRef(63005), PwRef("b"), PwRef("c")]
 
@@ -96,7 +96,7 @@ def test_split_horizon_keeps_wire_arrivals_off_other_wires():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None, "c": None}
     frame = _frame(_mac(9), _mac(77))
-    emissions, _ = bridge_forward(bridge, frame, PwRef("b"))
+    emissions = bridge_forward(bridge, frame, PwRef("b"))
     assert [e.via for e in emissions] == [PortRef(63001)]
 
 
@@ -105,7 +105,7 @@ def test_known_unicast_uses_single_learned_attachment():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None}
     bridge.mac_table[_mac(7)] = MacEntry(PwRef("b"), 0)
-    emissions, _ = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001))
+    emissions = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001))
     assert [e.via for e in emissions] == [PwRef("b")]
 
 
@@ -114,7 +114,7 @@ def test_hairpin_toward_arrival_is_suppressed():
     bridge.ports[63002] = make_port(63002, "b", 2)
     bridge.pws = {"a": None}
     bridge.mac_table[_mac(1)] = MacEntry(PwRef("a"), 0)
-    emissions, _ = bridge_forward(bridge, _frame(_mac(9), _mac(1)), PwRef("a"))
+    emissions = bridge_forward(bridge, _frame(_mac(9), _mac(1)), PwRef("a"))
     assert emissions == []
 
 
@@ -125,7 +125,7 @@ def test_learning_records_source_and_protects_local_macs():
     bridge_forward(bridge, _frame(_mac(9), _mac(77)), PwRef("b"))
     assert bridge.mac_table[_mac(9)].where == PwRef("b")
     # a wire arrival claiming a locally nominated MAC must not poison the table
-    emissions, _ = bridge_forward(bridge, _frame(local_mac, _mac(77)), PwRef("b"))
+    emissions = bridge_forward(bridge, _frame(local_mac, _mac(77)), PwRef("b"))
     assert local_mac not in bridge.mac_table
     assert [e.via for e in emissions] == [PortRef(63001)]
 
@@ -135,7 +135,7 @@ def test_broadcast_never_consults_the_mac_table():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.mac_table[BROADCAST_MAC] = MacEntry(PortRef(63001), 0)  # nonsense entry
     frame = _frame(_mac(9), BROADCAST_MAC, EtherType.ARP)
-    emissions, _ = bridge_forward(bridge, frame, PwRef("b"))
+    emissions = bridge_forward(bridge, frame, PwRef("b"))
     assert [e.via for e in emissions] == [PortRef(63001)]
 
 
@@ -144,7 +144,7 @@ def test_entry_for_departed_port_is_dropped_and_relearned():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None}
     bridge.mac_table[_mac(7)] = MacEntry(PortRef(64000), 0)  # port no longer present
-    emissions, _ = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001))
+    emissions = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001))
     assert _mac(7) not in bridge.mac_table
     # falls back to flooding; the arrival port itself is never a target
     assert [e.via for e in emissions] == [PwRef("b")]

@@ -9,11 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hand_fabric, make_port
+from helpers import hand_fabric
 from ixsim.exchange_l3 import (
     DEFAULT_ROUTE,
-    DOC_ASN32_FIRST,
-    DOC_ASN32_LAST,
     BgpRoute,
     MemberRib,
     PeerKind,
@@ -28,6 +26,7 @@ from ixsim.exchange_l3 import (
     transit_deliveries,
     upstream_announcements,
 )
+from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST
 from ixsim.model import MemberAs, PortState
 
 

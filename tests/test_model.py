@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import make_port, make_topology, random_connected_topology
 from ixsim.model import (
+    DOC_ASN32_FIRST,
+    DOC_ASN32_LAST,
     Link,
     LinkKind,
     LinkState,
@@ -100,6 +102,16 @@ def test_private_asn_flagged():
     # Just above the private block is fine again.
     ok = validate_topology(topo, [], [MemberAs(65535, "edge")], EXCHANGE)
     assert "PRIVATE_ASN" not in ok.codes()
+
+
+def test_simulator_asn_block_is_reserved():
+    topo = Topology.build([_node("a", "172.16.50.1")])
+    for asn in (DOC_ASN32_FIRST, DOC_ASN32_LAST):
+        report = validate_topology(topo, [], [MemberAs(asn, "taken")], EXCHANGE)
+        assert "RESERVED_ASN" in report.codes()
+    for asn in (DOC_ASN32_FIRST - 1, DOC_ASN32_LAST + 1):
+        report = validate_topology(topo, [], [MemberAs(asn, "free")], EXCHANGE)
+        assert "RESERVED_ASN" not in report.codes()
 
 
 def test_duplicate_asn_flagged():
