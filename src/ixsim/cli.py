@@ -65,11 +65,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             return EXIT_OK
         sim = Simulation(scenario)
+        sim.run()
         if args.command == "dot":
-            sim.converge()
             sys.stdout.write(export_dot(sim, args.layer))
             return EXIT_OK
-        sim.run()
         if args.command == "ribs":
             sys.stdout.write(sim.rib_dump())
             return EXIT_OK

@@ -82,11 +82,7 @@ class Simulation:
         self.rounds_total = 0
         self._trace_seq = 0
 
-        self.trees = {}
-        self.labels = {}
         self.ibgp_sessions: Set = set()
-        self.adverts = {}
-        self.received = {}
         self.pseudowires: tuple = ()
         self.missing_transport: tuple = ()
         self.fabric = Fabric(self.topo, {})
@@ -125,14 +121,12 @@ class Simulation:
     def converge(self) -> int:
         """Rebuild every derived layer.  Returns 1 when the member RIBs
         changed and 0 when they did not."""
-        self.trees = compute_all_spf(self.topo)
         alloc = LabelAllocator()
-        self.labels = allocate_labels(self.topo, self.trees, alloc)
+        labels = allocate_labels(self.topo, compute_all_spf(self.topo), alloc)
         self.ibgp_sessions = build_session_graph(self.topo) if self.topo.nodes else set()
-        self.adverts = originate_adverts(self.topo.node_names(), alloc)
-        self.received = propagate(self.adverts, self.ibgp_sessions)
+        adverts = originate_adverts(self.topo.node_names(), alloc)
         self.pseudowires, self.missing_transport = derive_pseudowires(
-            self.received, self.labels, self.trees)
+            propagate(adverts, self.ibgp_sessions), labels)
         self._rebuild_fabric()
 
         sweep = self._exchange_routes()

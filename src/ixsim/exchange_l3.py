@@ -114,17 +114,16 @@ class MemberRib:
     def covering(
         self, target: Union[ipaddress.IPv4Network, ipaddress.IPv4Address]
     ) -> Optional[BgpRoute]:
-        """Longest-prefix selection among chosen routes, default included."""
+        """Longest-prefix selection among chosen routes, default included.
+        At most one prefix of each length contains the target, so the
+        target itself and then each shorter supernet is looked up."""
         if isinstance(target, ipaddress.IPv4Address):
             target = ipaddress.IPv4Network("%s/32" % target)
-        hits = [
-            route for prefix, route in self.chosen().items()
-            if prefix.supernet_of(target) or prefix == target
-        ]
-        if not hits:
-            return None
-        hits.sort(key=lambda r: r.prefix.prefixlen, reverse=True)
-        return hits[0]
+        for length in range(target.prefixlen, -1, -1):
+            routes = self.candidates.get(target.supernet(new_prefix=length))
+            if routes:
+                return best_path(list(routes.values()))
+        return None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MemberRib)

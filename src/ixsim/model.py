@@ -13,6 +13,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
+# AS numbers are unsigned 32-bit and 0 is reserved (RFC 7607); the simulator
+# also uses 0 to mean "external, no member owns it".
+ASN_FIRST = 1
+ASN_LAST = 2**32 - 1
+
 # 16-bit private ASN block (RFC 6996).  Members peer across organisational
 # boundaries, so they must bring public numbers.
 PRIVATE_ASN_FIRST = 64512
@@ -256,6 +261,8 @@ def validate_topology(
             found.append(Violation("BAD_COST", subject, str(link.cost)))
 
     for m in members:
+        if not ASN_FIRST <= m.asn <= ASN_LAST:
+            found.append(Violation("BAD_ASN", str(m.asn), m.name))
         if PRIVATE_ASN_FIRST <= m.asn <= PRIVATE_ASN_LAST:
             found.append(Violation("PRIVATE_ASN", str(m.asn), m.name))
         if DOC_ASN32_FIRST <= m.asn <= DOC_ASN32_LAST:

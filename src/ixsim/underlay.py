@@ -4,6 +4,12 @@ Every PE floods link state and runs the same shortest-path computation, so
 per-node results must agree along any path.  Determinism comes from a fixed
 tie-break: among equal-cost candidates the predecessor with the smaller name
 wins, then the smaller link index.  There is no equal-cost multipath.
+
+Each tree keeps only first hops.  A node binds one label per reachable
+destination and points it at its own first hop; an LSP is the chain of
+these bindings from the ingress to the penultimate-hop pop, and nothing
+else records the path.  Because every cost is at least 1 and all nodes
+share the tie-break, the chain is the ingress's own shortest path.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from ixsim.model import Topology, UnknownNodeError
 FIRST_FREE_LABEL = 16
 IMPLICIT_NULL = 3
 
-# Marker for the out_neighbor of a binding at the forwarding class's own
-# node: traffic is handed to the local bridge, not another PE.
+# Marker for the out_neighbor and out_link of a binding at the forwarding
+# class's own node: traffic is handed to the local bridge, not another PE.
 LOCAL = None
 
 
@@ -40,36 +46,13 @@ class LabelAllocator:
 
 @dataclass
 class SpfTree:
-    """Single-source shortest paths.  ``next_hop`` holds, for each reachable
-    node, the predecessor and link that final-hop it; reading the chain
-    backwards from any node yields the path from the source."""
+    """Single-source shortest paths.  ``first_hop`` holds, for each reachable
+    node other than the source, the neighbour and link the source sends on
+    to reach it.  Later hops are each later node's own first hop."""
 
     source: str
     dist: Dict[str, int]
-    next_hop: Dict[str, Tuple[str, int]]
-
-    def path_to(self, dst: str) -> Optional[list[Tuple[str, int]]]:
-        """Hops from source to dst as (node, link index) pairs, the link
-        leading to the next node; None when dst is unreachable."""
-        if dst not in self.dist:
-            return None
-        chain: list[Tuple[str, int]] = []
-        here = dst
-        while here != self.source:
-            prev, link = self.next_hop[here]
-            chain.append((prev, link))
-            here = prev
-        chain.reverse()
-        return chain
-
-    def first_hop(self, dst: str) -> Optional[Tuple[str, int]]:
-        path = self.path_to(dst)
-        if not path:
-            return None
-        node, link = path[0]
-        assert node == self.source
-        later = path[1][0] if len(path) > 1 else dst
-        return later, link
+    first_hop: Dict[str, Tuple[str, int]]
 
 
 def compute_spf(topo: Topology, source: str) -> SpfTree:
@@ -77,13 +60,15 @@ def compute_spf(topo: Topology, source: str) -> SpfTree:
 
     Ties resolve toward the lexicographically smaller predecessor name and
     then the lower link index, so every run and every node agrees on the
-    same tree.
+    same tree.  A destination's first hop is inherited from the predecessor
+    that wins, at the moment it wins.
     """
     if not topo.has_node(source):
         raise UnknownNodeError(source)
     adj = topo.adjacency()
     dist: Dict[str, int] = {}
     parent: Dict[str, Tuple[str, int]] = {}
+    first: Dict[str, Tuple[str, int]] = {}
     best: Dict[str, int] = {source: 0}
     heap: list[Tuple[int, str]] = [(0, source)]
     while heap:
@@ -98,11 +83,12 @@ def compute_spf(topo: Topology, source: str) -> SpfTree:
             known = best.get(neigh)
             if known is None or cand < known:
                 best[neigh] = cand
-                parent[neigh] = (here, link)
                 heapq.heappush(heap, (cand, neigh))
-            elif cand == known and (here, link) < parent[neigh]:
-                parent[neigh] = (here, link)
-    return SpfTree(source, dist, parent)
+            elif cand > known or (here, link) > parent[neigh]:
+                continue  # the current parent keeps the tie
+            parent[neigh] = (here, link)
+            first[neigh] = (neigh, link) if here == source else first[here]
+    return SpfTree(source, dist, first)
 
 
 def compute_all_spf(topo: Topology) -> Dict[str, SpfTree]:
@@ -116,6 +102,8 @@ class LabelBinding:
     ``in_label`` is what this node tells its neighbours to send; ``out_label``
     is what it writes on the way out, IMPLICIT_NULL when the next hop is the
     destination itself (penultimate-hop pop) or the destination is local.
+    ``out_neighbor`` and ``out_link`` say where the frame goes next; both are
+    LOCAL at the destination's own node.
     """
 
     at_node: str
@@ -123,6 +111,7 @@ class LabelBinding:
     in_label: int
     out_label: int
     out_neighbor: Optional[str]
+    out_link: Optional[int]
 
 
 # Bindings are keyed by (node, destination node name); the binding itself
@@ -141,7 +130,8 @@ def allocate_labels(
     order of the class (destination loopback), starting at FIRST_FREE_LABEL.
     The out-label toward a destination is the downstream neighbour's
     in-label for the same class, or IMPLICIT_NULL when the neighbour is the
-    destination.
+    destination.  The downstream neighbour and link are the first hop of the
+    node's own tree.
     """
     if alloc is None:
         alloc = LabelAllocator()
@@ -158,13 +148,12 @@ def allocate_labels(
     table: LabelTable = {}
     for (node, dst), in_label in in_labels.items():
         if node == dst:
-            table[(node, dst)] = LabelBinding(node, fec_of[dst], in_label, IMPLICIT_NULL, LOCAL)
+            table[(node, dst)] = LabelBinding(
+                node, fec_of[dst], in_label, IMPLICIT_NULL, LOCAL, LOCAL)
             continue
-        hop = trees[node].first_hop(dst)
-        assert hop is not None  # reachable, so a first hop exists
-        neigh, _ = hop
+        neigh, link = trees[node].first_hop[dst]
         out = IMPLICIT_NULL if neigh == dst else in_labels[(neigh, dst)]
-        table[(node, dst)] = LabelBinding(node, fec_of[dst], in_label, out, neigh)
+        table[(node, dst)] = LabelBinding(node, fec_of[dst], in_label, out, neigh, link)
     return table
 
 
@@ -187,26 +176,21 @@ class LspPath:
         return tuple(h.link for h in self.hops)
 
 
-def resolve_lsp(
-    table: LabelTable,
-    trees: Dict[str, SpfTree],
-    src: str,
-    dst: str,
-) -> Optional[LspPath]:
+def resolve_lsp(table: LabelTable, src: str, dst: str) -> Optional[LspPath]:
     """Stitch the transport path src -> dst out of per-node bindings.
 
-    Returns None when the underlay is partitioned between the two.  The
-    nodes and links come from the source's tree; the labels written at each
-    hop are whatever that hop's own binding says, which agrees because all
-    trees share one tie-break.
+    Starts at the ingress binding and follows each binding's out-neighbour
+    and out-link until the penultimate hop pops.  Returns None when src has
+    no binding for dst, i.e. the underlay is partitioned between the two.
     """
     if src == dst:
         raise ValueError("an LSP needs distinct endpoints")
-    walk = trees[src].path_to(dst)
-    if walk is None:
+    if (src, dst) not in table:
         return None
     hops = []
-    for node, link in walk:
+    node = src
+    while node != dst:
         binding = table[(node, dst)]
-        hops.append(LspHop(node, binding.out_label, link))
+        hops.append(LspHop(node, binding.out_label, binding.out_link))
+        node = binding.out_neighbor
     return LspPath(src, dst, tuple(hops))

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ixsim.model import Topology
-from ixsim.underlay import LabelAllocator, LabelTable, LspPath, SpfTree, resolve_lsp
+from ixsim.underlay import LabelAllocator, LabelTable, LspPath, resolve_lsp
 
 
 class NoReflectorError(Exception):
@@ -178,7 +178,6 @@ class Pseudowire:
 def derive_pseudowires(
     received: Dict[str, Set[VplsAdvert]],
     table: LabelTable,
-    trees: Dict[str, SpfTree],
 ) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
     """One pseudo-wire per unordered pair of mutually visible participants.
 
@@ -200,8 +199,8 @@ def derive_pseudowires(
                 continue
             if ad_b not in received[a] or ad_a not in received[b]:
                 continue
-            forward = resolve_lsp(table, trees, a, b)
-            backward = resolve_lsp(table, trees, b, a)
+            forward = resolve_lsp(table, a, b)
+            backward = resolve_lsp(table, b, a)
             if forward is None or backward is None:
                 missing.append((a, b))
                 continue

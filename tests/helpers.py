@@ -126,12 +126,11 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
                 reflectors: Iterable[str]) -> Fabric:
     """Fabric without the engine: placements are (asn, pe, index[, state])."""
     topo = make_topology(edges, reflectors=reflectors)
-    trees = compute_all_spf(topo)
     alloc = LabelAllocator()
-    table = allocate_labels(topo, trees, alloc)
+    table = allocate_labels(topo, compute_all_spf(topo), alloc)
     adverts = originate_adverts(topo.node_names(), alloc)
     received = propagate(adverts, build_session_graph(topo))
-    wires, missing = derive_pseudowires(received, table, trees)
+    wires, missing = derive_pseudowires(received, table)
     assert missing == ()
     bridges = {pe: BridgeState(pe=pe) for pe in topo.node_names()}
     for p in placements:

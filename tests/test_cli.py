@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -88,6 +89,17 @@ def test_member_asn_in_the_simulator_block_is_invalid(tmp_path, capsys, asn):
     assert "RESERVED_ASN %s" % asn in err
 
 
+@pytest.mark.parametrize("asn", ["0", "-5", "4294967296"])
+def test_member_asn_out_of_range_is_invalid(tmp_path, capsys, asn):
+    # 0 would also collide with the owner of external prefixes in the
+    # reachability matrix
+    path = write(tmp_path, WHIX.read_text(encoding="utf-8").replace("64496", asn))
+    assert main(["run", path]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("invalid scenario: ") and err.count("\n") == 1
+    assert "BAD_ASN %s" % asn in err
+
+
 def test_reachability_is_probed_only_for_the_report(monkeypatch):
     calls = []
     probe = ixsim.engine.reachability_matrix
@@ -125,6 +137,16 @@ def test_dot_layers(capsys):
     assert out.count(" -- ") == 28
     with pytest.raises(SystemExit):
         main(["dot", GOOD, "--layer", "underwater"])
+
+
+def test_dot_draws_the_state_after_the_events(tmp_path, capsys):
+    text = WHIX.read_text(encoding="utf-8") + "event 50 link-down mallaig datacentre\n"
+    path = write(tmp_path, text)
+    assert main(["dot", path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert '"datacentre" -- "mallaig" [label="1", style=solid, color=gray];' in out
+    assert main(["dot", path, "--layer", "vpls"]) == EXIT_OK
+    assert capsys.readouterr().out.count(" -- ") == 21
 
 
 def test_ribs_dump(capsys):
@@ -165,3 +187,32 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
         outputs.append(got)
     assert outputs[0] == outputs[1]
     assert all(outputs[0])
+
+
+# SHA-256 of each whix artefact as the simulator emits it today.  Any change
+# to these bytes must be deliberate: re-record the digest and say why.
+WHIX_DIGESTS = {
+    ("run",): "eea9ec93408077920625b6ea2ef90f6a0fcc0649e56256c7c11fa5e489078706",
+    ("run", "--trace"): "2fe0915bdf6e43e221c888835f8b129b421e51b69d17888d623fa091139bd4b8",
+    ("ribs",): "b439d656cff597dc002a32f9a8fe578ddbde187aade107f3fc519a8ed46de5bd",
+    ("dot", "physical"): "0704e938715cbcf39948da07a02c2a3d5131a5900993528fb7873c34ed493333",
+    ("dot", "vpls"): "4a5a8b1f5f0ae186ecd7055971fead7b0092338dc9b60d6eeee2c480c53205c8",
+    ("dot", "peering"): "ea6c6e7c461676cba9a62676e9e824edf3301752fd0c7bb55d5d0a48a7242c6c",
+}
+
+
+def test_whix_outputs_match_committed_digests(tmp_path, capsys):
+    def digest(data):
+        return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+    trace = tmp_path / "trace.csv"
+    got = {}
+    assert main(["run", GOOD, "--trace", str(trace)]) == EXIT_OK
+    got[("run",)] = digest(capsys.readouterr().out)
+    got[("run", "--trace")] = digest(trace.read_text(encoding="utf-8"))
+    assert main(["ribs", GOOD]) == EXIT_OK
+    got[("ribs",)] = digest(capsys.readouterr().out)
+    for layer in DOT_LAYERS:
+        assert main(["dot", GOOD, "--layer", layer]) == EXIT_OK
+        got[("dot", layer)] = digest(capsys.readouterr().out)
+    assert got == WHIX_DIGESTS

@@ -106,6 +106,35 @@ def test_covering_picks_longest_prefix_with_default_fallback():
     assert bare.covering(_net("10.0.0.0/8")) is None
 
 
+def _brute_covering(rib, target):
+    if isinstance(target, ipaddress.IPv4Address):
+        target = ipaddress.IPv4Network("%s/32" % target)
+    hits = [route for prefix, route in rib.chosen().items()
+            if prefix.supernet_of(target)]
+    return max(hits, key=lambda r: r.prefix.prefixlen) if hits else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_covering_matches_a_scan_of_every_chosen_route(seed):
+    rng = random.Random(seed)
+    anchors = [rng.getrandbits(32) for _ in range(3)]
+    rib = MemberRib(64496)
+    for _ in range(rng.randint(0, 40)):
+        prefix = ipaddress.IPv4Network((rng.choice(anchors), rng.randint(0, 32)),
+                                       strict=False)
+        path = tuple(rng.sample(range(64500, 64510), rng.randint(1, 3)))
+        rib.add(BgpRoute(prefix, path, _ip("192.0.2.%d" % rng.randint(1, 9)),
+                         "rs/%d" % rng.randint(0, 2)))
+    targets = []
+    for _ in range(20):
+        addr = rng.choice(anchors) ^ rng.getrandbits(rng.randint(0, 32))
+        targets.append(ipaddress.IPv4Address(addr))
+        targets.append(ipaddress.IPv4Network((addr, rng.randint(0, 32)), strict=False))
+    for target in targets:
+        assert rib.covering(target) == _brute_covering(rib, target)
+
+
 def test_rib_equality_tracks_candidates():
     a, b = MemberRib(64496), MemberRib(64496)
     assert a == b

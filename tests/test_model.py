@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from helpers import make_port, make_topology, random_connected_topology
 from ixsim.model import (
+    ASN_FIRST,
+    ASN_LAST,
     DOC_ASN32_FIRST,
     DOC_ASN32_LAST,
     Link,
@@ -112,6 +114,16 @@ def test_simulator_asn_block_is_reserved():
     for asn in (DOC_ASN32_FIRST - 1, DOC_ASN32_LAST + 1):
         report = validate_topology(topo, [], [MemberAs(asn, "free")], EXCHANGE)
         assert "RESERVED_ASN" not in report.codes()
+
+
+def test_member_asn_outside_32_bits_flagged():
+    topo = Topology.build([_node("a", "172.16.50.1")])
+    for asn in (ASN_FIRST - 1, -5, ASN_LAST + 1):
+        report = validate_topology(topo, [], [MemberAs(asn, "bad")], EXCHANGE)
+        assert "BAD_ASN" in report.codes()
+    for asn in (ASN_FIRST, ASN_LAST):
+        report = validate_topology(topo, [], [MemberAs(asn, "good")], EXCHANGE)
+        assert "BAD_ASN" not in report.codes()
 
 
 def test_duplicate_asn_flagged():

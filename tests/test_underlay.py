@@ -25,12 +25,18 @@ from ixsim.underlay import (
 from oracles import all_pairs_distances
 
 
+def _lsp_links(topo, src, dst):
+    lsp = resolve_lsp(allocate_labels(topo, compute_all_spf(topo)), src, dst)
+    return lsp.link_indices()
+
+
 def test_triangle_prefers_two_hop_path():
     topo = make_topology([("a", "b", 1), ("b", "c", 1), ("a", "c", 3)],
                          reflectors={"a"})
     tree = compute_spf(topo, "a")
     assert tree.dist == {"a": 0, "b": 1, "c": 2}
-    assert tree.path_to("c") == [("a", 0), ("b", 1)]
+    assert tree.first_hop["c"] == ("b", 0)
+    assert _lsp_links(topo, "a", "c") == (0, 1)
 
 
 def test_equal_cost_tie_prefers_smaller_predecessor_name():
@@ -39,14 +45,24 @@ def test_equal_cost_tie_prefers_smaller_predecessor_name():
         reflectors={"a"})
     tree = compute_spf(topo, "a")
     assert tree.dist["d"] == 2
-    assert tree.next_hop["d"] == ("b", 2)
-    assert tree.path_to("d") == [("a", 0), ("b", 2)]
+    assert tree.first_hop["d"] == ("b", 0)
+    assert _lsp_links(topo, "a", "d") == (0, 2)
+    # c is settled first and offers d at cost 3; b ties later and still wins
+    topo = make_topology(
+        [("a", "b", 2), ("a", "c", 1), ("b", "d", 1), ("c", "d", 2)],
+        reflectors={"a"})
+    tree = compute_spf(topo, "a")
+    assert tree.dist["d"] == 3
+    assert tree.first_hop["d"] == ("b", 0)
+    assert _lsp_links(topo, "a", "d") == (0, 2)
 
 
 def test_parallel_links_tie_prefers_lower_index():
     topo = make_topology([("a", "b", 1), ("a", "b", 1)], reflectors={"a"})
     tree = compute_spf(topo, "a")
-    assert tree.next_hop["b"] == ("a", 0)
+    assert tree.first_hop["b"] == ("b", 0)
+    assert _lsp_links(topo, "a", "b") == (0,)
+    assert _lsp_links(topo, "b", "a") == (0,)
 
 
 def test_down_links_are_ignored():
@@ -54,15 +70,15 @@ def test_down_links_are_ignored():
     topo = topo.with_link_state(0, LinkState.DOWN)
     tree = compute_spf(topo, "a")
     assert tree.dist["b"] == 5
-    assert tree.next_hop["b"] == ("a", 1)
+    assert tree.first_hop["b"] == ("b", 1)
+    assert _lsp_links(topo, "a", "b") == (1,)
 
 
 def test_unreachable_node_missing_from_tree():
     topo = make_topology([("a", "b", 1)], extra_nodes=["z"], reflectors={"a"})
     tree = compute_spf(topo, "a")
     assert "z" not in tree.dist
-    assert tree.path_to("z") is None
-    assert tree.first_hop("z") is None
+    assert "z" not in tree.first_hop
 
 
 def test_unknown_source_rejected():
@@ -72,8 +88,11 @@ def test_unknown_source_rejected():
 
 
 def test_path_to_source_is_empty():
+    # the source needs no hop to reach itself, so it has no first hop
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
-    assert compute_spf(topo, "a").path_to("a") == []
+    tree = compute_spf(topo, "a")
+    assert tree.dist["a"] == 0
+    assert tree.first_hop == {"b": ("b", 0)}
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,25 +114,61 @@ def test_spf_distances_match_floyd_warshall(seed, n):
                 assert tree.dist[dst] == expect
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10**6), n=st.integers(2, 9))
-def test_tree_suffixes_agree_across_sources(seed, n):
-    """Any node on a chosen path chooses the same remainder itself.
+def _tie_heavy_topology(rng, n):
+    """Costs 1 or 2 so equal-cost paths abound; some node pairs get parallel
+    links, and about a fifth of all links are down, which may partition."""
+    names = ["pe%02d" % i for i in range(1, n + 1)]
+    edges = []
+    for i in range(1, n):
+        edges.append((names[i], names[rng.randrange(i)], rng.choice((1, 2))))
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(names, 2)
+        edges.append((a, b, rng.choice((1, 2))))
+    for _ in range(rng.randint(0, 3)):
+        a, b, _ = rng.choice(edges)
+        edges.append((a, b, rng.choice((1, 2))))
+    topo = make_topology(edges, reflectors={names[0]})
+    for i in range(len(topo.links)):
+        if rng.random() < 0.2:
+            topo = topo.with_link_state(i, LinkState.DOWN)
+    return topo
 
-    Hop-by-hop label forwarding only works if every PE along a path agrees
-    with the ingress about where the path goes next.
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 9))
+def test_lsps_are_shortest_paths_under_ties(seed, n):
+    """Following the bindings hop by hop lands on a shortest path.
+
+    Each node points its binding at its own tree's first hop, so every
+    step of the walk must be a link on one of that node's shortest paths,
+    ties included, and the labels must chain from binding to binding.
     """
     rng = random.Random(seed)
-    topo = random_connected_topology(rng, n)
-    trees = compute_all_spf(topo)
+    topo = _tie_heavy_topology(rng, n)
+    table = allocate_labels(topo, compute_all_spf(topo))
+    oracle = all_pairs_distances(topo)
     for src in topo.node_names():
         for dst in topo.node_names():
-            walk = trees[src].path_to(dst)
-            if not walk:
+            if src == dst:
                 continue
-            nodes = [hop[0] for hop in walk] + [dst]
-            for i, mid in enumerate(nodes[:-1]):
-                assert trees[mid].path_to(dst) == walk[i:]
+            lsp = resolve_lsp(table, src, dst)
+            if oracle[(src, dst)] is math.inf:
+                assert lsp is None
+                continue
+            assert lsp is not None and (lsp.src, lsp.dst) == (src, dst)
+            nodes = [h.node for h in lsp.hops] + [dst]
+            assert nodes[0] == src
+            cost = 0
+            for hop, nxt in zip(lsp.hops, nodes[1:]):
+                link = topo.links[hop.link]
+                assert link.state is LinkState.UP
+                assert {hop.node, nxt} == {link.a, link.b}
+                cost += link.cost
+                if nxt == dst:
+                    assert hop.out_label == IMPLICIT_NULL
+                else:
+                    assert hop.out_label == table[(nxt, dst)].in_label
+            assert cost == oracle[(src, dst)]
 
 
 def test_allocator_counts_per_node_independently():
@@ -125,8 +180,7 @@ def test_allocator_counts_per_node_independently():
 
 def test_two_node_bindings_and_penultimate_hop_pop():
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
-    trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
+    table = allocate_labels(topo, compute_all_spf(topo))
     local = table[("a", "a")]
     assert (local.in_label, local.out_label, local.out_neighbor) == (16, IMPLICIT_NULL, LOCAL)
     toward_b = table[("a", "b")]
@@ -140,10 +194,9 @@ def test_two_node_bindings_and_penultimate_hop_pop():
 
 def test_three_node_chain_swaps_then_pops():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
+    table = allocate_labels(topo, compute_all_spf(topo))
     assert table[("a", "c")].out_label == table[("b", "c")].in_label == 18
-    lsp = resolve_lsp(table, trees, "a", "c")
+    lsp = resolve_lsp(table, "a", "c")
     assert lsp is not None
     assert lsp.hops == (LspHop("a", 18, 0), LspHop("b", IMPLICIT_NULL, 1))
     assert lsp.link_indices() == (0, 1)
@@ -162,19 +215,17 @@ def test_fec_strings_allocate_in_lexicographic_order():
 
 def test_partition_leaves_no_binding_and_no_lsp():
     topo = make_topology([("a", "b", 1)], extra_nodes=["z"], reflectors={"a"})
-    trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
+    table = allocate_labels(topo, compute_all_spf(topo))
     assert ("a", "z") not in table
     assert table[("z", "z")].in_label == 16
-    assert resolve_lsp(table, trees, "a", "z") is None
+    assert resolve_lsp(table, "a", "z") is None
 
 
 def test_lsp_needs_distinct_endpoints():
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
-    trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
+    table = allocate_labels(topo, compute_all_spf(topo))
     with pytest.raises(ValueError):
-        resolve_lsp(table, trees, "a", "a")
+        resolve_lsp(table, "a", "a")
 
 
 @settings(max_examples=30, deadline=None)
@@ -182,13 +233,12 @@ def test_lsp_needs_distinct_endpoints():
 def test_lsp_labels_chain_through_downstream_bindings(seed, n):
     rng = random.Random(seed)
     topo = random_connected_topology(rng, n)
-    trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
+    table = allocate_labels(topo, compute_all_spf(topo))
     for src in topo.node_names():
         for dst in topo.node_names():
             if src == dst:
                 continue
-            lsp = resolve_lsp(table, trees, src, dst)
+            lsp = resolve_lsp(table, src, dst)
             assert lsp is not None  # topology is connected
             nodes = [h.node for h in lsp.hops] + [dst]
             assert nodes[0] == src
@@ -207,4 +257,4 @@ def test_results_are_repeatable():
     first = allocate_labels(topo, compute_all_spf(topo))
     second = allocate_labels(topo, compute_all_spf(topo))
     assert first == second
-    assert compute_spf(topo, "pe01").next_hop == compute_spf(topo, "pe01").next_hop
+    assert compute_spf(topo, "pe01").first_hop == compute_spf(topo, "pe01").first_hop

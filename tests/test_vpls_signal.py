@@ -24,13 +24,12 @@ from oracles import count_unordered_pairs, expected_ibgp_sessions
 
 
 def _full_mesh_state(topo):
-    trees = compute_all_spf(topo)
     alloc = LabelAllocator()
-    table = allocate_labels(topo, trees, alloc)
+    table = allocate_labels(topo, compute_all_spf(topo), alloc)
     adverts = originate_adverts(topo.node_names(), alloc)
     sessions = build_session_graph(topo)
     received = propagate(adverts, sessions)
-    return trees, table, adverts, received
+    return table, adverts, received
 
 
 def test_two_reflectors_eight_nodes_gives_thirteen_sessions():
@@ -137,15 +136,14 @@ def test_reflectors_do_not_relay_peer_learned_state():
 def test_partial_visibility_limits_the_mesh():
     topo = make_topology([("c", "r1", 1), ("r1", "r2", 1), ("r2", "r3", 1)],
                          reflectors={"r1", "r2", "r3"})
-    trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
+    table = allocate_labels(topo, compute_all_spf(topo))
     adverts = originate_adverts(topo.node_names())
     sessions = {
         IbgpSession("c", "r1", IbgpKind.RR_CLIENT),
         IbgpSession("r1", "r2", IbgpKind.RR_TO_RR),
         IbgpSession("r2", "r3", IbgpKind.RR_TO_RR),
     }
-    wires, missing = derive_pseudowires(propagate(adverts, sessions), table, trees)
+    wires, missing = derive_pseudowires(propagate(adverts, sessions), table)
     assert missing == ()
     assert {(w.pe_a, w.pe_b) for w in wires} == {
         ("c", "r1"), ("c", "r2"), ("r1", "r2"), ("r2", "r3")}
@@ -156,8 +154,8 @@ def test_partial_visibility_limits_the_mesh():
 def test_connected_topology_builds_a_full_mesh(seed, n):
     rng = random.Random(seed)
     topo = random_connected_topology(rng, n)
-    trees, table, adverts, received = _full_mesh_state(topo)
-    wires, missing = derive_pseudowires(received, table, trees)
+    table, adverts, received = _full_mesh_state(topo)
+    wires, missing = derive_pseudowires(received, table)
     assert missing == ()
     assert len(wires) == count_unordered_pairs(topo.node_names())
     assert {(w.pe_a, w.pe_b) for w in wires} == {
@@ -172,10 +170,10 @@ def test_partitioned_mesh_reports_missing_transport():
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "e", 1),
          ("f", "g", 1), ("g", "h", 1)],
         reflectors={"a"})
-    trees, table, adverts, received = _full_mesh_state(topo)
+    table, adverts, received = _full_mesh_state(topo)
     for pe in topo.node_names():
         assert len(received[pe]) == 7
-    wires, missing = derive_pseudowires(received, table, trees)
+    wires, missing = derive_pseudowires(received, table)
     assert len(wires) == count_unordered_pairs("abcde") + count_unordered_pairs("fgh")
     assert len(missing) == 5 * 3
     assert all((a in "abcde") != (b in "abcde") for a, b in missing)
@@ -183,8 +181,8 @@ def test_partitioned_mesh_reports_missing_transport():
 
 def test_directional_labels_come_from_the_receiving_block():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    trees, table, adverts, received = _full_mesh_state(topo)
-    wires, _ = derive_pseudowires(received, table, trees)
+    table, adverts, received = _full_mesh_state(topo)
+    wires, _ = derive_pseudowires(received, table)
     by_pair = {(w.pe_a, w.pe_b): w for w in wires}
     ab = by_pair[("a", "b")]
     # traffic a->b arrives with b's block label for sender VE 1
