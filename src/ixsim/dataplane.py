@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ixsim.model import Link, MemberPort, PortState, Topology
+from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
 from ixsim.vpls_signal import Pseudowire
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
@@ -55,11 +55,6 @@ class EthernetFrame:
 
 def is_broadcast(mac: str) -> bool:
     return mac == BROADCAST_MAC
-
-
-def is_unicast(mac: str) -> bool:
-    # Group bit is the least significant bit of the first octet.
-    return not int(mac.split(":", 1)[0], 16) & 1
 
 
 @dataclass(frozen=True)
@@ -167,13 +162,6 @@ def bridge_forward(
         if not remote_claims_local:
             bridge.mac_table[src] = MacEntry(arrived_via, round_no)
 
-    local_targets = [
-        PortRef(asn)
-        for asn, port in sorted(bridge.ports.items())
-        if port.state is PortState.ACTIVE and PortRef(asn) != arrived_via
-    ]
-    wire_targets = [PwRef(pe) for pe in sorted(bridge.pws)]
-
     if not is_broadcast(frame.dst_mac):
         entry = bridge.lookup(frame.dst_mac, round_no)
         if entry is not None:
@@ -184,9 +172,13 @@ def bridge_forward(
             else:
                 return [_emit(frame, entry.where)]
 
-    targets: List[Attachment] = list(local_targets)
+    targets: List[Attachment] = [
+        PortRef(asn)
+        for asn, port in sorted(bridge.ports.items())
+        if port.state is PortState.ACTIVE and PortRef(asn) != arrived_via
+    ]
     if not isinstance(arrived_via, PwRef):
-        targets += wire_targets
+        targets += [PwRef(pe) for pe in sorted(bridge.pws)]
     return [_emit(frame, t) for t in targets]
 
 

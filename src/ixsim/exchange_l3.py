@@ -11,7 +11,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ixsim.dataplane import (
     BROADCAST_MAC,
@@ -99,6 +99,8 @@ class MemberRib:
     def __init__(self, member_asn: int):
         self.member_asn = member_asn
         self.candidates: Dict[ipaddress.IPv4Network, Dict[str, BgpRoute]] = {}
+        self._lengths: List[int] = []  # prefix lengths held, longest first
+        self._indexed = 0  # len(candidates) when _lengths was taken
 
     def add(self, route: BgpRoute) -> None:
         if self.member_asn in route.as_path:
@@ -115,14 +117,18 @@ class MemberRib:
         self, target: Union[ipaddress.IPv4Network, ipaddress.IPv4Address]
     ) -> Optional[BgpRoute]:
         """Longest-prefix selection among chosen routes, default included.
-        At most one prefix of each length contains the target, so the
-        target itself and then each shorter supernet is looked up."""
+        At most one prefix of each length contains the target, so only the
+        target's supernets at the lengths the RIB holds are looked up."""
         if isinstance(target, ipaddress.IPv4Address):
-            target = ipaddress.IPv4Network("%s/32" % target)
-        for length in range(target.prefixlen, -1, -1):
-            routes = self.candidates.get(target.supernet(new_prefix=length))
-            if routes:
-                return best_path(list(routes.values()))
+            target = ipaddress.IPv4Network(target)
+        if self._indexed != len(self.candidates):  # prefixes are never removed
+            self._lengths = sorted({p.prefixlen for p in self.candidates}, reverse=True)
+            self._indexed = len(self.candidates)
+        for length in self._lengths:
+            if length <= target.prefixlen:
+                routes = self.candidates.get(target.supernet(new_prefix=length))
+                if routes:
+                    return best_path(list(routes.values()))
         return None
 
     def __eq__(self, other) -> bool:
@@ -206,6 +212,13 @@ def upstream_announcements(
     return out
 
 
+def _send(src: MemberPort, dst_mac: str, ethertype: EtherType, payload_size: int,
+          fabric: Fabric, round_no: int, trace_id: str) -> List[int]:
+    """Offer one frame at src's port; the member ports that received it."""
+    frame = EthernetFrame(src.nominated_mac, dst_mac, ethertype, payload_size, trace_id)
+    return fabric.inject(src.member_asn, frame, round_no).deliveries
+
+
 def arp_resolve(
     requester: MemberPort,
     target_ip: ipaddress.IPv4Address,
@@ -219,28 +232,14 @@ def arp_resolve(
     None means no answer: the owner is absent, quarantined, or unreachable
     at layer 2.
     """
-    request = EthernetFrame(
-        src_mac=requester.nominated_mac,
-        dst_mac=BROADCAST_MAC,
-        ethertype=EtherType.ARP,
-        payload_size=ARP_PAYLOAD_SIZE,
-        trace_id="%s-req" % trace_prefix,
-    )
-    asked = fabric.inject(requester.member_asn, request, round_no)
+    heard = _send(requester, BROADCAST_MAC, EtherType.ARP, ARP_PAYLOAD_SIZE,
+                  fabric, round_no, "%s-req" % trace_prefix)
     owner = fabric.port_with_ip(target_ip)
     if owner is None or owner.member_asn == requester.member_asn:
         return None
-    if not asked.accepted or owner.member_asn not in asked.deliveries:
-        return None
-    reply = EthernetFrame(
-        src_mac=owner.nominated_mac,
-        dst_mac=requester.nominated_mac,
-        ethertype=EtherType.ARP,
-        payload_size=ARP_PAYLOAD_SIZE,
-        trace_id="%s-rep" % trace_prefix,
-    )
-    answered = fabric.inject(owner.member_asn, reply, round_no)
-    if requester.member_asn not in answered.deliveries:
+    if owner.member_asn not in heard or requester.member_asn not in _send(
+            owner, requester.nominated_mac, EtherType.ARP, ARP_PAYLOAD_SIZE,
+            fabric, round_no, "%s-rep" % trace_prefix):
         return None
     return owner.nominated_mac
 
@@ -256,47 +255,51 @@ def reachability_matrix(
     """Control and data plane agreement, cell by cell.
 
     A cell (member, prefix) is true only when the member's RIB selects a
-    covering route and a traced ARP exchange plus unicast delivery to the
-    route's next hop actually succeeds.  Probing runs on a cloned fabric so
-    the real MAC tables and logs stay untouched.
+    covering route, the member's broadcast ARP request reaches the port
+    owning the route's next hop, the owner's unicast reply comes back and
+    a unicast data frame gets to the owner.  Probing runs on a cloned
+    fabric so the real MAC tables and logs stay untouched.
+
+    A member floods its request once, for all of its targets, and each
+    (member, owner) pair exchanges its reply and data frame once.  Earlier
+    probes cannot change a later outcome: the clone learns each MAC only
+    at its own port, so a known-unicast frame goes where a flood would.
     """
     probe = fabric.clone()
-    targets: List[Tuple[str, int]] = []  # (prefix text, owner asn or 0)
-    for m in sorted(members, key=lambda m: m.asn):
-        for pfx in m.announced_prefixes:
-            targets.append((str(pfx), m.asn))
-    for pfx in external_prefixes:
-        targets.append((str(pfx), 0))
+    by_ip: Dict[ipaddress.IPv4Address, MemberPort] = {}
+    for asn, port in sorted(probe.ports_by_asn().items()):
+        by_ip.setdefault(port.exchange_ip, port)  # lowest ASN, as port_with_ip
+    targets = [(pfx, m.asn) for m in sorted(members, key=lambda m: m.asn)
+               for pfx in m.announced_prefixes]
+    targets += [(pfx, 0) for pfx in external_prefixes]  # 0: no member owns it
 
     matrix: Dict[Tuple[int, str], bool] = {}
-    seq = 0
+    legs: Dict[Tuple[int, int], bool] = {}  # (member, owner) -> reply and data got through
     for m in sorted(members, key=lambda m: m.asn):
         port = ports.get(m.asn)
         rib = ribs.get(m.asn)
-        for text, owner in targets:
+        active = port is not None and rib is not None and port.state is PortState.ACTIVE
+        heard: Optional[Set[int]] = None  # flooded at the first covering route
+        for pfx, owner in targets:
             if owner == m.asn:
                 continue
-            key = (m.asn, text)
+            key = (m.asn, str(pfx))
             matrix[key] = False
-            if port is None or rib is None or port.state is not PortState.ACTIVE:
-                continue
-            route = rib.covering(ipaddress.IPv4Network(text))
+            route = rib.covering(pfx) if active else None
             if route is None:
                 continue
-            seq += 1
-            mac = arp_resolve(port, route.next_hop, probe, round_no,
-                              trace_prefix="probe%d" % seq)
-            if mac is None:
+            if heard is None:
+                heard = set(_send(port, BROADCAST_MAC, EtherType.ARP, ARP_PAYLOAD_SIZE,
+                                  probe, round_no, "probe%d-req" % m.asn))
+            hop = by_ip.get(route.next_hop)
+            if hop is None or hop.member_asn == m.asn or hop.member_asn not in heard:
                 continue
-            payload = EthernetFrame(
-                src_mac=port.nominated_mac,
-                dst_mac=mac,
-                ethertype=EtherType.IPV4,
-                payload_size=PROBE_PAYLOAD_SIZE,
-                trace_id="probe%d-data" % seq,
-            )
-            sent = probe.inject(m.asn, payload, round_no)
-            hop_port = probe.port_with_ip(route.next_hop)
-            matrix[key] = (hop_port is not None
-                           and hop_port.member_asn in sent.deliveries)
+            pair = (m.asn, hop.member_asn)
+            if pair not in legs:
+                replied = m.asn in _send(hop, port.nominated_mac, EtherType.ARP, ARP_PAYLOAD_SIZE,
+                                         probe, round_no, "probe%d-%d-rep" % pair)
+                legs[pair] = replied and hop.member_asn in _send(
+                    port, hop.nominated_mac, EtherType.IPV4, PROBE_PAYLOAD_SIZE,
+                    probe, round_no, "probe%d-%d-data" % pair)
+            matrix[key] = legs[pair]
     return matrix

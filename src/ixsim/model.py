@@ -192,6 +192,11 @@ class MemberPort:
     state: PortState = PortState.QUARANTINE
 
 
+def is_unicast(mac: str) -> bool:
+    # Group bit is the least significant bit of the first octet.
+    return not int(mac.split(":", 1)[0], 16) & 1
+
+
 @dataclass(frozen=True, order=True)
 class Violation:
     code: str
@@ -280,6 +285,9 @@ def validate_topology(
                               "%d %d %s" % (asn, other_asn, other)))
 
     member_asns = {m.asn for m in members}
+    not_hosts = ()  # network and broadcast address; a /31 (RFC 3021) or /32 has none
+    if exchange_prefix is not None and exchange_prefix.prefixlen < 31:
+        not_hosts = (exchange_prefix.network_address, exchange_prefix.broadcast_address)
     for mac, owners in _dup_groups((p.nominated_mac, str(p.member_asn)) for p in ports):
         found.append(Violation("DUP_MAC", mac, " ".join(owners)))
     for ip, owners in _dup_groups((str(p.exchange_ip), str(p.member_asn)) for p in ports):
@@ -289,9 +297,13 @@ def validate_topology(
             found.append(Violation("UNKNOWN_ATTACH", str(port.member_asn), port.attach_pe))
         if members and port.member_asn not in member_asns:
             found.append(Violation("UNKNOWN_MEMBER", str(port.member_asn)))
+        if not is_unicast(port.nominated_mac):
+            found.append(Violation("MAC_NOT_UNICAST", port.nominated_mac, str(port.member_asn)))
         if exchange_prefix is not None and port.exchange_ip not in exchange_prefix:
             found.append(
                 Violation("IP_OUT_OF_EXCHANGE", str(port.exchange_ip), str(port.member_asn)))
+        if port.exchange_ip in not_hosts:
+            found.append(Violation("IP_NOT_HOST", str(port.exchange_ip), str(port.member_asn)))
     if exchange_prefix is not None:
         if any(exchange_prefix.overlaps(private) for private in RFC1918):
             found.append(Violation("EXCHANGE_PREFIX_PRIVATE", str(exchange_prefix)))

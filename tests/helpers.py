@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 from ixsim.dataplane import BridgeState, Fabric
 from ixsim.engine import Simulation
-from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer
+from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
 from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf
 from ixsim.vpls_signal import build_session_graph, derive_pseudowires, originate_adverts, propagate
 from ixsim.model import (
@@ -169,10 +169,12 @@ def random_connected_topology(rng: random.Random, n: int,
 
 
 def random_exchange(rng: random.Random, n: int,
-                    route_server: bool = False) -> Simulation:
+                    route_server: bool = False, externals: int = 0) -> Simulation:
     """Converged fabric over a random topology, one or two members per PE.
     With route_server, the reflector hosts one and every member is its
-    client."""
+    client.  With externals, the first member is a transit provider for
+    that many external prefixes, and each other member takes a default
+    route, the full table or nothing from it."""
     topo = random_connected_topology(rng, n)
     placements = []
     asn = 63001
@@ -180,6 +182,14 @@ def random_exchange(rng: random.Random, n: int,
         for _ in range(rng.randint(1, 2)):
             placements.append((asn, name))
             asn += 1
+    sessions = []
+    if externals:
+        transit, pe = placements[0]
+        placements[0] = (transit, pe, PortState.ACTIVE, True)
+        for member, _ in placements[1:]:
+            policy = rng.choice([None, TransitPolicy.DEFAULT_ONLY, TransitPolicy.FULL_TABLE])
+            if policy is not None:
+                sessions.append(PeeringSession(member, transit, PeerKind.TRANSIT, policy))
     reflectors = [n.name for n in topo.nodes if n.is_route_reflector]
     scenario = make_exchange(
         [(l.a, l.b, l.cost, l.mtu) for l in topo.links],
@@ -187,5 +197,7 @@ def random_exchange(rng: random.Random, n: int,
         reflectors=reflectors,
         rs_nodes=reflectors if route_server else (),
         all_on_rs=route_server,
+        sessions=sessions,
+        externals=["198.51.%d.0/24" % i for i in range(externals)],
     )
     return converged(scenario)

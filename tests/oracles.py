@@ -1,15 +1,21 @@
 """Reference implementations the tests trust instead of the code under test.
 
 Deliberately different algorithms: Floyd-Warshall rather than Dijkstra,
-union-find rather than BFS, plain double loops rather than closed formulas.
+union-find rather than BFS, plain double loops rather than closed formulas,
+a full ARP exchange and data probe per reachability cell rather than one
+flood per source member.
 """
 
 from __future__ import annotations
 
+import ipaddress
 import math
 from itertools import combinations
+from typing import Dict, List, Sequence, Tuple
 
-from ixsim.model import LinkState, Topology
+from ixsim.dataplane import EtherType, EthernetFrame, Fabric
+from ixsim.exchange_l3 import PROBE_PAYLOAD_SIZE, MemberRib, arp_resolve
+from ixsim.model import LinkState, MemberAs, MemberPort, PortState, Topology
 
 
 def up_edges(topo: Topology) -> list[tuple[str, str, int]]:
@@ -82,3 +88,60 @@ def expected_ibgp_sessions(node_names, reflector_names) -> set[tuple[str, str]]:
     for left, right in combinations(reflectors, 2):
         sessions.add((left, right))
     return sessions
+
+
+def reference_reachability(
+    members: Sequence[MemberAs],
+    ports: Dict[int, MemberPort],
+    ribs: Dict[int, MemberRib],
+    external_prefixes: Sequence[ipaddress.IPv4Network],
+    fabric: Fabric,
+    round_no: int = 0,
+) -> Dict[Tuple[int, str], bool]:
+    """Control and data plane agreement, cell by cell.
+
+    A cell (member, prefix) is true only when the member's RIB selects a
+    covering route and a traced ARP exchange plus unicast delivery to the
+    route's next hop actually succeeds.  Probing runs on a cloned fabric so
+    the real MAC tables and logs stay untouched.
+    """
+    probe = fabric.clone()
+    targets: List[Tuple[str, int]] = []  # (prefix text, owner asn or 0)
+    for m in sorted(members, key=lambda m: m.asn):
+        for pfx in m.announced_prefixes:
+            targets.append((str(pfx), m.asn))
+    for pfx in external_prefixes:
+        targets.append((str(pfx), 0))
+
+    matrix: Dict[Tuple[int, str], bool] = {}
+    seq = 0
+    for m in sorted(members, key=lambda m: m.asn):
+        port = ports.get(m.asn)
+        rib = ribs.get(m.asn)
+        for text, owner in targets:
+            if owner == m.asn:
+                continue
+            key = (m.asn, text)
+            matrix[key] = False
+            if port is None or rib is None or port.state is not PortState.ACTIVE:
+                continue
+            route = rib.covering(ipaddress.IPv4Network(text))
+            if route is None:
+                continue
+            seq += 1
+            mac = arp_resolve(port, route.next_hop, probe, round_no,
+                              trace_prefix="probe%d" % seq)
+            if mac is None:
+                continue
+            payload = EthernetFrame(
+                src_mac=port.nominated_mac,
+                dst_mac=mac,
+                ethertype=EtherType.IPV4,
+                payload_size=PROBE_PAYLOAD_SIZE,
+                trace_id="probe%d-data" % seq,
+            )
+            sent = probe.inject(m.asn, payload, round_no)
+            hop_port = probe.port_with_ip(route.next_hop)
+            matrix[key] = (hop_port is not None
+                           and hop_port.member_asn in sent.deliveries)
+    return matrix

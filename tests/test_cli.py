@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -14,7 +15,8 @@ import ixsim.engine
 from helpers import WHIX
 from ixsim.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from ixsim.dataplane import TRACE_HEADER
-from ixsim.engine import DOT_LAYERS
+from ixsim.engine import DOT_LAYERS, Simulation
+from ixsim.scenario import parse_scenario
 
 GOOD = str(WHIX)
 SRC = WHIX.parent.parent / "src"
@@ -98,6 +100,25 @@ def test_member_asn_out_of_range_is_invalid(tmp_path, capsys, asn):
     err = capsys.readouterr().err
     assert err.startswith("invalid scenario: ") and err.count("\n") == 1
     assert "BAD_ASN %s" % asn in err
+
+
+@pytest.mark.parametrize("old,new,violation", [
+    ("mac 02:00:00:00:00:02", "mac 03:00:00:00:00:02", "MAC_NOT_UNICAST 03:00:00:00:00:02"),
+    ("mac 02:00:00:00:00:05", "mac 01:00:00:00:00:05", "MAC_NOT_UNICAST 01:00:00:00:00:05"),
+    ("ip 192.0.2.11", "ip 192.0.2.0", "IP_NOT_HOST 192.0.2.0"),
+    ("ip 192.0.2.11", "ip 192.0.2.255", "IP_NOT_HOST 192.0.2.255"),
+], ids=["mac-03", "mac-01", "ip-network", "ip-broadcast"])
+def test_identity_the_fabric_cannot_use_is_invalid(tmp_path, capsys, old, new, violation):
+    # A group-bit MAC cannot be learned or unicast to, and a network or
+    # broadcast address names no host: either would zero reachability cells.
+    text = WHIX.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path = write(tmp_path, text.replace(old, new))
+    for command in ("check", "run"):
+        assert main([command, path]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scenario: ") and err.count("\n") == 1
+        assert violation in err
 
 
 def test_reachability_is_probed_only_for_the_report(monkeypatch):
@@ -216,3 +237,31 @@ def test_whix_outputs_match_committed_digests(tmp_path, capsys):
         assert main(["dot", GOOD, "--layer", layer]) == EXIT_OK
         got[("dot", layer)] = digest(capsys.readouterr().out)
     assert got == WHIX_DIGESTS
+
+
+def _load_generator():
+    """The benchmark's scenario generator, read from its file and run in a
+    fresh module, so that nothing is written next to it."""
+    path = WHIX.parent.parent / "perfbench" / "generate.py"
+    module = types.ModuleType("perfbench_generate")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+# SHA-256 of report() on generated rungs, recorded before reachability
+# probing moved to one ARP flood per source member.
+GENERATED_REPORT_DIGESTS = {
+    ("probe_mesh", 1): "8a9be30073d50ff2930cc1ae5b972d223a32523dd3809906bc5c9f8ece6dad70",
+    ("probe_mesh", 2): "2044987d96f955e871f31733d4369080dd63bf636d152d385a593f60defef8aa",
+    ("link_churn", 1): "1914db2bdbb5c8f1b8bf2fc958bc7a4cb9edf25ab0a06afe4400d962b39916fb",
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(GENERATED_REPORT_DIGESTS))
+def test_generated_reports_match_committed_digests(workload, seed):
+    scenario = parse_scenario(_load_generator().generate(workload, seed))
+    sim = Simulation(scenario)
+    sim.run()
+    got = hashlib.sha256(sim.report().to_text().encode("utf-8")).hexdigest()
+    assert got == GENERATED_REPORT_DIGESTS[(workload, seed)]

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from helpers import converged, load_whix, make_exchange, random_exchange
-from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType
+from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType, Fabric
 from ixsim.engine import Simulation, UnknownEntityError, export_dot
 from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
@@ -211,6 +211,34 @@ def test_bundled_scenario_reachability(whix_run):
             assert ok == (asn not in (64505, 64511))
         else:
             assert ok
+
+
+def test_reachability_floods_once_per_source_and_probes_each_pair_once(monkeypatch):
+    sim = Simulation(load_whix())
+    sim.run()
+    floods, unicast = [], []
+    inject = Fabric.inject
+
+    def recorded(fabric, asn, frame, round_no=0):
+        if frame.dst_mac == BROADCAST_MAC:
+            floods.append(asn)
+        else:
+            unicast.append((asn, frame.dst_mac, frame.ethertype))
+        return inject(fabric, asn, frame, round_no)
+
+    monkeypatch.setattr(Fabric, "inject", recorded)
+    sim.reachability()
+    targets = [(pfx, m.asn) for m in sim.members.values()
+               for pfx in m.announced_prefixes]
+    targets += [(pfx, 0) for pfx in sim.scenario.external_prefixes]
+    sources = [asn for asn, port in sorted(sim.ports.items())
+               if port.state is PortState.ACTIVE
+               and any(sim.l3.ribs[asn].covering(pfx) is not None
+                       for pfx, owner in targets if owner != asn)]
+    assert floods == sources
+    # Each (requester, owner) pair gets one ARP reply and one data probe,
+    # however many prefixes share the owner as next hop.
+    assert unicast and len(unicast) == len(set(unicast))
 
 
 def test_report_text_is_sorted_and_complete(whix_run):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 import random
 
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hand_fabric
+from helpers import hand_fabric, random_exchange
+from ixsim.dataplane import EtherType, EthernetFrame
 from ixsim.exchange_l3 import (
     DEFAULT_ROUTE,
     BgpRoute,
@@ -27,7 +29,8 @@ from ixsim.exchange_l3 import (
     upstream_announcements,
 )
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST
-from ixsim.model import MemberAs, PortState
+from ixsim.model import LinkState, MemberAs, PortState, Topology
+from oracles import reference_reachability
 
 
 def _net(text):
@@ -119,20 +122,21 @@ def _brute_covering(rib, target):
 def test_covering_matches_a_scan_of_every_chosen_route(seed):
     rng = random.Random(seed)
     anchors = [rng.getrandbits(32) for _ in range(3)]
-    rib = MemberRib(64496)
-    for _ in range(rng.randint(0, 40)):
-        prefix = ipaddress.IPv4Network((rng.choice(anchors), rng.randint(0, 32)),
-                                       strict=False)
-        path = tuple(rng.sample(range(64500, 64510), rng.randint(1, 3)))
-        rib.add(BgpRoute(prefix, path, _ip("192.0.2.%d" % rng.randint(1, 9)),
-                         "rs/%d" % rng.randint(0, 2)))
     targets = []
     for _ in range(20):
         addr = rng.choice(anchors) ^ rng.getrandbits(rng.randint(0, 32))
         targets.append(ipaddress.IPv4Address(addr))
         targets.append(ipaddress.IPv4Network((addr, rng.randint(0, 32)), strict=False))
-    for target in targets:
-        assert rib.covering(target) == _brute_covering(rib, target)
+    rib = MemberRib(64496)
+    for _ in range(2):  # the RIB grows again after it has been looked up
+        for _ in range(rng.randint(0, 20)):
+            prefix = ipaddress.IPv4Network((rng.choice(anchors), rng.randint(0, 32)),
+                                           strict=False)
+            path = tuple(rng.sample(range(64500, 64510), rng.randint(1, 3)))
+            rib.add(BgpRoute(prefix, path, _ip("192.0.2.%d" % rng.randint(1, 9)),
+                             "rs/%d" % rng.randint(0, 2)))
+        for target in targets:
+            assert rib.covering(target) == _brute_covering(rib, target)
 
 
 def test_rib_equality_tracks_candidates():
@@ -291,3 +295,93 @@ def test_matrix_externals_follow_the_default_route():
     matrix = reachability_matrix(members, ports, ribs, external, fabric)
     assert matrix[(64601, "198.51.100.0/24")] is True
     assert matrix[(64602, "198.51.100.0/24")] is False  # no route at all
+
+
+def _both_probers(members, ports, ribs, externals, fabric, round_no=0):
+    members = sorted(members, key=lambda m: m.asn)
+    args = (members, ports, ribs, externals, fabric)
+    got = reachability_matrix(*args, round_no=round_no)
+    want = reference_reachability(*args, round_no=round_no)
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_matrix_matches_the_per_cell_reference(seed):
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 7), route_server=True,
+                          externals=rng.randint(0, 3))
+    # Down links (a cut tree link partitions the mesh) and links too small
+    # for a data probe (100) or for anything at all (50).
+    links = list(sim.topo.links)
+    for i, link in enumerate(links):
+        if rng.random() < 0.2:
+            links[i] = dataclasses.replace(link, state=LinkState.DOWN)
+        elif rng.random() < 0.15:
+            links[i] = dataclasses.replace(link, mtu=rng.choice([50, 100]))
+    sim.topo = Topology(sim.topo.nodes, tuple(links))
+    # Quarantined before convergence: the route servers drop the member.
+    for asn in list(sim.ports):
+        if rng.random() < 0.15:
+            sim.ports[asn] = dataclasses.replace(sim.ports[asn], state=PortState.QUARANTINE)
+    sim.converge()
+    # Quarantined after it: the RIBs still point at the member.
+    for asn, port in list(sim.ports.items()):
+        if rng.random() < 0.15:
+            sim.ports[asn] = dataclasses.replace(port, state=PortState.QUARANTINE)
+            sim.fabric.bridges[port.attach_pe].ports[asn] = sim.ports[asn]
+    # Member traffic leaves learned MACs in the real tables; probing late
+    # enough lets them age out.
+    asns = sorted(sim.ports)
+    for _ in range(rng.randint(0, 6)):
+        src, dst = rng.choice(asns), rng.choice(asns)
+        sim.fabric.inject(src, EthernetFrame(
+            sim.ports[src].nominated_mac, sim.ports[dst].nominated_mac,
+            EtherType.IPV4, 64, "warm"), 0)
+    _both_probers(sim.members.values(), sim.ports, sim.l3.ribs,
+                  sim.scenario.external_prefixes, sim.fabric,
+                  round_no=rng.choice([0, 400]))
+
+
+def _hand_matrix(placements, changes):
+    """Both probers on a two-PE fabric where every member routes to every
+    other member's prefix.  ``changes`` maps an ASN to port fields that
+    validation would reject."""
+    fabric = hand_fabric([("a", "b", 1)], placements, reflectors={"a"})
+    ports = fabric.ports_by_asn()
+    for asn, fields in changes.items():
+        port = dataclasses.replace(ports[asn], **fields)
+        ports[asn] = fabric.bridges[port.attach_pe].ports[asn] = port
+    members = [MemberAs(asn, "m%d" % asn, False, (_net("10.177.%d.0/24" % (asn - 64600)),))
+               for asn in sorted(ports)]
+    ribs = {asn: MemberRib(asn) for asn in ports}
+    for m in members:
+        for asn in ports:
+            ribs[asn].add(BgpRoute(m.announced_prefixes[0], (m.asn,),
+                                   ports[m.asn].exchange_ip, "bgp/%d" % m.asn))
+    return _both_probers(members, ports, ribs, [], fabric)
+
+
+def test_group_bit_mac_zeroes_its_cells_in_both_probers():
+    matrix = _hand_matrix([(64601, "a", 1), (64602, "b", 2), (64603, "b", 3)],
+                          {64602: {"nominated_mac": "03:00:00:00:00:02"}})
+    assert matrix == {
+        (64601, "10.177.2.0/24"): False,
+        (64601, "10.177.3.0/24"): True,
+        (64602, "10.177.1.0/24"): False,
+        (64602, "10.177.3.0/24"): False,
+        (64603, "10.177.1.0/24"): True,
+        (64603, "10.177.2.0/24"): False,
+    }
+
+
+def test_shared_exchange_ip_resolves_to_the_lowest_asn_in_both_probers():
+    # 64602 and 64603 claim one IP; the quarantined 64602 owns it, so the
+    # routes through that IP fail although 64603 could answer.
+    matrix = _hand_matrix(
+        [(64601, "a", 1), (64602, "b", 2, PortState.QUARANTINE), (64603, "b", 3)],
+        {64603: {"exchange_ip": _ip("192.0.2.12")}})
+    assert matrix[(64601, "10.177.2.0/24")] is False
+    assert matrix[(64601, "10.177.3.0/24")] is False
+    assert matrix[(64603, "10.177.1.0/24")] is True

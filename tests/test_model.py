@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 import random
 
@@ -185,6 +186,32 @@ def test_exchange_ip_outside_prefix_flagged():
         state=make_port(63001, "a", 1).state)
     report = validate_topology(topo, [port], [MemberAs(63001, "x")], EXCHANGE)
     assert "IP_OUT_OF_EXCHANGE" in report.codes()
+
+
+@pytest.mark.parametrize("mac", ["03:00:00:00:00:01", "01:00:5e:00:00:01",
+                                 "ff:ff:ff:ff:ff:ff"])
+def test_group_bit_mac_flagged(mac):
+    topo = Topology.build([_node("a", "172.16.50.1")])
+    port = dataclasses.replace(make_port(63001, "a", 1), nominated_mac=mac)
+    report = validate_topology(topo, [port], [MemberAs(63001, "x")], EXCHANGE)
+    assert report.codes() == ["MAC_NOT_UNICAST"]
+
+
+@pytest.mark.parametrize("prefix,ip,ok", [
+    ("192.0.2.0/24", "192.0.2.0", False),
+    ("192.0.2.0/24", "192.0.2.255", False),
+    ("192.0.2.0/24", "192.0.2.1", True),
+    ("192.0.2.0/24", "192.0.2.254", True),
+    ("192.0.2.0/31", "192.0.2.0", True),  # RFC 3021: both are hosts
+    ("192.0.2.7/32", "192.0.2.7", True),
+])
+def test_exchange_ip_must_name_a_host(prefix, ip, ok):
+    topo = Topology.build([_node("a", "172.16.50.1")])
+    port = dataclasses.replace(make_port(63001, "a", 1),
+                               exchange_ip=ipaddress.IPv4Address(ip))
+    report = validate_topology(topo, [port], [MemberAs(63001, "x")],
+                               ipaddress.IPv4Network(prefix))
+    assert report.codes() == ([] if ok else ["IP_NOT_HOST"])
 
 
 def test_port_on_unknown_node_flagged():
