@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
+from ixsim.underlay import LabelTable
 from ixsim.vpls_signal import Pseudowire
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
@@ -248,20 +249,27 @@ class Fabric:
     """All bridges plus the transport glue between them.
 
     Owns the frame trace and the drop log; both survive reconvergence so a
-    run's history stays complete.
+    run's history stays complete.  ``labels`` is the label table of the
+    convergence that built the bridges.  A pseudo-wire direction's links
+    are walked from it the first time a frame crosses that direction and
+    kept for this fabric's lifetime; reconvergence builds a new fabric, so
+    no path outlives its table.
     """
 
     def __init__(
         self,
         topo: Topology,
         bridges: Dict[str, BridgeState],
+        labels: LabelTable,
         trace: Optional[List[TraceRow]] = None,
         drops: Optional[List[DropRecord]] = None,
     ):
         self.topo = topo
         self.bridges = bridges
+        self.labels = labels
         self.trace: List[TraceRow] = trace if trace is not None else []
         self.drops: List[DropRecord] = drops if drops is not None else []
+        self._transport: Dict[Tuple[str, str], List[Link]] = {}
 
     def ports_by_asn(self) -> Dict[int, MemberPort]:
         out: Dict[int, MemberPort] = {}
@@ -276,7 +284,9 @@ class Fabric:
 
     def clone(self) -> "Fabric":
         """Copy for probe traffic: shares immutable structure, keeps its own
-        MAC tables and logs so probing never alters the real history."""
+        MAC tables and logs so probing never alters the real history.  The
+        resolved transport is shared too, since it reads the same topology
+        and label table."""
         bridges = {
             pe: BridgeState(
                 pe=b.pe,
@@ -288,14 +298,29 @@ class Fabric:
             )
             for pe, b in self.bridges.items()
         }
-        return Fabric(self.topo, bridges, trace=[], drops=[])
+        copy = Fabric(self.topo, bridges, self.labels, trace=[], drops=[])
+        copy._transport = self._transport
+        return copy
 
     def _log(self, round_no: int, trace_id: str, pe: str, via: str, action: str):
         self.trace.append(TraceRow(round_no, trace_id, pe, via, action))
 
     def _transport_links(self, pw: Pseudowire, from_pe: str) -> List[Link]:
-        path = pw.transport_from(from_pe)
-        return [self.topo.links[i] for i in path.link_indices()]
+        key = (from_pe, pw.other(from_pe))
+        links = self._transport.get(key)
+        if links is None:
+            path = pw.transport_from(from_pe, self.labels)
+            links = [self.topo.links[i] for i in path.link_indices()]
+            self._transport[key] = links
+        return links
+
+    def _port(self, asn: int) -> MemberPort:
+        """The member port of ``asn``, from whichever bridge holds it."""
+        for bridge in self.bridges.values():
+            port = bridge.ports.get(asn)
+            if port is not None:
+                return port
+        raise KeyError(asn)
 
     def inject(self, asn: int, frame: EthernetFrame, round_no: int = 0) -> InjectResult:
         """Offer a frame at a member port and propagate it everywhere it goes.
@@ -304,8 +329,7 @@ class Fabric:
         in bridge_forward guarantees termination without a visited set, and
         the trace records would expose any violation of that.
         """
-        ports = self.ports_by_asn()
-        port = ports[asn]
+        port = self._port(asn)
         bridge = self.bridges[port.attach_pe]
         via = "port/%d" % asn
         reason = ingress_filter(port, frame)

@@ -47,7 +47,7 @@ from ixsim.model import (
     full_mesh_size,
 )
 from ixsim.scenario import Event, EventKind, Scenario
-from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf
+from ixsim.underlay import LabelAllocator, LabelTable, allocate_labels, compute_all_spf
 from ixsim.vpls_signal import (
     build_session_graph,
     derive_pseudowires,
@@ -85,7 +85,7 @@ class Simulation:
         self.ibgp_sessions: Set = set()
         self.pseudowires: tuple = ()
         self.missing_transport: tuple = ()
-        self.fabric = Fabric(self.topo, {})
+        self.fabric = Fabric(self.topo, {}, {})
         self.l3 = _L3State()
 
     # -- configuration views -------------------------------------------------
@@ -127,7 +127,7 @@ class Simulation:
         adverts = originate_adverts(self.topo.node_names(), alloc)
         self.pseudowires, self.missing_transport = derive_pseudowires(
             propagate(adverts, self.ibgp_sessions), labels)
-        self._rebuild_fabric()
+        self._rebuild_fabric(labels)
 
         sweep = self._exchange_routes()
         changed = int(sweep.ribs != self.l3.ribs)
@@ -135,9 +135,10 @@ class Simulation:
         self.rounds_total += changed
         return changed
 
-    def _rebuild_fabric(self) -> None:
-        """Fresh bridges wired to the current pseudo-wire mesh.  Learned MACs
-        do not survive reconvergence; the logs and trace numbering do."""
+    def _rebuild_fabric(self, labels: LabelTable) -> None:
+        """Fresh bridges wired to the current pseudo-wire mesh, carried over
+        the LSPs of ``labels``.  Learned MACs and resolved transport do not
+        survive reconvergence; the logs and trace numbering do."""
         bridges = {}
         for name in self.topo.node_names():
             bridges[name] = BridgeState(pe=name)
@@ -146,7 +147,7 @@ class Simulation:
         for pw in self.pseudowires:
             bridges[pw.pe_a].pws[pw.pe_b] = pw
             bridges[pw.pe_b].pws[pw.pe_a] = pw
-        self.fabric = Fabric(self.topo, bridges,
+        self.fabric = Fabric(self.topo, bridges, labels,
                              trace=self.fabric.trace, drops=self.fabric.drops)
 
     def _exchange_routes(self) -> _L3State:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ixsim.model import Topology, UnknownNodeError
 
@@ -65,7 +65,10 @@ def compute_spf(topo: Topology, source: str) -> SpfTree:
     """
     if not topo.has_node(source):
         raise UnknownNodeError(source)
-    adj = topo.adjacency()
+    return _spf(topo.adjacency(), source)
+
+
+def _spf(adj: Dict[str, List[Tuple[str, int, int]]], source: str) -> SpfTree:
     dist: Dict[str, int] = {}
     parent: Dict[str, Tuple[str, int]] = {}
     first: Dict[str, Tuple[str, int]] = {}
@@ -92,7 +95,9 @@ def compute_spf(topo: Topology, source: str) -> SpfTree:
 
 
 def compute_all_spf(topo: Topology) -> Dict[str, SpfTree]:
-    return {name: compute_spf(topo, name) for name in topo.node_names()}
+    """One tree per node, all over one adjacency built for the batch."""
+    adj = topo.adjacency()
+    return {name: _spf(adj, name) for name in topo.node_names()}
 
 
 @dataclass(frozen=True)

@@ -151,15 +151,15 @@ class Pseudowire:
     """A point-to-point emulated circuit between two participating PEs.
 
     Labels are directional: ``label_a_to_b`` is what pe_b expects on frames
-    from pe_a, taken from pe_b's advertised block.
+    from pe_a, taken from pe_b's advertised block.  The wire holds no
+    transport path; each direction rides the LSP its sender's bindings
+    stitch in the label table of the same convergence.
     """
 
     pe_a: str
     pe_b: str
     label_a_to_b: int
     label_b_to_a: int
-    transport_a_to_b: LspPath
-    transport_b_to_a: LspPath
 
     def other(self, pe: str) -> str:
         if pe == self.pe_a:
@@ -168,8 +168,8 @@ class Pseudowire:
             return self.pe_a
         raise ValueError("%s is not an endpoint of this pseudo-wire" % pe)
 
-    def transport_from(self, pe: str) -> LspPath:
-        return self.transport_a_to_b if pe == self.pe_a else self.transport_b_to_a
+    def transport_from(self, pe: str, table: LabelTable) -> Optional[LspPath]:
+        return resolve_lsp(table, pe, self.other(pe))
 
     def label_from(self, pe: str) -> int:
         return self.label_a_to_b if pe == self.pe_a else self.label_b_to_a
@@ -181,8 +181,11 @@ def derive_pseudowires(
 ) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
     """One pseudo-wire per unordered pair of mutually visible participants.
 
-    Pairs whose transport cannot be resolved (underlay partition) come back
-    in the second element as MISSING_TRANSPORT diagnostics instead of wires.
+    Pairs without a binding in each direction (underlay partition) come
+    back in the second element as MISSING_TRANSPORT diagnostics instead of
+    wires.  A binding at the ingress is exactly what ``resolve_lsp`` needs,
+    so every wire's transport resolves; the fabric walks it only when a
+    frame first crosses the wire.
     """
     adverts_by_pe = {}
     for pe, incoming in received.items():
@@ -199,9 +202,7 @@ def derive_pseudowires(
                 continue
             if ad_b not in received[a] or ad_a not in received[b]:
                 continue
-            forward = resolve_lsp(table, a, b)
-            backward = resolve_lsp(table, b, a)
-            if forward is None or backward is None:
+            if (a, b) not in table or (b, a) not in table:
                 missing.append((a, b))
                 continue
             wires.append(Pseudowire(
@@ -209,7 +210,5 @@ def derive_pseudowires(
                 pe_b=b,
                 label_a_to_b=ad_b.label_for(ad_a.ve_id),
                 label_b_to_a=ad_a.label_for(ad_b.ve_id),
-                transport_a_to_b=forward,
-                transport_b_to_a=backward,
             ))
     return tuple(wires), tuple(missing)

@@ -140,7 +140,7 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
     for wire in wires:
         bridges[wire.pe_a].pws[wire.pe_b] = wire
         bridges[wire.pe_b].pws[wire.pe_a] = wire
-    return Fabric(topo, bridges)
+    return Fabric(topo, bridges, table)
 
 
 def converged(scenario: Scenario) -> Simulation:

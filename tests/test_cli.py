@@ -15,7 +15,7 @@ import ixsim.engine
 from helpers import WHIX
 from ixsim.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from ixsim.dataplane import TRACE_HEADER
-from ixsim.engine import DOT_LAYERS, Simulation
+from ixsim.engine import DOT_LAYERS, Simulation, export_dot
 from ixsim.scenario import parse_scenario
 
 GOOD = str(WHIX)
@@ -265,3 +265,43 @@ def test_generated_reports_match_committed_digests(workload, seed):
     sim.run()
     got = hashlib.sha256(sim.report().to_text().encode("utf-8")).hexdigest()
     assert got == GENERATED_REPORT_DIGESTS[(workload, seed)]
+
+
+# SHA-256 of the other artefacts of generated rungs, recorded before a
+# pseudo-wire's transport was resolved lazily by the fabric.
+GENERATED_ARTEFACT_DIGESTS = {
+    ("link_churn", 1): {
+        "trace": "8ce5ab5d1f97f7c05f5a9fee7970cb544172921e6f328f91dccb58e22a351fdd",
+        "ribs": "973c0de52af39f79642b3d2a2f9d3cfa19e87263aa6266a80e576528818d0335",
+        "dot.physical": "6ca9cdf735e2e6c498386621a219c69e7f3572d70a5f3a3bd4d4ff110991c6c6",
+        "dot.vpls": "3390ac0951397556373a4176fc37ea1cf7656983f12ac488a89550ea038aa7bc",
+        "dot.peering": "5e912e29aa95309f63ca60f0abf21dc9efd86ad2327b66ba317a98674006aa89",
+    },
+    ("probe_mesh", 1): {
+        "trace": "c45951bd7ffc551335d859f68b8542a2ff755c3bff91becae4792808840690ba",
+        "ribs": "de5a3d75c5266159e96a3d4d2341949058893baf5dc36af21f60c9c2f6ca91a0",
+        "dot.physical": "741683747a30641b90d57549ee3e5613ea3b29a1bce0d780c0c5fd0498623ab4",
+        "dot.vpls": "f4c1114840c802999e380578429f81ea0a2b88c585cf868d3e33f5f8a7819b6f",
+        "dot.peering": "05b38a4cf241c71d31ca08787c47cc679f285ad5e839d82d07f28a88ba8c3bca",
+    },
+    ("route_scale", 1): {
+        "ribs": "9b319c333572568b150101f54c02f89c9595e44b8a8fb8dfb584b5e0445cd086",
+    },
+}
+
+
+@pytest.mark.parametrize("workload,seed", sorted(GENERATED_ARTEFACT_DIGESTS))
+def test_generated_artefacts_match_committed_digests(workload, seed):
+    """The ``run --trace`` trace, ``ribs`` and ``dot`` bytes, built the way
+    the command line builds them; reachability probing runs on a clone, so
+    the trace does not depend on whether the report was made."""
+    scenario = parse_scenario(_load_generator().generate(workload, seed))
+    sim = Simulation(scenario)
+    sim.run()
+    artefacts = {"trace": sim.trace_dump, "ribs": sim.rib_dump}
+    for layer in DOT_LAYERS:
+        artefacts["dot." + layer] = lambda layer=layer: export_dot(sim, layer)
+    want = GENERATED_ARTEFACT_DIGESTS[(workload, seed)]
+    got = {key: hashlib.sha256(artefacts[key]().encode("utf-8")).hexdigest()
+           for key in want}
+    assert got == want

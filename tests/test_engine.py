@@ -142,6 +142,38 @@ def test_link_events_flip_every_parallel_link():
         sim.apply_event(Event(3, EventKind.LINK_DOWN, ("a", "nessie")))
 
 
+def test_flap_moves_frames_onto_the_new_path():
+    """A wire's transport is walked when a frame first crosses it, and no
+    walked path outlives the convergence whose bindings it came from."""
+    scn = make_exchange(
+        [("a", "c", 1), ("a", "b", 1), ("b", "c", 1, 50)],
+        [(64496, "a"), (64497, "c")],
+        reflectors={"a"},
+    )
+    sim = converged(scn)
+    narrow = sim.topo.links[sim.topo.links_between("b", "c")[0]]
+    dst_mac = sim.ports[64497].nominated_mac
+
+    def send(at):
+        sim.apply_event(Event(at, EventKind.INJECT_FRAME,
+                              (64496, dst_mac, EtherType.IPV4, 100)))
+        return sim.fabric.trace[-1], [d for d in sim.fabric.drops if d.round_no == at]
+
+    # a -> c rides the direct link; the flood to b stays off the narrow one
+    last, drops = send(1)
+    assert drops == [] and (last.pe, last.action) == ("c", "deliver")
+
+    sim.apply_event(Event(2, EventKind.LINK_DOWN, ("a", "c")))
+    last, drops = send(3)
+    assert [(d.reason, d.offending_link) for d in drops] == [
+        (DropReason.MTU_EXCEEDED, narrow)]
+    assert (last.pe, last.via, last.action) == ("a", "pw/c", "drop:MTU_EXCEEDED")
+
+    sim.apply_event(Event(4, EventKind.LINK_UP, ("a", "c")))
+    last, drops = send(5)
+    assert drops == [] and (last.pe, last.action) == ("c", "deliver")
+
+
 def test_withdraw_and_announce_adjust_the_tables():
     # The scenario grammar withdraws prefixes at run time; it cannot announce.
     sim = converged(make_exchange(

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import make_topology, random_connected_topology
-from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf
+from ixsim.model import LinkState
+from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf, resolve_lsp
 from ixsim.vpls_signal import (
     IbgpKind,
     IbgpSession,
@@ -179,6 +180,34 @@ def test_partitioned_mesh_reports_missing_transport():
     assert all((a in "abcde") != (b in "abcde") for a, b in missing)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 10),
+       down_share=st.sampled_from((0.0, 0.3, 0.7)))
+def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
+    """Wires keep labels only, so ``derive_pseudowires`` decides missing
+    transport from the bindings; that must agree with ``resolve_lsp`` in
+    both directions, and each wire's transport must be the LSP itself."""
+    rng = random.Random(seed)
+    topo = random_connected_topology(rng, n)
+    for i in range(len(topo.links)):
+        if rng.random() < down_share:
+            topo = topo.with_link_state(i, LinkState.DOWN)
+    table, _, received = _full_mesh_state(topo)
+    wires, missing = derive_pseudowires(received, table)
+    names = topo.node_names()
+    unresolvable = {
+        (a, b) for a in names for b in names if a < b
+        and (resolve_lsp(table, a, b) is None or resolve_lsp(table, b, a) is None)}
+    assert set(missing) == unresolvable
+    assert {(w.pe_a, w.pe_b) for w in wires} == {
+        (a, b) for a in names for b in names if a < b} - unresolvable
+    for wire in wires:
+        for pe in (wire.pe_a, wire.pe_b):
+            path = wire.transport_from(pe, table)
+            assert path is not None
+            assert path == resolve_lsp(table, pe, wire.other(pe))
+
+
 def test_directional_labels_come_from_the_receiving_block():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
     table, adverts, received = _full_mesh_state(topo)
@@ -189,8 +218,9 @@ def test_directional_labels_come_from_the_receiving_block():
     assert ab.label_a_to_b == adverts["b"].label_for(adverts["a"].ve_id)
     assert ab.label_b_to_a == adverts["a"].label_for(adverts["b"].ve_id)
     assert ab.other("a") == "b" and ab.other("b") == "a"
-    assert ab.transport_from("a").src == "a"
-    assert ab.transport_from("b").src == "b"
+    assert ab.transport_from("a", table) == resolve_lsp(table, "a", "b")
+    assert ab.transport_from("b", table) == resolve_lsp(table, "b", "a")
+    assert ab.transport_from("a", table).link_indices() == (0,)
     assert ab.label_from("a") == ab.label_a_to_b
     with pytest.raises(ValueError):
         ab.other("c")
