@@ -5,7 +5,9 @@ derived layer in a fixed order: shortest-path trees, label bindings, the
 signalling session graph, membership adverts, the pseudo-wire mesh, then
 one sweep of member route exchange.  Route servers only reflect what
 members announce, so that sweep reads configuration alone and is already
-final.  Events mutate configuration and re-converge; frame injection
+final.  Route reflection is complete by construction, so signalling
+depends only on node names, reflector flags and each PE's transport label
+count.  Events mutate configuration and re-converge; frame injection
 exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce

@@ -8,7 +8,6 @@ building a replacement object, never by mutating in place.
 from __future__ import annotations
 
 import ipaddress
-from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional
@@ -311,31 +310,6 @@ def validate_topology(
         found.append(Violation("NO_EXCHANGE_PREFIX", "scenario"))
 
     return ValidationReport(tuple(sorted(found)))
-
-
-def connected_components(topo: Topology) -> list[tuple[str, ...]]:
-    """Partition of the PEs by reachability over links in state up.
-
-    Components are returned name-sorted, ordered by their smallest member.
-    """
-    adj = topo.adjacency()
-    seen: set[str] = set()
-    parts: list[tuple[str, ...]] = []
-    for start in topo.node_names():
-        if start in seen:
-            continue
-        queue = deque([start])
-        comp = {start}
-        while queue:
-            here = queue.popleft()
-            for neigh, _, _ in adj[here]:
-                if neigh not in comp:
-                    comp.add(neigh)
-                    queue.append(neigh)
-        seen |= comp
-        parts.append(tuple(sorted(comp)))
-    parts.sort(key=lambda c: c[0])
-    return parts
 
 
 def full_mesh_size(pe_count: int) -> int:

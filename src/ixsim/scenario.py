@@ -52,10 +52,11 @@ _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 
 
 class ParseError(Exception):
-    """Syntax or cross-reference failure, with its 1-based source line."""
+    """Syntax or cross-reference failure, with its 1-based source line, or
+    line 0 when no single line is at fault."""
 
     def __init__(self, line: int, message: str):
-        super().__init__("line %d: %s" % (line, message))
+        super().__init__("line %d: %s" % (line, message) if line else message)
         self.line = line
         self.message = message
 
@@ -65,8 +66,8 @@ class ScenarioValidationError(ParseError):
 
     def __init__(self, report):
         worst = report.violations[0]
-        super().__init__(0, "validation failed: %s %s %s"
-                         % (worst.code, worst.subject, worst.detail))
+        parts = (worst.code, worst.subject, worst.detail)
+        super().__init__(0, "validation failed: " + " ".join(p for p in parts if p))
         self.report = report
 
 

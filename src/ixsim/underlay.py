@@ -38,9 +38,10 @@ class LabelAllocator:
         self._first = first
         self._next: Dict[str, int] = {}
 
-    def take(self, node: str) -> int:
+    def take(self, node: str, count: int = 1) -> int:
+        """Reserve ``count`` consecutive labels at node; the first of them."""
         value = self._next.get(node, self._first)
-        self._next[node] = value + 1
+        self._next[node] = value + count
         return value
 
 

@@ -6,6 +6,12 @@ instead of a session to every peer.  Each participant advertises a VE id
 plus a contiguous label block (RFC 4761 style), from which any other
 participant can compute the demultiplexor label for its pseudo-wire without
 a dedicated exchange.
+
+The session graph always meshes the reflectors and peers every client with
+every reflector, so reflection is complete by construction: every PE learns
+every other PE's advert.  Signalling therefore depends only on node names,
+reflector flags (for the session graph) and each PE's transport label
+count (which sets where its block starts).
 """
 
 from __future__ import annotations
@@ -36,10 +42,6 @@ class IbgpSession:
     a: str
     b: str
     kind: IbgpKind = IbgpKind.RR_CLIENT
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.a, self.b, self.kind.value)
 
 
 def build_session_graph(topo: Topology) -> Set[IbgpSession]:
@@ -93,57 +95,25 @@ def originate_adverts(
         alloc = LabelAllocator()
     ordered = sorted(set(pes))
     count = len(ordered)
-    adverts: Dict[str, VplsAdvert] = {}
-    for ve_id, pe in enumerate(ordered, start=1):
-        base = alloc.take(pe)
-        for _ in range(count - 1):
-            alloc.take(pe)  # reserve the rest of the contiguous block
-        adverts[pe] = VplsAdvert(pe, ve_id, base, 1, count)
-    return adverts
+    return {pe: VplsAdvert(pe, ve_id, alloc.take(pe, count), 1, count)
+            for ve_id, pe in enumerate(ordered, start=1)}
 
 
 def propagate(
     adverts: Dict[str, VplsAdvert],
     sessions: Set[IbgpSession],
-) -> Dict[str, Set[VplsAdvert]]:
-    """Run reflection to a fixpoint and return each PE's received set.
+) -> Dict[str, VplsAdvert]:
+    """The adverts every PE holds once reflection settles: all of them.
 
-    Standard reflection rules: a reflector passes client-learned state to
-    everyone, and peer-learned state to its clients only.  Clients originate
-    and receive but never relay.
+    ``build_session_graph`` gives every client a session to every reflector
+    and meshes the reflectors.  A reflector passes client-learned state to
+    everyone and peer-learned state to its clients, so each advert reaches
+    every reflector in one step and every other PE in the next, whatever
+    the sessions are beyond that.  Each PE thus holds every other PE's
+    advert besides its own, which is ``adverts`` itself.  The function
+    stays only as the name of the signalling step in traces.
     """
-    originated = {pe: adverts[pe] for pe in adverts}
-    client_learned: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
-    peer_learned: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
-    received: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
-
-    ordered = sorted(sessions, key=lambda s: s.sort_key)
-    changed = True
-    while changed:
-        changed = False
-        for s in ordered:
-            if s.kind is IbgpKind.RR_CLIENT:
-                client, rr = s.a, s.b
-                if originated[client] not in client_learned[rr]:
-                    client_learned[rr].add(originated[client])
-                    changed = True
-                down = {originated[rr]} | client_learned[rr] | peer_learned[rr]
-                down.discard(originated[client])
-                if not down <= received[client]:
-                    received[client] |= down
-                    changed = True
-            else:
-                for left, right in ((s.a, s.b), (s.b, s.a)):
-                    out = {originated[left]} | client_learned[left]
-                    out.discard(originated[right])
-                    if not out <= peer_learned[right]:
-                        peer_learned[right] |= out
-                        changed = True
-
-    for rr in adverts:
-        extra = (client_learned[rr] | peer_learned[rr]) - {originated[rr]}
-        received[rr] |= extra
-    return received
+    return adverts
 
 
 @dataclass(frozen=True)
@@ -171,15 +141,12 @@ class Pseudowire:
     def transport_from(self, pe: str, table: LabelTable) -> Optional[LspPath]:
         return resolve_lsp(table, pe, self.other(pe))
 
-    def label_from(self, pe: str) -> int:
-        return self.label_a_to_b if pe == self.pe_a else self.label_b_to_a
-
 
 def derive_pseudowires(
-    received: Dict[str, Set[VplsAdvert]],
+    adverts: Dict[str, VplsAdvert],
     table: LabelTable,
 ) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
-    """One pseudo-wire per unordered pair of mutually visible participants.
+    """One pseudo-wire per unordered pair of participants.
 
     Pairs without a binding in each direction (underlay partition) come
     back in the second element as MISSING_TRANSPORT diagnostics instead of
@@ -187,28 +154,17 @@ def derive_pseudowires(
     so every wire's transport resolves; the fabric walks it only when a
     frame first crosses the wire.
     """
-    adverts_by_pe = {}
-    for pe, incoming in received.items():
-        for ad in incoming:
-            adverts_by_pe[ad.origin_pe] = ad
     wires: list[Pseudowire] = []
     missing: list[Tuple[str, str]] = []
-    participants = sorted(received)
-    for i, a in enumerate(participants):
-        for b in participants[i + 1:]:
-            ad_a = adverts_by_pe.get(a)
-            ad_b = adverts_by_pe.get(b)
-            if ad_a is None or ad_b is None:
-                continue
-            if ad_b not in received[a] or ad_a not in received[b]:
-                continue
-            if (a, b) not in table or (b, a) not in table:
-                missing.append((a, b))
-                continue
-            wires.append(Pseudowire(
-                pe_a=a,
-                pe_b=b,
-                label_a_to_b=ad_b.label_for(ad_a.ve_id),
-                label_b_to_a=ad_a.label_for(ad_b.ve_id),
-            ))
+    for a, b in combinations(sorted(adverts), 2):
+        if (a, b) not in table or (b, a) not in table:
+            missing.append((a, b))
+            continue
+        ad_a, ad_b = adverts[a], adverts[b]
+        wires.append(Pseudowire(
+            pe_a=a,
+            pe_b=b,
+            label_a_to_b=ad_b.label_for(ad_a.ve_id),
+            label_b_to_a=ad_a.label_for(ad_b.ve_id),
+        ))
     return tuple(wires), tuple(missing)

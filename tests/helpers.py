@@ -129,8 +129,8 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
     alloc = LabelAllocator()
     table = allocate_labels(topo, compute_all_spf(topo), alloc)
     adverts = originate_adverts(topo.node_names(), alloc)
-    received = propagate(adverts, build_session_graph(topo))
-    wires, missing = derive_pseudowires(received, table)
+    wires, missing = derive_pseudowires(
+        propagate(adverts, build_session_graph(topo)), table)
     assert missing == ()
     bridges = {pe: BridgeState(pe=pe) for pe in topo.node_names()}
     for p in placements:

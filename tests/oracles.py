@@ -2,7 +2,8 @@
 
 Deliberately different algorithms: Floyd-Warshall rather than Dijkstra,
 union-find rather than BFS, plain double loops rather than closed formulas,
-a full ARP exchange and data probe per reachability cell rather than one
+route reflection run to a fixpoint rather than its closed form, a full ARP
+exchange and data probe per reachability cell rather than one
 flood per source member.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 import ipaddress
 import math
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ixsim.dataplane import EtherType, EthernetFrame, Fabric
 from ixsim.exchange_l3 import PROBE_PAYLOAD_SIZE, MemberRib, arp_resolve
 from ixsim.model import LinkState, MemberAs, MemberPort, PortState, Topology
+from ixsim.vpls_signal import IbgpKind, IbgpSession, VplsAdvert
 
 
 def up_edges(topo: Topology) -> list[tuple[str, str, int]]:
@@ -88,6 +90,57 @@ def expected_ibgp_sessions(node_names, reflector_names) -> set[tuple[str, str]]:
     for left, right in combinations(reflectors, 2):
         sessions.add((left, right))
     return sessions
+
+
+def reference_propagate(
+    adverts: Dict[str, VplsAdvert],
+    sessions: Set[IbgpSession],
+) -> Dict[str, Set[VplsAdvert]]:
+    """Run reflection to a fixpoint and return each PE's received set.
+
+    Standard reflection rules: a reflector passes client-learned state to
+    everyone, and peer-learned state to its clients only.  Clients originate
+    and receive but never relay.
+    """
+    originated = {pe: adverts[pe] for pe in adverts}
+    client_learned: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
+    peer_learned: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
+    received: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
+
+    ordered = sorted(sessions, key=lambda s: (s.a, s.b, s.kind.value))
+    changed = True
+    while changed:
+        changed = False
+        for s in ordered:
+            if s.kind is IbgpKind.RR_CLIENT:
+                client, rr = s.a, s.b
+                if originated[client] not in client_learned[rr]:
+                    client_learned[rr].add(originated[client])
+                    changed = True
+                down = {originated[rr]} | client_learned[rr] | peer_learned[rr]
+                down.discard(originated[client])
+                if not down <= received[client]:
+                    received[client] |= down
+                    changed = True
+            else:
+                for left, right in ((s.a, s.b), (s.b, s.a)):
+                    out = {originated[left]} | client_learned[left]
+                    out.discard(originated[right])
+                    if not out <= peer_learned[right]:
+                        peer_learned[right] |= out
+                        changed = True
+
+    for rr in adverts:
+        extra = (client_learned[rr] | peer_learned[rr]) - {originated[rr]}
+        received[rr] |= extra
+    return received
+
+
+def mutually_visible_pairs(received: Dict[str, Set[VplsAdvert]]) -> set[tuple[str, str]]:
+    """Unordered PE pairs in which each side received the other's advert."""
+    origins = {pe: {ad.origin_pe for ad in got} for pe, got in received.items()}
+    return {(a, b) for a in origins for b in origins
+            if a < b and b in origins[a] and a in origins[b]}
 
 
 def reference_reachability(

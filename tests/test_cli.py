@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ixsim.engine
 from helpers import WHIX
@@ -34,9 +39,13 @@ def test_check_accepts_the_bundled_scenario(capsys):
     assert out.out == "" and out.err == ""
 
 
-def test_missing_file_is_a_parse_failure(capsys):
+def test_missing_file_is_a_parse_failure(tmp_path, capsys):
     assert main(["check", "/nonexistent/nowhere.scn"]) == EXIT_PARSE
-    assert "cannot read" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "parse error: cannot read /nonexistent/nowhere.scn: No such file or directory\n")
+    assert main(["run", str(tmp_path)]) == EXIT_PARSE
+    assert capsys.readouterr().err == (
+        "parse error: cannot read %s: Is a directory\n" % tmp_path)
 
 
 def test_syntax_error_reports_line_and_exits_two(tmp_path, capsys):
@@ -57,6 +66,14 @@ def test_invalid_scenario_exits_one(tmp_path, capsys):
         """)
     assert main(["check", path]) == EXIT_INVALID
     assert "PRIVATE_ASN" in capsys.readouterr().err
+    path = write(tmp_path, """\
+        node a loopback 172.16.0.1
+        node b loopback 172.16.0.2
+        link a b type radio
+        """)
+    assert main(["run", path]) == EXIT_INVALID
+    assert capsys.readouterr().err == (
+        "invalid scenario: validation failed: NO_REFLECTOR topology\n")
 
 
 def test_run_prints_the_report(capsys):
@@ -185,6 +202,59 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
                      "--trace", str(trace)]) == EXIT_OK
         paths.append((report.read_bytes(), trace.read_bytes()))
     assert paths[0] == paths[1]
+
+
+WHIX_LINES = WHIX.read_text(encoding="utf-8").splitlines()
+OUT_OF_RANGE = ("0", "-1", "65536", "4294967296", "99999999999999999999")
+
+
+@st.composite
+def whix_mutants(draw):
+    """whix.scn with one to three statement lines deleted, duplicated,
+    token-swapped, truncated or given an out-of-range number."""
+    lines = list(WHIX_LINES)
+    for _ in range(draw(st.integers(1, 3))):
+        statements = [i for i, line in enumerate(lines)
+                      if line.strip() and not line.startswith("#")]
+        i = draw(st.sampled_from(statements))
+        tokens = lines[i].split()
+        how = draw(st.sampled_from(("delete", "duplicate", "swap", "truncate", "number")))
+        if how == "delete":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        elif how == "swap":
+            j = draw(st.integers(0, len(tokens) - 1))
+            k = draw(st.integers(0, len(tokens) - 1))
+            tokens[j], tokens[k] = tokens[k], tokens[j]
+            lines[i] = " ".join(tokens)
+        elif how == "truncate":
+            lines[i] = " ".join(tokens[:draw(st.integers(0, len(tokens) - 1))])
+        else:
+            numeric = [j for j, token in enumerate(tokens) if re.search(r"\d", token)]
+            j = draw(st.sampled_from(numeric))
+            runs = list(re.finditer(r"\d+", tokens[j]))
+            run = runs[draw(st.integers(0, len(runs) - 1))]
+            tokens[j] = (tokens[j][:run.start()] + draw(st.sampled_from(OUT_OF_RANGE))
+                         + tokens[j][run.end():])
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(text=whix_mutants())
+def test_whix_mutants_exit_cleanly(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("mutant") / "whix.scn"
+    path.write_text(text, encoding="utf-8")
+    for command in ("run", "dot", "ribs"):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_PARSE)
+        if code == EXIT_OK:
+            assert err.getvalue() == ""
+        else:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 def test_missing_subcommand_is_a_usage_error():

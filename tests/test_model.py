@@ -1,4 +1,4 @@
-"""Structural model: validation, components, mesh arithmetic."""
+"""Structural model: validation and mesh arithmetic."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_port, make_topology, random_connected_topology
+from helpers import make_port, make_topology
 from ixsim.model import (
     ASN_FIRST,
     ASN_LAST,
@@ -18,15 +18,13 @@ from ixsim.model import (
     DOC_ASN32_LAST,
     Link,
     LinkKind,
-    LinkState,
     MemberAs,
     PeNode,
     Topology,
-    connected_components,
     full_mesh_size,
     validate_topology,
 )
-from oracles import count_unordered_pairs, union_find_components
+from oracles import count_unordered_pairs
 
 EXCHANGE = ipaddress.IPv4Network("192.0.2.0/24")
 
@@ -255,34 +253,6 @@ def test_validation_is_order_insensitive(seed):
     rng.shuffle(members)
     shuffled = validate_topology(Topology.build(nodes, links), [], members)
     assert baseline.violations == shuffled.violations
-
-
-def test_components_single_node():
-    topo = Topology.build([_node("solo", "172.16.50.1")])
-    assert connected_components(topo) == [("solo",)]
-
-
-def test_components_split_by_down_link():
-    topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    idx = topo.links_between("a", "b")[0]
-    down = topo.with_link_state(idx, LinkState.DOWN)
-    assert connected_components(down) == [("a",), ("b", "c")]
-
-
-def test_components_ignore_parallel_duplicates():
-    topo = make_topology([("a", "b", 1), ("a", "b", 7)], reflectors={"a"})
-    assert connected_components(topo) == [("a", "b")]
-
-
-def test_components_match_union_find_on_random_graphs():
-    rng = random.Random(7)
-    for _ in range(25):
-        topo = random_connected_topology(rng, rng.randint(2, 10))
-        # knock out a few links to shake up the partition structure
-        for i in range(len(topo.links)):
-            if rng.random() < 0.3:
-                topo = topo.with_link_state(i, LinkState.DOWN)
-        assert connected_components(topo) == union_find_components(topo)
 
 
 def test_full_mesh_size_small_values():

@@ -249,6 +249,7 @@ def test_structural_violations_surface_as_validation_errors():
     err = info.value
     assert isinstance(err, ParseError)
     assert err.line == 0
+    assert str(err).startswith("validation failed: ")
     assert "PRIVATE_ASN" in err.report.codes()
 
 
@@ -259,6 +260,7 @@ def test_documentation_asn_pool_is_bounded():
     with pytest.raises(ParseError) as info:
         parse(BASE + fifteen + "external 203.0.15.0/24\n")
     assert "pool" in info.value.message
+    assert str(info.value) == info.value.message
 
 
 def test_load_scenario_reads_files(tmp_path):

