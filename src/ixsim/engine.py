@@ -7,8 +7,10 @@ one sweep of member route exchange.  Route servers only reflect what
 members announce, so that sweep reads configuration alone and is already
 final.  Route reflection is complete by construction, so signalling
 depends only on node names, reflector flags and each PE's transport label
-count.  Events mutate configuration and re-converge; frame injection
-exercises only the data plane.
+count.  Events mutate configuration and re-converge: a link event rebuilds
+only the underlay, signalling and fabric, since no RIB depends on a link,
+while a port promotion or a withdrawal reruns the route exchange as well.
+Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -37,6 +39,7 @@ from ixsim.exchange_l3 import (
     RouteServer,
     reachability_matrix,
     rs_redistribute,
+    selection_key,
     transit_deliveries,
     upstream_announcements,
 )
@@ -123,6 +126,16 @@ class Simulation:
     def converge(self) -> int:
         """Rebuild every derived layer.  Returns 1 when the member RIBs
         changed and 0 when they did not."""
+        self._converge_underlay()
+        sweep = self._exchange_routes()
+        changed = int(sweep.ribs != self.l3.ribs)
+        self.l3 = sweep
+        self.rounds_total += changed
+        return changed
+
+    def _converge_underlay(self) -> None:
+        """Rebuild the layers that depend on links: shortest-path trees,
+        label bindings, signalling, the pseudo-wire mesh and the fabric."""
         alloc = LabelAllocator()
         labels = allocate_labels(self.topo, compute_all_spf(self.topo), alloc)
         self.ibgp_sessions = build_session_graph(self.topo) if self.topo.nodes else set()
@@ -130,12 +143,6 @@ class Simulation:
         self.pseudowires, self.missing_transport = derive_pseudowires(
             propagate(adverts, self.ibgp_sessions), labels)
         self._rebuild_fabric(labels)
-
-        sweep = self._exchange_routes()
-        changed = int(sweep.ribs != self.l3.ribs)
-        self.l3 = sweep
-        self.rounds_total += changed
-        return changed
 
     def _rebuild_fabric(self, labels: LabelTable) -> None:
         """Fresh bridges wired to the current pseudo-wire mesh, carried over
@@ -206,7 +213,7 @@ class Simulation:
             target = LinkState.DOWN if kind is EventKind.LINK_DOWN else LinkState.UP
             for i in indices:
                 self.topo = self.topo.with_link_state(i, target)
-            self.converge()
+            self._converge_underlay()  # the RIBs never depend on links
         elif kind is EventKind.PORT_PROMOTE_CHECK:
             (asn,) = event.args
             if asn not in self.ports:
@@ -296,14 +303,27 @@ class Simulation:
         )
 
     def rib_dump(self) -> str:
-        """One line per selected route, pipe-separated, sorted."""
+        """One line per selected route, pipe-separated, in plain string
+        order.  Route servers hand one route object to every client, so
+        each distinct route's selection key and text are made once per
+        call, keyed by id(): the RIBs hold every route until it returns."""
+        rendered: Dict[int, Tuple[tuple, str]] = {}
         lines = []
         for asn in sorted(self.l3.ribs):
-            for prefix, route in self.l3.ribs[asn].chosen().items():
-                lines.append("%d|%s|%s|%s|%s" % (
-                    asn, prefix, " ".join(str(n) for n in route.as_path),
-                    route.next_hop, route.learned_from))
-        return "\n".join(sorted(lines)) + ("\n" if lines else "")
+            head = "%d|" % asn
+            for routes in self.l3.ribs[asn].candidates.values():
+                best = None
+                for route in routes.values():
+                    entry = rendered.get(id(route))
+                    if entry is None:
+                        entry = rendered[id(route)] = (selection_key(route), "%s|%s|%s|%s" % (
+                            route.prefix, " ".join(str(n) for n in route.as_path),
+                            route.next_hop, route.learned_from))
+                    if best is None or entry[0] < best[0]:
+                        best = entry
+                lines.append(head + best[1])
+        lines.sort()
+        return "\n".join(lines) + ("\n" if lines else "")
 
     def trace_dump(self) -> str:
         return format_trace(self.fabric.trace)

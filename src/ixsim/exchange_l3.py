@@ -4,12 +4,17 @@ Members speak BGP to each other across the emulated LAN.  A route server
 multiplies one session into reachability from everyone, and it stays out of
 the forwarding story entirely: it never prepends its service ASN and never
 rewrites the next hop, so traffic flows directly between member ports.
+
+Route servers multiply every route into M-1 RIBs, so the per-candidate work
+is kept to integers: a RIB keys its prefixes by ``(network as int, length)``
+and looks up supernets with integer masks.  ``ipaddress`` objects appear
+only at the edges, in the routes themselves and in what ``chosen()`` returns.
 """
 
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -22,6 +27,9 @@ from ixsim.dataplane import (
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST, MemberAs, MemberPort, PortState
 
 DEFAULT_ROUTE = ipaddress.IPv4Network("0.0.0.0/0")
+
+# Netmask of each prefix length as an integer, /0 to /32.
+_MASKS = tuple((0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF for n in range(33))
 
 ARP_PAYLOAD_SIZE = 28
 PROBE_PAYLOAD_SIZE = 100
@@ -50,12 +58,16 @@ class BgpRoute:
     as_path: Tuple[int, ...]
     next_hop: ipaddress.IPv4Address
     learned_from: str
+    # The prefix as (network as int, length): what RIBs are keyed by.
+    key: Tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.as_path:
             raise ValueError("empty AS path")
         if len(set(self.as_path)) != len(self.as_path):
             raise ValueError("AS path repeats an ASN: %r" % (self.as_path,))
+        object.__setattr__(self, "key", (int(self.prefix.network_address),
+                                         self.prefix.prefixlen))
 
     @property
     def origin_asn(self) -> int:
@@ -84,34 +96,41 @@ class RouteServer:
     client_sessions: Tuple[int, ...]
 
 
+def selection_key(route: BgpRoute) -> Tuple[int, int, str]:
+    """Selection order: shortest AS path, then lowest next hop, then lowest
+    learned-from identifier.  A RIB holds one route per learned-from
+    identifier and prefix, so the order is total there."""
+    return (len(route.as_path), int(route.next_hop), route.learned_from)
+
+
 def best_path(candidates: Sequence[BgpRoute]) -> BgpRoute:
-    """Deterministic selection: shortest AS path, then lowest next hop,
-    then lowest learned-from identifier.  Total order, so no hidden state."""
+    """Deterministic selection by ``selection_key``; no hidden state."""
     if not candidates:
         raise ValueError("no candidates")
-    return min(candidates,
-               key=lambda r: (len(r.as_path), int(r.next_hop), r.learned_from))
+    return min(candidates, key=selection_key)
 
 
 class MemberRib:
-    """Candidate store plus selection for one member."""
+    """Candidate store plus selection for one member.  Candidates are keyed
+    by ``BgpRoute.key``, then by where they were learned."""
 
     def __init__(self, member_asn: int):
         self.member_asn = member_asn
-        self.candidates: Dict[ipaddress.IPv4Network, Dict[str, BgpRoute]] = {}
+        self.candidates: Dict[Tuple[int, int], Dict[str, BgpRoute]] = {}
         self._lengths: List[int] = []  # prefix lengths held, longest first
         self._indexed = 0  # len(candidates) when _lengths was taken
 
     def add(self, route: BgpRoute) -> None:
         if self.member_asn in route.as_path:
             return  # standard loop rejection on receipt
-        self.candidates.setdefault(route.prefix, {})[route.learned_from] = route
+        self.candidates.setdefault(route.key, {})[route.learned_from] = route
 
     def chosen(self) -> Dict[ipaddress.IPv4Network, BgpRoute]:
-        return {
-            prefix: best_path(list(routes.values()))
-            for prefix, routes in self.candidates.items()
-        }
+        out = {}
+        for routes in self.candidates.values():
+            route = best_path(list(routes.values()))
+            out[route.prefix] = route
+        return out
 
     def covering(
         self, target: Union[ipaddress.IPv4Network, ipaddress.IPv4Address]
@@ -120,13 +139,15 @@ class MemberRib:
         At most one prefix of each length contains the target, so only the
         target's supernets at the lengths the RIB holds are looked up."""
         if isinstance(target, ipaddress.IPv4Address):
-            target = ipaddress.IPv4Network(target)
+            address, target_len = int(target), 32
+        else:
+            address, target_len = int(target.network_address), target.prefixlen
         if self._indexed != len(self.candidates):  # prefixes are never removed
-            self._lengths = sorted({p.prefixlen for p in self.candidates}, reverse=True)
+            self._lengths = sorted({n for _, n in self.candidates}, reverse=True)
             self._indexed = len(self.candidates)
         for length in self._lengths:
-            if length <= target.prefixlen:
-                routes = self.candidates.get(target.supernet(new_prefix=length))
+            if length <= target_len:
+                routes = self.candidates.get((address & _MASKS[length], length))
                 if routes:
                     return best_path(list(routes.values()))
         return None

@@ -229,6 +229,37 @@ def _dup_groups(items: Iterable[tuple[str, str]]) -> Iterator[tuple[str, list[st
             yield value, owners
 
 
+def prefix_overlaps(members: Iterable[MemberAs]) -> list[Violation]:
+    """PREFIX_OVERLAP for each pair of prefixes of different members that
+    share an address, identical prefixes included.
+
+    Entries are numbered in (text, ASN) order and each pair (i, j), i < j,
+    is reported in that order.  Two prefixes overlap only when one contains
+    the other, so a sweep in address order, shortest prefix first at each
+    address, keeps the prefixes containing the current one on a stack.
+    """
+    announced = sorted(
+        ((p, m.asn) for m in members for p in m.announced_prefixes),
+        key=lambda e: (str(e[0]), e[1]))
+    spans = sorted(
+        (int(p.network_address), p.prefixlen, int(p.broadcast_address), i)
+        for i, (p, _) in enumerate(announced))
+    pairs = []
+    open_spans: list[tuple[int, int]] = []  # (last address, index), nested
+    for first, _, last, i in spans:
+        while open_spans and open_spans[-1][0] < first:
+            open_spans.pop()
+        asn = announced[i][1]
+        for _, j in open_spans:
+            if announced[j][1] != asn:
+                pairs.append((j, i) if j < i else (i, j))
+        open_spans.append((last, i))
+    pairs.sort()
+    return [Violation("PREFIX_OVERLAP", str(announced[i][0]),
+                      "%d %d %s" % (announced[i][1], announced[j][1], announced[j][0]))
+            for i, j in pairs]
+
+
 def validate_topology(
     topo: Topology,
     ports: Iterable[MemberPort] = (),
@@ -273,15 +304,7 @@ def validate_topology(
             found.append(Violation("RESERVED_ASN", str(m.asn), m.name))
     for asn, owners in _dup_groups((str(m.asn), m.name) for m in members):
         found.append(Violation("DUP_ASN", asn, " ".join(owners)))
-    announced = sorted(
-        ((p, m.asn) for m in members for p in m.announced_prefixes),
-        key=lambda e: (str(e[0]), e[1]))
-    for i, (pfx, asn) in enumerate(announced):
-        for other, other_asn in announced[i + 1:]:
-            if asn != other_asn and pfx.overlaps(other):
-                found.append(
-                    Violation("PREFIX_OVERLAP", str(pfx),
-                              "%d %d %s" % (asn, other_asn, other)))
+    found.extend(prefix_overlaps(members))
 
     member_asns = {m.asn for m in members}
     not_hosts = ()  # network and broadcast address; a /31 (RFC 3021) or /32 has none

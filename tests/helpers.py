@@ -169,31 +169,42 @@ def random_connected_topology(rng: random.Random, n: int,
 
 
 def random_exchange(rng: random.Random, n: int,
-                    route_server: bool = False, externals: int = 0) -> Simulation:
+                    route_server: bool = False, externals: int = 0,
+                    bilateral: int = 0, quarantined: int = 0) -> Simulation:
     """Converged fabric over a random topology, one or two members per PE.
     With route_server, the reflector hosts one and every member is its
     client.  With externals, the first member is a transit provider for
     that many external prefixes, and each other member takes a default
-    route, the full table or nothing from it."""
+    route, the full table or nothing from it.  Then up to ``bilateral``
+    random member pairs peer directly and ``quarantined`` random ports
+    start in quarantine; both draw from rng only when asked for, after
+    everything else."""
     topo = random_connected_topology(rng, n)
-    placements = []
+    placements = []  # [asn, pe, port state, transit]
     asn = 63001
     for name in topo.node_names():
         for _ in range(rng.randint(1, 2)):
-            placements.append((asn, name))
+            placements.append([asn, name, PortState.ACTIVE, False])
             asn += 1
     sessions = []
     if externals:
-        transit, pe = placements[0]
-        placements[0] = (transit, pe, PortState.ACTIVE, True)
-        for member, _ in placements[1:]:
+        placements[0][3] = True
+        transit = placements[0][0]
+        for member, *_ in placements[1:]:
             policy = rng.choice([None, TransitPolicy.DEFAULT_ONLY, TransitPolicy.FULL_TABLE])
             if policy is not None:
                 sessions.append(PeeringSession(member, transit, PeerKind.TRANSIT, policy))
+    asns = [p[0] for p in placements]
+    pairs = {tuple(sorted(rng.sample(asns, 2))) for _ in range(bilateral)} \
+        if len(asns) > 1 else set()
+    for a, b in sorted(pairs):
+        sessions.append(PeeringSession(a, b, PeerKind.BILATERAL))
+    for k in rng.sample(range(len(placements)), min(quarantined, len(placements))):
+        placements[k][2] = PortState.QUARANTINE
     reflectors = [n.name for n in topo.nodes if n.is_route_reflector]
     scenario = make_exchange(
         [(l.a, l.b, l.cost, l.mtu) for l in topo.links],
-        placements,
+        [tuple(p) for p in placements],
         reflectors=reflectors,
         rs_nodes=reflectors if route_server else (),
         all_on_rs=route_server,

@@ -4,7 +4,9 @@ Deliberately different algorithms: Floyd-Warshall rather than Dijkstra,
 union-find rather than BFS, plain double loops rather than closed formulas,
 route reflection run to a fixpoint rather than its closed form, a full ARP
 exchange and data probe per reachability cell rather than one
-flood per source member.
+flood per source member, a pairwise prefix-overlap scan rather than a
+sweep, and a RIB dump formatted line by line from ``chosen()`` rather than
+once per distinct route.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import ipaddress
 import math
 from itertools import combinations
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from ixsim.dataplane import EtherType, EthernetFrame, Fabric
+from ixsim.engine import Simulation
 from ixsim.exchange_l3 import PROBE_PAYLOAD_SIZE, MemberRib, arp_resolve
-from ixsim.model import LinkState, MemberAs, MemberPort, PortState, Topology
+from ixsim.model import LinkState, MemberAs, MemberPort, PortState, Topology, Violation
 from ixsim.vpls_signal import IbgpKind, IbgpSession, VplsAdvert
 
 
@@ -198,3 +201,29 @@ def reference_reachability(
             matrix[key] = (hop_port is not None
                            and hop_port.member_asn in sent.deliveries)
     return matrix
+
+
+def reference_prefix_overlaps(members: Iterable[MemberAs]) -> List[Violation]:
+    """PREFIX_OVERLAP by comparing every pair of announced prefixes."""
+    found: List[Violation] = []
+    announced = sorted(
+        ((p, m.asn) for m in members for p in m.announced_prefixes),
+        key=lambda e: (str(e[0]), e[1]))
+    for i, (pfx, asn) in enumerate(announced):
+        for other, other_asn in announced[i + 1:]:
+            if asn != other_asn and pfx.overlaps(other):
+                found.append(
+                    Violation("PREFIX_OVERLAP", str(pfx),
+                              "%d %d %s" % (asn, other_asn, other)))
+    return found
+
+
+def reference_rib_dump(sim: Simulation) -> str:
+    """One line per member and chosen route, each formatted on its own."""
+    lines = []
+    for asn in sorted(sim.l3.ribs):
+        for prefix, route in sim.l3.ribs[asn].chosen().items():
+            lines.append("%d|%s|%s|%s|%s" % (
+                asn, prefix, " ".join(str(n) for n in route.as_path),
+                route.next_hop, route.learned_from))
+    return "\n".join(sorted(lines)) + ("\n" if lines else "")

@@ -7,6 +7,8 @@ import ipaddress
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import converged, load_whix, make_exchange, random_exchange
 from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType, Fabric
@@ -14,6 +16,7 @@ from ixsim.engine import Simulation, UnknownEntityError, export_dot
 from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind
+from oracles import reference_rib_dump
 
 
 def _net(text):
@@ -294,6 +297,7 @@ def test_report_text_is_sorted_and_complete(whix_run):
 def test_rib_dump_lines(whix_run):
     sim, _ = whix_run
     dump = sim.rib_dump()
+    assert dump == reference_rib_dump(sim)
     lines = dump.splitlines()
     assert lines == sorted(lines)
     # direct feed beats the reflected copies of the same announcement
@@ -303,6 +307,43 @@ def test_rib_dump_lines(whix_run):
     assert "64496|0.0.0.0/0|64511|192.0.2.21|bgp/64511" in lines
     # full-table taker sees synthetic origins behind the transit ASN
     assert "64504|198.51.100.0/24|64511 65551|192.0.2.21|bgp/64511" in lines
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), route_server=st.booleans(),
+       externals=st.integers(0, 3), bilateral=st.integers(0, 6),
+       quarantined=st.integers(0, 2))
+def test_rib_dump_matches_the_reference(seed, route_server, externals,
+                                        bilateral, quarantined):
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 7), route_server=route_server,
+                          externals=externals, bilateral=bilateral,
+                          quarantined=quarantined)
+    assert sim.rib_dump() == reference_rib_dump(sim)
+    announcing = [m for m in sim.members.values() if m.announced_prefixes]
+    if announcing:
+        member = rng.choice(announcing)
+        sim.apply_event(Event(1, EventKind.MEMBER_WITHDRAW,
+                              (member.asn, member.announced_prefixes[0])))
+        assert sim.rib_dump() == reference_rib_dump(sim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_link_events_keep_the_route_exchange(seed):
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 8), route_server=True, externals=2)
+    rounds, l3 = sim.rounds_total, sim.l3
+    for at in range(1, rng.randint(2, 8)):
+        link = rng.choice(sim.topo.links)
+        kind = rng.choice([EventKind.LINK_DOWN, EventKind.LINK_UP])
+        sim.apply_event(Event(at, kind, (link.a, link.b)))
+        assert sim.l3 is l3  # kept, not recomputed
+        assert sim.l3.ribs == sim._exchange_routes().ribs
+        fresh = converged(dataclasses.replace(sim.scenario, topology=sim.topo))
+        assert sim.pseudowires == fresh.pseudowires
+        assert sim.missing_transport == fresh.missing_transport
+    assert sim.rounds_total == rounds
 
 
 def test_repeat_runs_are_byte_identical():

@@ -54,6 +54,19 @@ def test_route_rejects_empty_and_looping_paths():
     assert route.origin_asn == 64501
 
 
+def test_route_key_is_derived_from_the_prefix():
+    route = _route("10.1.0.0/16", (64500,), "192.0.2.1")
+    twin = _route("10.1.0.0/16", (64500,), "192.0.2.1")
+    assert route is not twin
+    assert route == twin and hash(route) == hash(twin)
+    assert route.key == (int(_ip("10.1.0.0")), 16)
+    assert "key" not in repr(route)
+    moved = dataclasses.replace(route, prefix=_net("10.2.3.0/24"))
+    assert moved.key == (int(_ip("10.2.3.0")), 24)
+    assert moved != route
+    assert BgpRoute(DEFAULT_ROUTE, (64500,), _ip("192.0.2.1"), "rs/x").key == (0, 0)
+
+
 def test_best_path_prefers_short_then_next_hop_then_source():
     short = _route("10.0.0.0/24", (64500,), "192.0.2.9")
     long = _route("10.0.0.0/24", (64501, 64502), "192.0.2.1")
@@ -122,7 +135,7 @@ def _brute_covering(rib, target):
 def test_covering_matches_a_scan_of_every_chosen_route(seed):
     rng = random.Random(seed)
     anchors = [rng.getrandbits(32) for _ in range(3)]
-    targets = []
+    targets = [_ip("0.0.0.0"), _ip("255.255.255.255")]  # the /0 and /32 masks
     for _ in range(20):
         addr = rng.choice(anchors) ^ rng.getrandbits(rng.randint(0, 32))
         targets.append(ipaddress.IPv4Address(addr))

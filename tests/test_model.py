@@ -22,9 +22,10 @@ from ixsim.model import (
     PeNode,
     Topology,
     full_mesh_size,
+    prefix_overlaps,
     validate_topology,
 )
-from oracles import count_unordered_pairs
+from oracles import count_unordered_pairs, reference_prefix_overlaps
 
 EXCHANGE = ipaddress.IPv4Network("192.0.2.0/24")
 
@@ -148,6 +149,27 @@ def test_same_member_may_announce_nested_prefixes():
         ipaddress.IPv4Network("10.177.4.0/24"),
     ))]
     assert validate_topology(topo, [], members, EXCHANGE).ok
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_prefix_overlaps_match_the_pairwise_scan(seed):
+    rng = random.Random(seed)
+    anchors = [rng.getrandbits(32) for _ in range(3)]
+    pool = []  # nested around the anchors, plus disjoint strays
+    for _ in range(rng.randint(0, 25)):
+        base = rng.choice(anchors) if rng.random() < 0.8 else rng.getrandbits(32)
+        pool.append(ipaddress.IPv4Network((base, rng.randint(0, 32)), strict=False))
+    asns = rng.sample(range(63001, 63100), rng.randint(1, 5))
+    members = []
+    for asn in asns:
+        # Duplicates both within one member and across members.
+        prefixes = tuple(rng.choice(pool) for _ in range(rng.randint(0, 6))) if pool else ()
+        members.append(MemberAs(asn, "as%d" % asn, False, prefixes))
+    want = reference_prefix_overlaps(members)
+    assert prefix_overlaps(members) == want
+    rng.shuffle(members)
+    assert prefix_overlaps(members) == want
 
 
 def test_duplicate_mac_flagged():
