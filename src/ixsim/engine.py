@@ -7,10 +7,18 @@ one sweep of member route exchange.  Route servers only reflect what
 members announce, so that sweep reads configuration alone and is already
 final.  Route reflection is complete by construction, so signalling
 depends only on node names, reflector flags and each PE's transport label
-count.  Events mutate configuration and re-converge: a link event rebuilds
-only the underlay, signalling and fabric, since no RIB depends on a link,
-while a port promotion or a withdrawal reruns the route exchange as well.
-Frame injection exercises only the data plane.
+count, which is its reachable-set size.
+
+Events mutate configuration and re-converge.  A port promotion or a
+withdrawal reruns converge().  A link event keeps the route exchange,
+since no RIB depends on a link, and reruns only the shortest-path trees
+the flipped links make stale (see underlay).  When every rerun tree
+reaches the same nodes as before, no reachable set changed, so every
+in-label, label block, session and pseudo-wire stands; only the bindings
+whose first hop moved are rewritten.  A partition or a heal falls back to
+allocating every label and redoing the signalling over the merged trees.
+Either way the fabric is rebuilt, so learned MACs and walked LSPs are
+reset on every link event.  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Set, Tuple
+from typing import Collection, Dict, List, Optional, Set, Tuple
 
 from ixsim.dataplane import (
     DEFAULT_PROBATION_ROUNDS,
@@ -52,7 +60,15 @@ from ixsim.model import (
     full_mesh_size,
 )
 from ixsim.scenario import Event, EventKind, Scenario
-from ixsim.underlay import LabelAllocator, LabelTable, allocate_labels, compute_all_spf
+from ixsim.underlay import (
+    LabelAllocator,
+    LabelTable,
+    SpfTree,
+    allocate_labels,
+    compute_all_spf,
+    rebind,
+    rerun_stale_spf,
+)
 from ixsim.vpls_signal import (
     build_session_graph,
     derive_pseudowires,
@@ -90,6 +106,7 @@ class Simulation:
         self.ibgp_sessions: Set = set()
         self.pseudowires: tuple = ()
         self.missing_transport: tuple = ()
+        self.trees: Dict[str, SpfTree] = {}
         self.fabric = Fabric(self.topo, {}, {})
         self.l3 = _L3State()
 
@@ -133,11 +150,34 @@ class Simulation:
         self.rounds_total += changed
         return changed
 
-    def _converge_underlay(self) -> None:
-        """Rebuild the layers that depend on links: shortest-path trees,
-        label bindings, signalling, the pseudo-wire mesh and the fabric."""
+    def _converge_underlay(self, flapped: Optional[Collection[int]] = None) -> None:
+        """Bring the layers that depend on links up to date: shortest-path
+        trees, label bindings, signalling, the pseudo-wire mesh and the
+        fabric.
+
+        With ``flapped`` None, or before the first convergence, everything
+        is rebuilt.  Otherwise ``flapped`` holds the indices of the links
+        whose state just flipped, and only the trees they make stale are
+        rerun.  If every rerun tree reaches the same nodes as before, no
+        in-label, label block or wire can change, so only the bindings
+        whose first hops moved are rewritten.  A partition or a heal falls
+        back to a full rebuild over the merged trees."""
+        if flapped is None or not self.trees:
+            trees = compute_all_spf(self.topo)
+        else:
+            fresh = rerun_stale_spf(self.topo, self.trees, flapped)
+            trees = {**self.trees, **fresh}
+            if all(tree.dist.keys() == self.trees[name].dist.keys()
+                   for name, tree in fresh.items()):
+                labels = dict(self.fabric.labels)
+                rebind(labels, {name: tree for name, tree in fresh.items()
+                                if tree.first_hop != self.trees[name].first_hop})
+                self.trees = trees
+                self._rebuild_fabric(labels)
+                return
         alloc = LabelAllocator()
-        labels = allocate_labels(self.topo, compute_all_spf(self.topo), alloc)
+        labels = allocate_labels(self.topo, trees, alloc)
+        self.trees = trees
         self.ibgp_sessions = build_session_graph(self.topo) if self.topo.nodes else set()
         adverts = originate_adverts(self.topo.node_names(), alloc)
         self.pseudowires, self.missing_transport = derive_pseudowires(
@@ -211,9 +251,10 @@ class Simulation:
             if not indices:
                 raise UnknownEntityError("no link between %s and %s" % (a, b))
             target = LinkState.DOWN if kind is EventKind.LINK_DOWN else LinkState.UP
-            for i in indices:
+            flapped = [i for i in indices if self.topo.links[i].state is not target]
+            for i in flapped:
                 self.topo = self.topo.with_link_state(i, target)
-            self._converge_underlay()  # the RIBs never depend on links
+            self._converge_underlay(flapped)  # the RIBs never depend on links
         elif kind is EventKind.PORT_PROMOTE_CHECK:
             (asn,) = event.args
             if asn not in self.ports:

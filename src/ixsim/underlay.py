@@ -5,18 +5,29 @@ per-node results must agree along any path.  Determinism comes from a fixed
 tie-break: among equal-cost candidates the predecessor with the smaller name
 wins, then the smaller link index.  There is no equal-cost multipath.
 
-Each tree keeps only first hops.  A node binds one label per reachable
-destination and points it at its own first hop; an LSP is the chain of
-these bindings from the ingress to the penultimate-hop pop, and nothing
-else records the path.  Because every cost is at least 1 and all nodes
-share the tie-break, the chain is the ingress's own shortest path.
+Each tree keeps its distances and first hops.  A node binds one label per
+reachable destination and points it at its own first hop; an LSP is the
+chain of these bindings from the ingress to the penultimate-hop pop, and
+nothing else records the path.  Because every cost is at least 1 and all
+nodes share the tie-break, the chain is the ingress's own shortest path.
+
+A link event reruns only the trees it can touch (incremental SPF:
+McQuillan, Richer and Rosen, "The New Routing Algorithm for the ARPANET",
+1980; Narváez, Siu and Tzeng, IEEE/ACM ToN 2000).  A tree is stale for a
+flapped link (u, v, c) when exactly one endpoint is in its distances, or
+when both are and dist(u) + c <= dist(v) or dist(v) + c <= dist(u).  Ties
+count because of the tie-break, and every link a parent uses is such a
+tie, so a down link the tree uses is always caught.  Any other tree keeps
+its distances, and its parents too: a parent is the smallest
+(name, link) among a node's optimal predecessors, and that set does not
+change.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ixsim.model import Topology, UnknownNodeError
 
@@ -101,6 +112,36 @@ def compute_all_spf(topo: Topology) -> Dict[str, SpfTree]:
     return {name: _spf(adj, name) for name in topo.node_names()}
 
 
+def _is_stale(tree: SpfTree, topo: Topology, flapped: Iterable[int]) -> bool:
+    """Whether flipping the state of the ``flapped`` links (indices into
+    ``topo``, whose costs and endpoints never change) can move any
+    distance or parent of ``tree``."""
+    dist = tree.dist
+    for i in flapped:
+        link = topo.links[i]
+        du, dv = dist.get(link.a), dist.get(link.b)
+        if du is None and dv is None:
+            continue
+        if du is None or dv is None or du + link.cost <= dv or dv + link.cost <= du:
+            return True
+    return False
+
+
+def rerun_stale_spf(
+    topo: Topology,
+    trees: Dict[str, SpfTree],
+    flapped: Collection[int],
+) -> Dict[str, SpfTree]:
+    """Fresh trees over ``topo`` for the members of ``trees`` that the
+    ``flapped`` links make stale, all over one adjacency.  ``trees`` is
+    the set from before the flip; every tree left out equals its rerun."""
+    stale = [name for name, tree in trees.items() if _is_stale(tree, topo, flapped)]
+    if not stale:
+        return {}
+    adj = topo.adjacency()
+    return {name: _spf(adj, name) for name in stale}
+
+
 @dataclass(frozen=True)
 class LabelBinding:
     """One node's forwarding entry for one destination loopback.
@@ -161,6 +202,23 @@ def allocate_labels(
         out = IMPLICIT_NULL if neigh == dst else in_labels[(neigh, dst)]
         table[(node, dst)] = LabelBinding(node, fec_of[dst], in_label, out, neigh, link)
     return table
+
+
+def rebind(table: LabelTable, trees: Dict[str, SpfTree]) -> None:
+    """Point each tree's source's bindings at the tree's first hops, in place.
+
+    Only valid when no node's reachable set changed since ``table`` was
+    allocated: every in-label then stands, and a moved binding's out-label
+    is the new neighbour's in-label, or IMPLICIT_NULL when the neighbour is
+    the destination.  Bindings whose first hop did not move are kept.
+    """
+    for node, tree in trees.items():
+        for dst, (neigh, link) in tree.first_hop.items():
+            old = table[(node, dst)]
+            if old.out_link == link and old.out_neighbor == neigh:
+                continue
+            out = IMPLICIT_NULL if neigh == dst else table[(neigh, dst)].in_label
+            table[(node, dst)] = LabelBinding(node, old.fec, old.in_label, out, neigh, link)
 
 
 class LspHop(NamedTuple):

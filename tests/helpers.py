@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import ipaddress
 import random
+import sys
+import types
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -30,6 +32,16 @@ EXCHANGE_PREFIX = ipaddress.IPv4Network("192.0.2.0/24")
 
 def load_whix() -> Scenario:
     return load_scenario(str(WHIX))
+
+
+def load_generator() -> types.ModuleType:
+    """The benchmark's scenario generator, read from its file and run in a
+    fresh module, so that nothing is written next to it."""
+    path = WHIX.parent.parent / "perfbench" / "generate.py"
+    module = types.ModuleType("perfbench_generate")
+    sys.modules[module.__name__] = module  # dataclasses look their module up
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
 
 
 def make_topology(

@@ -10,14 +10,13 @@ import re
 import subprocess
 import sys
 import textwrap
-import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixsim.engine
-from helpers import WHIX
+from helpers import WHIX, load_generator
 from ixsim.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, main
 from ixsim.dataplane import TRACE_HEADER
 from ixsim.engine import DOT_LAYERS, Simulation, export_dot
@@ -309,16 +308,6 @@ def test_whix_outputs_match_committed_digests(tmp_path, capsys):
     assert got == WHIX_DIGESTS
 
 
-def _load_generator():
-    """The benchmark's scenario generator, read from its file and run in a
-    fresh module, so that nothing is written next to it."""
-    path = WHIX.parent.parent / "perfbench" / "generate.py"
-    module = types.ModuleType("perfbench_generate")
-    sys.modules[module.__name__] = module  # dataclasses look their module up
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
 # SHA-256 of report() on generated rungs, recorded before reachability
 # probing moved to one ARP flood per source member.
 GENERATED_REPORT_DIGESTS = {
@@ -330,7 +319,7 @@ GENERATED_REPORT_DIGESTS = {
 
 @pytest.mark.parametrize("workload,seed", sorted(GENERATED_REPORT_DIGESTS))
 def test_generated_reports_match_committed_digests(workload, seed):
-    scenario = parse_scenario(_load_generator().generate(workload, seed))
+    scenario = parse_scenario(load_generator().generate(workload, seed))
     sim = Simulation(scenario)
     sim.run()
     got = hashlib.sha256(sim.report().to_text().encode("utf-8")).hexdigest()
@@ -365,7 +354,7 @@ def test_generated_artefacts_match_committed_digests(workload, seed):
     """The ``run --trace`` trace, ``ribs`` and ``dot`` bytes, built the way
     the command line builds them; reachability probing runs on a clone, so
     the trace does not depend on whether the report was made."""
-    scenario = parse_scenario(_load_generator().generate(workload, seed))
+    scenario = parse_scenario(load_generator().generate(workload, seed))
     sim = Simulation(scenario)
     sim.run()
     artefacts = {"trace": sim.trace_dump, "ribs": sim.rib_dump}

@@ -3,20 +3,24 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import ipaddress
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import converged, load_whix, make_exchange, random_exchange
+import ixsim.engine
+from helpers import converged, load_generator, load_whix, make_exchange, random_exchange
 from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType, Fabric
-from ixsim.engine import Simulation, UnknownEntityError, export_dot
+from ixsim.engine import DOT_LAYERS, Simulation, UnknownEntityError, export_dot
 from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
-from ixsim.scenario import Event, EventKind
-from oracles import reference_rib_dump
+from ixsim.scenario import Event, EventKind, parse_scenario
+from ixsim.underlay import compute_all_spf
+from oracles import reference_rib_dump, union_find_components
 
 
 def _net(text):
@@ -344,6 +348,100 @@ def test_link_events_keep_the_route_exchange(seed):
         assert sim.pseudowires == fresh.pseudowires
         assert sim.missing_transport == fresh.missing_transport
     assert sim.rounds_total == rounds
+
+
+def _fresh(sim):
+    """A new Simulation converged on ``sim``'s current topology and ports."""
+    return converged(dataclasses.replace(
+        sim.scenario, topology=sim.topo, ports=tuple(sim.ports.values())))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), route_server=st.booleans())
+def test_flaps_match_a_fresh_convergence(seed, route_server):
+    """Random link events on sparse random topologies, so partitions and
+    heals are common: after each one the incrementally kept state equals a
+    from-scratch convergence on the same topology."""
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 10), route_server=route_server)
+    for at in range(1, 13):
+        link = rng.choice(sim.topo.links)
+        kind = rng.choice([EventKind.LINK_DOWN, EventKind.LINK_UP])
+        sim.apply_event(Event(at, kind, (link.a, link.b)))
+        fresh = _fresh(sim)
+        assert sim.fabric.labels == fresh.fabric.labels
+        assert sim.trees == compute_all_spf(sim.topo)
+        assert sim.pseudowires == fresh.pseudowires
+        assert sim.missing_transport == fresh.missing_transport
+        assert sim.ibgp_sessions == fresh.ibgp_sessions
+        for layer in DOT_LAYERS:
+            assert export_dot(sim, layer) == export_dot(fresh, layer)
+
+
+# SHA-256 of the trace of whix plus the events below, recorded before link
+# events reconverged incrementally, when every link event rebuilt the
+# whole underlay.
+NO_OP_TRACE_DIGEST = "59462b7594e17805f79dc4b27ac2e79534287fcd865b741a672922177a755a9a"
+
+
+def test_no_op_link_events_keep_the_tables_and_reset_the_fabric():
+    scn = load_whix()
+    unicast = (64497, "02:00:00:00:00:01", EtherType.IPV4, 1400)
+    extra = (
+        Event(4, EventKind.LINK_DOWN, ("mallaig", "datacentre")),
+        Event(5, EventKind.INJECT_FRAME, unicast),
+        Event(6, EventKind.LINK_DOWN, ("mallaig", "datacentre")),  # already down
+        Event(7, EventKind.INJECT_FRAME, unicast),
+        Event(8, EventKind.LINK_UP, ("smo", "mallaig")),  # already up
+        Event(9, EventKind.INJECT_FRAME, (64500, "02:00:00:00:00:07", EtherType.IPV4, 1200)),
+        Event(10, EventKind.LINK_UP, ("datacentre", "mallaig")),
+        Event(11, EventKind.INJECT_FRAME, (64496, BROADCAST_MAC, EtherType.ARP, 64)),
+    )
+    sim = Simulation(dataclasses.replace(scn, events=scn.events + extra))
+    sim.converge()
+    for event in sim.scenario.events:
+        fabric, wires = sim.fabric, (sim.pseudowires, sim.missing_transport)
+        topo = sim.topo
+        sim.apply_event(event)
+        if event.at_round not in (6, 8):
+            continue
+        assert sim.topo == topo
+        assert any(b.mac_table for b in fabric.bridges.values())
+        assert sim.fabric is not fabric
+        assert sim.fabric.labels == fabric.labels
+        assert (sim.pseudowires, sim.missing_transport) == wires
+        assert not any(b.mac_table for b in sim.fabric.bridges.values())
+        assert sim.fabric._transport == {}
+    digest = hashlib.sha256(sim.trace_dump().encode("utf-8")).hexdigest()
+    assert digest == NO_OP_TRACE_DIGEST
+
+
+SIGNALLING = ("allocate_labels", "build_session_graph", "originate_adverts",
+              "propagate", "derive_pseudowires")
+
+
+def test_only_partitions_and_heals_redo_labels_and_signalling(monkeypatch):
+    """On a benchmark-shaped run, one leaf flap among core flaps, SPF runs
+    in full once and labels and signalling are rebuilt only when a link
+    event splits or joins the underlay."""
+    calls = Counter()
+    for name in ("compute_all_spf",) + SIGNALLING:
+        def counted(*args, _fn=getattr(ixsim.engine, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(ixsim.engine, name, counted)
+    scenario = parse_scenario(load_generator().generate("link_churn", 1))
+    sim = Simulation(scenario)
+    sim.converge()
+    assert calls == Counter({name: 1 for name in ("compute_all_spf",) + SIGNALLING})
+    rebuilds = 0
+    for event in scenario.events:
+        parts = union_find_components(sim.topo)
+        sim.apply_event(event)
+        rebuilds += union_find_components(sim.topo) != parts
+        assert calls["compute_all_spf"] == 1
+        assert all(calls[name] == 1 + rebuilds for name in SIGNALLING)
+    assert rebuilds == 2  # the leaf link's down and up
 
 
 def test_repeat_runs_are_byte_identical():

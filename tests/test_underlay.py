@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_topology, random_connected_topology
+from helpers import converged, make_exchange, make_topology, random_connected_topology
 from ixsim.model import LinkState, UnknownNodeError
+from ixsim.scenario import Event, EventKind
 from ixsim.underlay import (
     FIRST_FREE_LABEL,
     IMPLICIT_NULL,
@@ -20,6 +21,8 @@ from ixsim.underlay import (
     allocate_labels,
     compute_all_spf,
     compute_spf,
+    rebind,
+    rerun_stale_spf,
     resolve_lsp,
 )
 from oracles import all_pairs_distances
@@ -169,6 +172,74 @@ def test_lsps_are_shortest_paths_under_ties(seed, n):
                 else:
                     assert hop.out_label == table[(nxt, dst)].in_label
             assert cost == oracle[(src, dst)]
+
+
+def _flip(topo, indices, state):
+    """Set the ``indices`` links to ``state``, rerun the trees that makes
+    stale and rebind the label table.  Checks the merged trees against
+    compute_spf on the new topology and the rebound table against a fresh
+    allocation; returns the old trees and the reruns."""
+    trees = compute_all_spf(topo)
+    table = allocate_labels(topo, trees)
+    for i in indices:
+        assert topo.links[i].state is not state
+        topo = topo.with_link_state(i, state)
+    fresh = rerun_stale_spf(topo, trees, indices)
+    merged = {**trees, **fresh}
+    assert merged == {name: compute_spf(topo, name) for name in topo.node_names()}
+    rebind(table, fresh)
+    assert table == allocate_labels(topo, compute_all_spf(topo))
+    return topo, trees, fresh
+
+
+def test_down_link_no_tree_uses_leaves_every_tree():
+    edges = [("a", "b", 1), ("b", "c", 1), ("a", "c", 5)]
+    topo = make_topology(edges, reflectors={"a"})
+    assert all(hop[1] != 2 for tree in compute_all_spf(topo).values()
+               for hop in tree.first_hop.values())
+    _, _, fresh = _flip(topo, [2], LinkState.DOWN)
+    assert fresh == {}
+    # the engine keeps the very same tree objects
+    sim = converged(make_exchange(edges, [(64496, "a")], reflectors={"a"}))
+    before = dict(sim.trees)
+    sim.apply_event(Event(1, EventKind.LINK_DOWN, ("c", "a")))
+    assert all(sim.trees[name] is tree for name, tree in before.items())
+
+
+def test_up_link_that_ties_and_wins_the_tie_break_is_rerun():
+    # d is reached from a over c; bringing b-d up offers the same cost 2
+    # through b, whose smaller name takes the tie
+    topo = make_topology(
+        [("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)], reflectors={"a"})
+    topo = topo.with_link_state(2, LinkState.DOWN)
+    old = compute_spf(topo, "a")
+    assert old.dist["b"] + 1 == old.dist["d"] == 2
+    assert old.first_hop["d"] == ("c", 1)
+    topo, _, fresh = _flip(topo, [2], LinkState.UP)
+    assert fresh["a"].dist == old.dist
+    assert fresh["a"].first_hop["d"] == ("b", 0)
+    assert _lsp_links(topo, "a", "d") == (0, 2)
+
+
+def test_up_link_with_slack_both_ways_reruns_nothing():
+    topo = make_topology([("a", "b", 1), ("b", "c", 1), ("a", "c", 5)], reflectors={"a"})
+    topo = topo.with_link_state(2, LinkState.DOWN)
+    _, _, fresh = _flip(topo, [2], LinkState.UP)
+    assert fresh == {}
+
+
+def test_parallel_links_flap_together():
+    topo = make_topology(
+        [("a", "b", 1), ("a", "b", 1), ("b", "c", 1), ("a", "c", 1)], reflectors={"a"})
+    pair = topo.links_between("b", "a")
+    assert pair == [0, 1]
+    topo, trees, fresh = _flip(topo, pair, LinkState.DOWN)
+    assert trees["a"].first_hop["b"] == ("b", 0)
+    assert set(fresh) == {"a", "b"}  # c reaches both over its own links
+    assert fresh["a"].first_hop["b"] == ("c", 3)
+    topo, _, fresh = _flip(topo, pair, LinkState.UP)
+    assert set(fresh) == {"a", "b"}
+    assert fresh["a"].first_hop["b"] == ("b", 0)
 
 
 def test_allocator_counts_per_node_independently():
