@@ -1,24 +1,25 @@
 """Convergence engine and reporting for scenario runs.
 
-One Simulation owns all mutable run state.  converge() rebuilds every
-derived layer in a fixed order: shortest-path trees, label bindings, the
-signalling session graph, membership adverts, the pseudo-wire mesh, then
-one sweep of member route exchange.  Route servers only reflect what
-members announce, so that sweep reads configuration alone and is already
-final.  Route reflection is complete by construction, so signalling
-depends only on node names, reflector flags and each PE's transport label
-count, which is its reachable-set size.
+One Simulation owns all mutable run state.  It builds the underlay and the
+signalling once, when it is made: shortest-path trees, label bindings, the
+signalling session graph, membership adverts and the pseudo-wire mesh.
+Every node binds the same label for a loopback and every label block sits
+above all of them (see underlay), and route reflection is complete by
+construction, so no binding, block, session or advert depends on what the
+underlay reaches.  converge() rebuilds the fabric and runs one sweep of
+member route exchange.  Route servers only reflect what members announce,
+so that sweep reads configuration alone and is already final.
 
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
 since no RIB depends on a link, and reruns only the shortest-path trees
-the flipped links make stale (see underlay).  When every rerun tree
-reaches the same nodes as before, no reachable set changed, so every
-in-label, label block, session and pseudo-wire stands; only the bindings
-whose first hop moved are rewritten.  A partition or a heal falls back to
-allocating every label and redoing the signalling over the merged trees.
-Either way the fabric is rebuilt, so learned MACs and walked LSPs are
-reset on every link event.  Frame injection exercises only the data plane.
+the flipped links make stale (see underlay).  Only the bindings of those
+trees' sources whose first hop moved, appeared or vanished are rewritten;
+the pseudo-wire mesh is derived again only when some rerun tree reaches a
+different set of nodes, so a partition or a heal takes the same path as
+any other link event.  Link events rebuild the fabric as converge() does,
+so learned MACs and walked LSPs are reset on every event that
+reconverges.  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, replace
-from typing import Collection, Dict, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Set, Tuple
 
 from ixsim.dataplane import (
     DEFAULT_PROBATION_ROUNDS,
@@ -61,7 +62,6 @@ from ixsim.model import (
 )
 from ixsim.scenario import Event, EventKind, Scenario
 from ixsim.underlay import (
-    LabelAllocator,
     LabelTable,
     SpfTree,
     allocate_labels,
@@ -70,6 +70,7 @@ from ixsim.underlay import (
     rerun_stale_spf,
 )
 from ixsim.vpls_signal import (
+    VplsAdvert,
     build_session_graph,
     derive_pseudowires,
     originate_adverts,
@@ -103,11 +104,13 @@ class Simulation:
         self.rounds_total = 0
         self._trace_seq = 0
 
-        self.ibgp_sessions: Set = set()
-        self.pseudowires: tuple = ()
-        self.missing_transport: tuple = ()
-        self.trees: Dict[str, SpfTree] = {}
-        self.fabric = Fabric(self.topo, {}, {})
+        self.trees: Dict[str, SpfTree] = compute_all_spf(self.topo)
+        labels = allocate_labels(self.topo, self.trees)
+        self.ibgp_sessions: Set = build_session_graph(self.topo)
+        self.adverts: Dict[str, VplsAdvert] = propagate(
+            originate_adverts(self.topo.node_names()), self.ibgp_sessions)
+        self.pseudowires, self.missing_transport = derive_pseudowires(self.adverts, labels)
+        self.fabric = Fabric(self.topo, {}, labels)  # bridges come with converge()
         self.l3 = _L3State()
 
     # -- configuration views -------------------------------------------------
@@ -141,47 +144,32 @@ class Simulation:
     # -- convergence ---------------------------------------------------------
 
     def converge(self) -> int:
-        """Rebuild every derived layer.  Returns 1 when the member RIBs
-        changed and 0 when they did not."""
-        self._converge_underlay()
+        """Rebuild the fabric over the current ports and exchange routes.
+        The underlay and signalling stand from construction and from each
+        link event, so a topology change must come as a link event.
+        Returns 1 when the member RIBs changed and 0 when they did not."""
+        self._rebuild_fabric(self.fabric.labels)
         sweep = self._exchange_routes()
         changed = int(sweep.ribs != self.l3.ribs)
         self.l3 = sweep
         self.rounds_total += changed
         return changed
 
-    def _converge_underlay(self, flapped: Optional[Collection[int]] = None) -> None:
-        """Bring the layers that depend on links up to date: shortest-path
-        trees, label bindings, signalling, the pseudo-wire mesh and the
-        fabric.
-
-        With ``flapped`` None, or before the first convergence, everything
-        is rebuilt.  Otherwise ``flapped`` holds the indices of the links
-        whose state just flipped, and only the trees they make stale are
-        rerun.  If every rerun tree reaches the same nodes as before, no
-        in-label, label block or wire can change, so only the bindings
-        whose first hops moved are rewritten.  A partition or a heal falls
-        back to a full rebuild over the merged trees."""
-        if flapped is None or not self.trees:
-            trees = compute_all_spf(self.topo)
-        else:
-            fresh = rerun_stale_spf(self.topo, self.trees, flapped)
-            trees = {**self.trees, **fresh}
-            if all(tree.dist.keys() == self.trees[name].dist.keys()
-                   for name, tree in fresh.items()):
-                labels = dict(self.fabric.labels)
-                rebind(labels, {name: tree for name, tree in fresh.items()
-                                if tree.first_hop != self.trees[name].first_hop})
-                self.trees = trees
-                self._rebuild_fabric(labels)
-                return
-        alloc = LabelAllocator()
-        labels = allocate_labels(self.topo, trees, alloc)
-        self.trees = trees
-        self.ibgp_sessions = build_session_graph(self.topo) if self.topo.nodes else set()
-        adverts = originate_adverts(self.topo.node_names(), alloc)
-        self.pseudowires, self.missing_transport = derive_pseudowires(
-            propagate(adverts, self.ibgp_sessions), labels)
+    def _relink(self, flapped: Collection[int]) -> None:
+        """Bring the link-dependent layers up to date after the ``flapped``
+        links (indices into ``self.topo``) changed state: rerun the trees
+        they make stale, rebind the rows those trees moved, derive the
+        pseudo-wire mesh again if a reachable set changed, and rebuild
+        the fabric."""
+        fresh = rerun_stale_spf(self.topo, self.trees, flapped)
+        labels = dict(self.fabric.labels)
+        rebind(labels, self.topo, {name: tree for name, tree in fresh.items()
+                                   if tree.first_hop != self.trees[name].first_hop})
+        if any(tree.dist.keys() != self.trees[name].dist.keys()
+               for name, tree in fresh.items()):
+            self.pseudowires, self.missing_transport = derive_pseudowires(
+                self.adverts, labels)
+        self.trees = {**self.trees, **fresh}
         self._rebuild_fabric(labels)
 
     def _rebuild_fabric(self, labels: LabelTable) -> None:
@@ -254,7 +242,7 @@ class Simulation:
             flapped = [i for i in indices if self.topo.links[i].state is not target]
             for i in flapped:
                 self.topo = self.topo.with_link_state(i, target)
-            self._converge_underlay(flapped)  # the RIBs never depend on links
+            self._relink(flapped)  # the RIBs never depend on links
         elif kind is EventKind.PORT_PROMOTE_CHECK:
             (asn,) = event.args
             if asn not in self.ports:

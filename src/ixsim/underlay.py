@@ -11,6 +11,14 @@ chain of these bindings from the ingress to the penultimate-hop pop, and
 nothing else records the path.  Because every cost is at least 1 and all
 nodes share the tie-break, the chain is the ingress's own shortest path.
 
+Every node uses the same label for a destination: FIRST_FREE_LABEL plus
+the rank of the destination's loopback among all nodes' loopbacks, the way
+segment routing gives each loopback one prefix SID out of a label block
+that every node shares (RFC 8402, RFC 8660).  A label thus depends on the
+node set alone, never on what a node reaches, so a link event that cuts a
+node off or joins it back renumbers nothing: it only adds or deletes the
+rows toward that node and its own.
+
 A link event reruns only the trees it can touch (incremental SPF:
 McQuillan, Richer and Rosen, "The New Routing Algorithm for the ARPANET",
 1980; Narváez, Siu and Tzeng, IEEE/ACM ToN 2000).  A tree is stale for a
@@ -31,7 +39,7 @@ from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ixsim.model import Topology, UnknownNodeError
 
-# Reserved label values live below 16 (RFC 3032); allocation starts above
+# Reserved label values live below 16 (RFC 3032); bindings start above
 # them.  Implicit null asks the upstream neighbour to pop rather than swap.
 FIRST_FREE_LABEL = 16
 IMPLICIT_NULL = 3
@@ -39,21 +47,6 @@ IMPLICIT_NULL = 3
 # Marker for the out_neighbor and out_link of a binding at the forwarding
 # class's own node: traffic is handed to the local bridge, not another PE.
 LOCAL = None
-
-
-class LabelAllocator:
-    """Per-node label counters.  LDP bindings and signalling label blocks
-    draw from the same space, so one allocator is threaded through both."""
-
-    def __init__(self, first: int = FIRST_FREE_LABEL):
-        self._first = first
-        self._next: Dict[str, int] = {}
-
-    def take(self, node: str, count: int = 1) -> int:
-        """Reserve ``count`` consecutive labels at node; the first of them."""
-        value = self._next.get(node, self._first)
-        self._next[node] = value + count
-        return value
 
 
 @dataclass
@@ -166,59 +159,43 @@ class LabelBinding:
 LabelTable = Dict[Tuple[str, str], LabelBinding]
 
 
-def allocate_labels(
-    topo: Topology,
-    trees: Dict[str, SpfTree],
-    alloc: Optional[LabelAllocator] = None,
-) -> LabelTable:
-    """Assign in-labels everywhere, then wire out-labels downstream.
-
-    Each node numbers the forwarding classes it can reach in lexicographic
-    order of the class (destination loopback), starting at FIRST_FREE_LABEL.
-    The out-label toward a destination is the downstream neighbour's
-    in-label for the same class, or IMPLICIT_NULL when the neighbour is the
-    destination.  The downstream neighbour and link are the first hop of the
-    node's own tree.
-    """
-    if alloc is None:
-        alloc = LabelAllocator()
-    fec_of = {n.name: n.fec for n in topo.nodes}
-    by_fec = sorted(fec_of, key=lambda name: fec_of[name])
-
-    in_labels: Dict[Tuple[str, str], int] = {}
-    for node in topo.node_names():
-        tree = trees[node]
-        for dst in by_fec:
-            if dst in tree.dist:
-                in_labels[(node, dst)] = alloc.take(node)
-
+def allocate_labels(topo: Topology, trees: Dict[str, SpfTree]) -> LabelTable:
+    """Every node's bindings, for the destinations its own tree reaches:
+    ``rebind`` run on an empty table."""
     table: LabelTable = {}
-    for (node, dst), in_label in in_labels.items():
-        if node == dst:
-            table[(node, dst)] = LabelBinding(
-                node, fec_of[dst], in_label, IMPLICIT_NULL, LOCAL, LOCAL)
-            continue
-        neigh, link = trees[node].first_hop[dst]
-        out = IMPLICIT_NULL if neigh == dst else in_labels[(neigh, dst)]
-        table[(node, dst)] = LabelBinding(node, fec_of[dst], in_label, out, neigh, link)
+    rebind(table, topo, trees)
     return table
 
 
-def rebind(table: LabelTable, trees: Dict[str, SpfTree]) -> None:
-    """Point each tree's source's bindings at the tree's first hops, in place.
+def rebind(table: LabelTable, topo: Topology, trees: Dict[str, SpfTree]) -> None:
+    """Bring each tree's source's bindings in line with the tree, in place.
 
-    Only valid when no node's reachable set changed since ``table`` was
-    allocated: every in-label then stands, and a moved binding's out-label
-    is the new neighbour's in-label, or IMPLICIT_NULL when the neighbour is
-    the destination.  Bindings whose first hop did not move are kept.
+    The label for a destination is FIRST_FREE_LABEL plus the rank of its
+    forwarding class (loopback) among all nodes' classes, at every node.
+    The out-label is that same label, or IMPLICIT_NULL when the first hop
+    is the destination itself or the destination is local.  A row is
+    written only where the tree's first hop differs from the row's, added
+    where the tree newly reaches its destination and deleted where it no
+    longer does; every other row stands.
     """
+    classes = sorted((n.fec, n.name) for n in topo.nodes)
     for node, tree in trees.items():
-        for dst, (neigh, link) in tree.first_hop.items():
-            old = table[(node, dst)]
-            if old.out_link == link and old.out_neighbor == neigh:
+        first_hop = tree.first_hop
+        for label, (fec, dst) in enumerate(classes, start=FIRST_FREE_LABEL):
+            key = (node, dst)
+            if dst == node:
+                hop = (LOCAL, LOCAL)
+            elif dst in first_hop:
+                hop = first_hop[dst]
+            else:
+                table.pop(key, None)
                 continue
-            out = IMPLICIT_NULL if neigh == dst else table[(neigh, dst)].in_label
-            table[(node, dst)] = LabelBinding(node, old.fec, old.in_label, out, neigh, link)
+            old = table.get(key)
+            if old is not None and (old.out_neighbor, old.out_link) == hop:
+                continue
+            neigh, link = hop
+            out = IMPLICIT_NULL if neigh in (dst, LOCAL) else label
+            table[key] = LabelBinding(node, fec, label, out, neigh, link)
 
 
 class LspHop(NamedTuple):

@@ -9,9 +9,10 @@ a dedicated exchange.
 
 The session graph always meshes the reflectors and peers every client with
 every reflector, so reflection is complete by construction: every PE learns
-every other PE's advert.  Signalling therefore depends only on node names,
-reflector flags (for the session graph) and each PE's transport label
-count (which sets where its block starts).
+every other PE's advert.  Signalling therefore depends only on node names
+and reflector flags (for the session graph): the underlay binds one label
+per loopback at every node, so every block starts right above the same P
+transport labels, whatever the underlay reaches.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ixsim.model import Topology
-from ixsim.underlay import LabelAllocator, LabelTable, LspPath, resolve_lsp
+from ixsim.underlay import FIRST_FREE_LABEL, LabelTable, LspPath, resolve_lsp
 
 
 class NoReflectorError(Exception):
@@ -82,20 +83,17 @@ class VplsAdvert:
         return self.label_base + sender_ve_id - self.block_offset
 
 
-def originate_adverts(
-    pes: Iterable[str],
-    alloc: Optional[LabelAllocator] = None,
-) -> Dict[str, VplsAdvert]:
-    """Assign VE ids 1..P in name order and carve each PE's label block.
+def originate_adverts(pes: Iterable[str]) -> Dict[str, VplsAdvert]:
+    """Assign VE ids 1..P in name order and give each PE a block of P labels.
 
-    The block comes out of the same per-node label space the underlay
-    bindings use, so blocks never collide with transport labels.
+    The underlay binds FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 at
+    every node, one label per loopback, so each block starts at
+    FIRST_FREE_LABEL + P and never collides with a transport label.
     """
-    if alloc is None:
-        alloc = LabelAllocator()
     ordered = sorted(set(pes))
     count = len(ordered)
-    return {pe: VplsAdvert(pe, ve_id, alloc.take(pe, count), 1, count)
+    base = FIRST_FREE_LABEL + count
+    return {pe: VplsAdvert(pe, ve_id, base, 1, count)
             for ve_id, pe in enumerate(ordered, start=1)}
 
 

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 from ixsim.dataplane import BridgeState, Fabric
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
-from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf
+from ixsim.underlay import allocate_labels, compute_all_spf
 from ixsim.vpls_signal import build_session_graph, derive_pseudowires, originate_adverts, propagate
 from ixsim.model import (
     Link,
@@ -138,9 +138,8 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
                 reflectors: Iterable[str]) -> Fabric:
     """Fabric without the engine: placements are (asn, pe, index[, state])."""
     topo = make_topology(edges, reflectors=reflectors)
-    alloc = LabelAllocator()
-    table = allocate_labels(topo, compute_all_spf(topo), alloc)
-    adverts = originate_adverts(topo.node_names(), alloc)
+    table = allocate_labels(topo, compute_all_spf(topo))
+    adverts = originate_adverts(topo.node_names())
     wires, missing = derive_pseudowires(
         propagate(adverts, build_session_graph(topo)), table)
     assert missing == ()

@@ -13,13 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ixsim.engine
-from helpers import converged, load_generator, load_whix, make_exchange, random_exchange
+from helpers import WHIX, converged, load_generator, load_whix, make_exchange, random_exchange
 from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType, Fabric
 from ixsim.engine import DOT_LAYERS, Simulation, UnknownEntityError, export_dot
 from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind, parse_scenario
-from ixsim.underlay import compute_all_spf
+from ixsim.underlay import FIRST_FREE_LABEL, IMPLICIT_NULL, compute_all_spf
 from oracles import reference_rib_dump, union_find_components
 
 
@@ -361,9 +361,12 @@ def _fresh(sim):
 def test_flaps_match_a_fresh_convergence(seed, route_server):
     """Random link events on sparse random topologies, so partitions and
     heals are common: after each one the incrementally kept state equals a
-    from-scratch convergence on the same topology."""
+    from-scratch convergence on the same topology, every node binds a
+    class's rank-derived label, and no label block overlaps one."""
     rng = random.Random(seed)
     sim = random_exchange(rng, rng.randint(2, 10), route_server=route_server)
+    by_class = sorted(sim.topo.nodes, key=lambda n: n.fec)
+    label_of = {n.name: FIRST_FREE_LABEL + rank for rank, n in enumerate(by_class)}
     for at in range(1, 13):
         link = rng.choice(sim.topo.links)
         kind = rng.choice([EventKind.LINK_DOWN, EventKind.LINK_UP])
@@ -376,6 +379,11 @@ def test_flaps_match_a_fresh_convergence(seed, route_server):
         assert sim.ibgp_sessions == fresh.ibgp_sessions
         for layer in DOT_LAYERS:
             assert export_dot(sim, layer) == export_dot(fresh, layer)
+        for (_, dst), binding in sim.fabric.labels.items():
+            assert binding.in_label == label_of[dst]
+            assert binding.out_label in (IMPLICIT_NULL, label_of[dst])
+        for pw in sim.pseudowires:
+            assert min(pw.label_a_to_b, pw.label_b_to_a) >= FIRST_FREE_LABEL + len(by_class)
 
 
 # SHA-256 of the trace of whix plus the events below, recorded before link
@@ -416,32 +424,74 @@ def test_no_op_link_events_keep_the_tables_and_reset_the_fabric():
     assert digest == NO_OP_TRACE_DIGEST
 
 
-SIGNALLING = ("allocate_labels", "build_session_graph", "originate_adverts",
-              "propagate", "derive_pseudowires")
+BUILT_ONCE = ("compute_all_spf", "allocate_labels", "build_session_graph",
+              "originate_adverts", "propagate", "derive_pseudowires")
 
 
-def test_only_partitions_and_heals_redo_labels_and_signalling(monkeypatch):
-    """On a benchmark-shaped run, one leaf flap among core flaps, SPF runs
-    in full once and labels and signalling are rebuilt only when a link
-    event splits or joins the underlay."""
+def _count_calls(monkeypatch):
+    """Count the engine's calls of each BUILT_ONCE name."""
     calls = Counter()
-    for name in ("compute_all_spf",) + SIGNALLING:
+    for name in BUILT_ONCE:
         def counted(*args, _fn=getattr(ixsim.engine, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(ixsim.engine, name, counted)
+    return calls
+
+
+def test_labels_and_signalling_are_built_once(monkeypatch):
+    """On a benchmark-shaped run, one leaf flap among core flaps, SPF,
+    labels and signalling run once for the whole run, and the pseudo-wire
+    mesh is derived again only when a link event splits or joins the
+    underlay."""
+    calls = _count_calls(monkeypatch)
     scenario = parse_scenario(load_generator().generate("link_churn", 1))
     sim = Simulation(scenario)
     sim.converge()
-    assert calls == Counter({name: 1 for name in ("compute_all_spf",) + SIGNALLING})
-    rebuilds = 0
+    assert calls == Counter(dict.fromkeys(BUILT_ONCE, 1))
+    rederived = 0
     for event in scenario.events:
         parts = union_find_components(sim.topo)
         sim.apply_event(event)
-        rebuilds += union_find_components(sim.topo) != parts
-        assert calls["compute_all_spf"] == 1
-        assert all(calls[name] == 1 + rebuilds for name in SIGNALLING)
-    assert rebuilds == 2  # the leaf link's down and up
+        rederived += union_find_components(sim.topo) != parts
+        assert calls["derive_pseudowires"] == 1 + rederived
+    assert rederived == 2  # the leaf link's down and up
+    assert all(calls[name] == 1 for name in BUILT_ONCE if name != "derive_pseudowires")
+
+
+# SHA-256 of the trace ``run --trace`` writes for whix with applecross
+# quarantined plus the events below, recorded when every converge()
+# recomputed SPF, labels and signalling.
+PROMOTE_WITHDRAW_TRACE_DIGEST = "4cb0a47ad9cde96827b79a31cf2b51f660435ba9affb7914ec31b86df3d614e3"
+
+
+def test_promotion_and_withdrawal_rebuild_only_the_fabric(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    applecross = "member 64505 applecross       port kyle       mac 02:00:00:00:00:0a ip 192.0.2.20"
+    text = WHIX.read_text(encoding="utf-8")
+    assert applecross in text
+    text = text.replace(applecross, applecross + " quarantine") + (
+        "event 4 inject 64498 broadcast arp 64\n"
+        "event 5 promote 64505\n"
+        "event 6 inject 64505 broadcast arp 64\n"
+        "event 7 withdraw 64500 10.96.5.0/24\n"
+        "event 8 inject 64497 02:00:00:00:00:01 ipv4 1400\n")
+    sim = Simulation(parse_scenario(text))
+    sim.converge()
+    built = Counter(calls)
+    for event in sim.scenario.events:
+        fabric = sim.fabric
+        sim.apply_event(event)
+        if event.kind in (EventKind.PORT_PROMOTE_CHECK, EventKind.MEMBER_WITHDRAW):
+            assert sim.fabric is not fabric
+            assert any(b.mac_table for b in fabric.bridges.values())
+            assert not any(b.mac_table for b in sim.fabric.bridges.values())
+    assert calls == built
+    assert sim.ports[64505].state is PortState.ACTIVE
+    assert sim.rounds_total == 3  # the first sweep, the promotion and the withdrawal
+    sim.report()
+    digest = hashlib.sha256(sim.trace_dump().encode("utf-8")).hexdigest()
+    assert digest == PROMOTE_WITHDRAW_TRACE_DIGEST
 
 
 def test_repeat_runs_are_byte_identical():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import hand_fabric, random_exchange
 from ixsim.dataplane import EtherType, EthernetFrame
+from ixsim.engine import Simulation
 from ixsim.exchange_l3 import (
     DEFAULT_ROUTE,
     BgpRoute,
@@ -333,7 +334,10 @@ def test_matrix_matches_the_per_cell_reference(seed):
             links[i] = dataclasses.replace(link, state=LinkState.DOWN)
         elif rng.random() < 0.15:
             links[i] = dataclasses.replace(link, mtu=rng.choice([50, 100]))
-    sim.topo = Topology(sim.topo.nodes, tuple(links))
+    # A fresh Simulation builds its underlay from the edited topology;
+    # after construction, link state only changes through link events.
+    sim = Simulation(dataclasses.replace(
+        sim.scenario, topology=Topology(sim.topo.nodes, tuple(links))))
     # Quarantined before convergence: the route servers drop the member.
     for asn in list(sim.ports):
         if rng.random() < 0.15:

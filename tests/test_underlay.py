@@ -16,7 +16,6 @@ from ixsim.underlay import (
     FIRST_FREE_LABEL,
     IMPLICIT_NULL,
     LOCAL,
-    LabelAllocator,
     LspHop,
     allocate_labels,
     compute_all_spf,
@@ -187,7 +186,7 @@ def _flip(topo, indices, state):
     fresh = rerun_stale_spf(topo, trees, indices)
     merged = {**trees, **fresh}
     assert merged == {name: compute_spf(topo, name) for name in topo.node_names()}
-    rebind(table, fresh)
+    rebind(table, topo, fresh)
     assert table == allocate_labels(topo, compute_all_spf(topo))
     return topo, trees, fresh
 
@@ -242,13 +241,6 @@ def test_parallel_links_flap_together():
     assert fresh["a"].first_hop["b"] == ("b", 0)
 
 
-def test_allocator_counts_per_node_independently():
-    alloc = LabelAllocator()
-    assert alloc.take("x") == FIRST_FREE_LABEL
-    assert alloc.take("x") == FIRST_FREE_LABEL + 1
-    assert alloc.take("y") == FIRST_FREE_LABEL
-
-
 def test_two_node_bindings_and_penultimate_hop_pop():
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
     table = allocate_labels(topo, compute_all_spf(topo))
@@ -288,7 +280,8 @@ def test_partition_leaves_no_binding_and_no_lsp():
     topo = make_topology([("a", "b", 1)], extra_nodes=["z"], reflectors={"a"})
     table = allocate_labels(topo, compute_all_spf(topo))
     assert ("a", "z") not in table
-    assert table[("z", "z")].in_label == 16
+    # the label is z's class's rank among a, b and z, not among what z reaches
+    assert table[("z", "z")].in_label == FIRST_FREE_LABEL + 2 == 18
     assert resolve_lsp(table, "a", "z") is None
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import make_topology, random_connected_topology
 from ixsim.model import LinkState
-from ixsim.underlay import LabelAllocator, allocate_labels, compute_all_spf, resolve_lsp
+from ixsim.underlay import FIRST_FREE_LABEL, allocate_labels, compute_all_spf, resolve_lsp
 from ixsim.vpls_signal import (
     IbgpKind,
     IbgpSession,
@@ -30,9 +30,8 @@ from oracles import (
 
 
 def _full_mesh_state(topo):
-    alloc = LabelAllocator()
-    table = allocate_labels(topo, compute_all_spf(topo), alloc)
-    adverts = originate_adverts(topo.node_names(), alloc)
+    table = allocate_labels(topo, compute_all_spf(topo))
+    adverts = originate_adverts(topo.node_names())
     return table, propagate(adverts, build_session_graph(topo))
 
 
@@ -92,14 +91,12 @@ def test_ve_ids_follow_name_order():
 
 
 def test_label_blocks_continue_after_transport_labels():
-    topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    alloc = LabelAllocator()
-    allocate_labels(topo, compute_all_spf(topo), alloc)
-    adverts = originate_adverts(topo.node_names(), alloc)
-    # three transport bindings per node used 16..18; blocks start at 19
-    assert all(ad.label_base == 19 for ad in adverts.values())
-    # the whole block is reserved, not just its first value
-    assert alloc.take("a") == 19 + 3
+    # c is cut off, yet every node's block still starts above all P labels
+    topo = make_topology([("a", "b", 1)], extra_nodes=["c"], reflectors={"a"})
+    table = allocate_labels(topo, compute_all_spf(topo))
+    adverts = originate_adverts(topo.node_names())
+    assert all(ad.label_base == FIRST_FREE_LABEL + 3 for ad in adverts.values())
+    assert max(b.in_label for b in table.values()) < FIRST_FREE_LABEL + 3
 
 
 def test_label_for_covers_exactly_the_block():
@@ -133,9 +130,8 @@ def test_closed_form_matches_reflection_fixpoint(p, data):
         reflectors = {data.draw(st.sampled_from(names))}
     topo = make_topology([(a, b) for a, b in zip(names, names[1:])],
                          extra_nodes=names, reflectors=reflectors)
-    alloc = LabelAllocator()
-    table = allocate_labels(topo, compute_all_spf(topo), alloc)
-    adverts = originate_adverts(names, alloc)
+    table = allocate_labels(topo, compute_all_spf(topo))
+    adverts = originate_adverts(names)
     sessions = build_session_graph(topo)
     received = reference_propagate(adverts, sessions)
     for pe in names:
