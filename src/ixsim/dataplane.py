@@ -9,10 +9,12 @@ any wire at most once and visits each bridge at most once.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
 from ixsim.underlay import LabelTable
@@ -45,8 +47,7 @@ class DropReason(Enum):
     MTU_EXCEEDED = "MTU_EXCEEDED"
 
 
-@dataclass(frozen=True)
-class EthernetFrame:
+class EthernetFrame(NamedTuple):
     src_mac: str
     dst_mac: str
     ethertype: EtherType
@@ -58,14 +59,12 @@ def is_broadcast(mac: str) -> bool:
     return mac == BROADCAST_MAC
 
 
-@dataclass(frozen=True)
-class PortRef:
+class PortRef(NamedTuple):
     """Attachment identity for a local member port."""
     asn: int
 
 
-@dataclass(frozen=True)
-class PwRef:
+class PwRef(NamedTuple):
     """Attachment identity for the pseudo-wire toward one remote PE."""
     remote_pe: str
 
@@ -73,21 +72,34 @@ class PwRef:
 Attachment = Union[PortRef, PwRef]
 
 
-def attachment_label(via: Attachment) -> str:
-    if isinstance(via, PortRef):
-        return "port/%d" % via.asn
-    return "pw/%s" % via.remote_pe
+# Attachments and their trace labels are interned, one object per member
+# port and per PE in the process, so the bridges rebuilt on every link
+# event allocate none.
+@lru_cache(maxsize=None)
+def _port_attachment(asn: int) -> Tuple[PortRef, str]:
+    return PortRef(asn), "port/%d" % asn
 
 
-@dataclass
-class MacEntry:
+@lru_cache(maxsize=None)
+def _wire_attachment(pe: str) -> Tuple[PwRef, str]:
+    return PwRef(pe), "pw/%s" % pe
+
+
+class MacEntry(NamedTuple):
     where: Attachment
     learned_round: int
 
 
 @dataclass
 class BridgeState:
-    """Per-PE forwarding state.  Mutated only by the single engine thread."""
+    """Per-PE forwarding state.  Mutated only by the single engine thread.
+
+    A bridge is never rewired once it has forwarded a frame: any change to
+    a port or to the pseudo-wire mesh builds new bridges
+    (``Simulation._rebuild_fabric``).  Its flood targets and local MACs
+    are therefore derived from ``ports`` and ``pws`` once, on first use,
+    and a clone shares them.  Only the MAC table changes.
+    """
 
     pe: str
     ports: Dict[int, MemberPort] = field(default_factory=dict)
@@ -95,8 +107,26 @@ class BridgeState:
     mac_table: Dict[str, MacEntry] = field(default_factory=dict)
     aging_rounds: int = DEFAULT_MAC_AGING_ROUNDS
 
-    def local_macs(self) -> set[str]:
-        return {p.nominated_mac for p in self.ports.values()}
+    @cached_property
+    def local_macs(self) -> FrozenSet[str]:
+        return frozenset(p.nominated_mac for p in self.ports.values())
+
+    @cached_property
+    def port_targets(self) -> Tuple[PortRef, ...]:
+        """Active local ports in ASN order."""
+        return tuple(_port_attachment(asn)[0] for asn, port in sorted(self.ports.items())
+                     if port.state is PortState.ACTIVE)
+
+    @cached_property
+    def wire_targets(self) -> Tuple[PwRef, ...]:
+        """Pseudo-wires in remote-PE order."""
+        return tuple(_wire_attachment(pe)[0] for pe in sorted(self.pws))
+
+    def clone(self) -> "BridgeState":
+        """Copy with its own MAC table, sharing everything else."""
+        twin = copy.copy(self)  # the instance dict carries the derived values
+        twin.mac_table = dict(self.mac_table)
+        return twin
 
     def lookup(self, mac: str, round_no: int) -> Optional[MacEntry]:
         entry = self.mac_table.get(mac)
@@ -125,8 +155,7 @@ def ingress_filter(port: MemberPort, frame: EthernetFrame) -> Optional[DropReaso
     return None
 
 
-@dataclass(frozen=True)
-class Emission:
+class Emission(NamedTuple):
     frame: EthernetFrame
     via: Attachment
     encapsulated_size: int
@@ -137,10 +166,6 @@ def encapsulated_size(frame: EthernetFrame, via: Attachment) -> int:
     if isinstance(via, PwRef):
         size += MPLS_OVERHEAD
     return size
-
-
-def _emit(frame: EthernetFrame, via: Attachment) -> Emission:
-    return Emission(frame, via, encapsulated_size(frame, via))
 
 
 def bridge_forward(
@@ -157,30 +182,28 @@ def bridge_forward(
     Known unicast toward its own arrival attachment is suppressed entirely.
     """
     src = frame.src_mac
-    if is_unicast(src):
-        remote_claims_local = (
-            isinstance(arrived_via, PwRef) and src in bridge.local_macs())
-        if not remote_claims_local:
-            bridge.mac_table[src] = MacEntry(arrived_via, round_no)
+    from_wire = isinstance(arrived_via, PwRef)
+    if is_unicast(src) and not (from_wire and src in bridge.local_macs):
+        bridge.mac_table[src] = MacEntry(arrived_via, round_no)
 
-    if not is_broadcast(frame.dst_mac):
-        entry = bridge.lookup(frame.dst_mac, round_no)
+    dst = frame.dst_mac
+    if dst != BROADCAST_MAC:
+        entry = bridge.lookup(dst, round_no)
         if entry is not None:
-            if entry.where == arrived_via:
+            where = entry.where
+            if where == arrived_via:
                 return []  # would hairpin; the destination already saw it
-            if isinstance(entry.where, PortRef) and entry.where.asn not in bridge.ports:
-                del bridge.mac_table[frame.dst_mac]  # port went away; relearn
+            if isinstance(where, PortRef) and where.asn not in bridge.ports:
+                del bridge.mac_table[dst]  # port went away; relearn
             else:
-                return [_emit(frame, entry.where)]
+                return [Emission(frame, where, encapsulated_size(frame, where))]
 
-    targets: List[Attachment] = [
-        PortRef(asn)
-        for asn, port in sorted(bridge.ports.items())
-        if port.state is PortState.ACTIVE and PortRef(asn) != arrived_via
-    ]
-    if not isinstance(arrived_via, PwRef):
-        targets += [PwRef(pe) for pe in sorted(bridge.pws)]
-    return [_emit(frame, t) for t in targets]
+    size = frame.payload_size + ETHERNET_OVERHEAD
+    out = [Emission(frame, via, size) for via in bridge.port_targets if via != arrived_via]
+    if not from_wire:
+        size += MPLS_OVERHEAD
+        out += [Emission(frame, via, size) for via in bridge.wire_targets]
+    return out
 
 
 def transmit(emission: Emission, links: Iterable[Link]) -> Optional[Link]:
@@ -207,8 +230,7 @@ def promote_port(port: MemberPort, observed: Iterable[DropReason]) -> MemberPort
     return replace(port, state=PortState.ACTIVE)
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     round_no: int
     trace_id: str
     pe: str
@@ -221,8 +243,7 @@ TRACE_HEADER = "round,trace_id,pe,via,action"
 
 def format_trace(rows: Iterable[TraceRow]) -> str:
     lines = [TRACE_HEADER]
-    for r in rows:
-        lines.append("%d,%s,%s,%s,%s" % (r.round_no, r.trace_id, r.pe, r.via, r.action))
+    lines += ["%d,%s,%s,%s,%s" % row for row in rows]  # a row is its fields in order
     return "\n".join(lines) + "\n"
 
 
@@ -249,11 +270,12 @@ class Fabric:
     """All bridges plus the transport glue between them.
 
     Owns the frame trace and the drop log; both survive reconvergence so a
-    run's history stays complete.  ``labels`` is the label table of the
-    convergence that built the bridges.  A pseudo-wire direction's links
-    are walked from it the first time a frame crosses that direction and
-    kept for this fabric's lifetime; reconvergence builds a new fabric, so
-    no path outlives its table.
+    run's history stays complete.  ``ports`` indexes every bridge's member
+    ports by ASN.  ``labels`` is the label table of the convergence that
+    built the bridges.  A pseudo-wire direction's links and its path MTU,
+    the smallest MTU among them, are walked from it the first time a frame
+    crosses that direction and kept for this fabric's lifetime;
+    reconvergence builds a new fabric, so no path outlives its table.
     """
 
     def __init__(
@@ -269,58 +291,37 @@ class Fabric:
         self.labels = labels
         self.trace: List[TraceRow] = trace if trace is not None else []
         self.drops: List[DropRecord] = drops if drops is not None else []
-        self._transport: Dict[Tuple[str, str], List[Link]] = {}
-
-    def ports_by_asn(self) -> Dict[int, MemberPort]:
-        out: Dict[int, MemberPort] = {}
-        for bridge in self.bridges.values():
-            out.update(bridge.ports)
-        return out
+        self.ports: Dict[int, MemberPort] = {
+            asn: port for bridge in bridges.values() for asn, port in bridge.ports.items()}
+        self._transport: Dict[Tuple[str, str], Tuple[int, List[Link]]] = {}
+        self._log = self.trace.append  # None on a probe clone
 
     def port_with_ip(self, ip) -> Optional[MemberPort]:
-        hits = [p for p in self.ports_by_asn().values() if p.exchange_ip == ip]
+        hits = [p for p in self.ports.values() if p.exchange_ip == ip]
         hits.sort(key=lambda p: p.member_asn)
         return hits[0] if hits else None
 
     def clone(self) -> "Fabric":
-        """Copy for probe traffic: shares immutable structure, keeps its own
-        MAC tables and logs so probing never alters the real history.  The
-        resolved transport is shared too, since it reads the same topology
-        and label table."""
-        bridges = {
-            pe: BridgeState(
-                pe=b.pe,
-                ports=dict(b.ports),
-                pws=dict(b.pws),
-                mac_table={mac: MacEntry(e.where, e.learned_round)
-                           for mac, e in b.mac_table.items()},
-                aging_rounds=b.aging_rounds,
-            )
-            for pe, b in self.bridges.items()
-        }
-        copy = Fabric(self.topo, bridges, self.labels, trace=[], drops=[])
-        copy._transport = self._transport
-        return copy
+        """Copy for probe traffic, with its own MAC tables and drop log, so
+        probing never alters the real history.  It shares the topology,
+        label table, port index and walked transport, and each bridge's
+        wiring.  It records drops but no trace rows: nothing reads a
+        probe's rows, so its ``trace`` stays empty."""
+        probe = copy.copy(self)
+        probe.bridges = {pe: b.clone() for pe, b in self.bridges.items()}
+        probe.trace, probe.drops, probe._log = [], [], None
+        return probe
 
-    def _log(self, round_no: int, trace_id: str, pe: str, via: str, action: str):
-        self.trace.append(TraceRow(round_no, trace_id, pe, via, action))
-
-    def _transport_links(self, pw: Pseudowire, from_pe: str) -> List[Link]:
-        key = (from_pe, pw.other(from_pe))
-        links = self._transport.get(key)
-        if links is None:
-            path = pw.transport_from(from_pe, self.labels)
-            links = [self.topo.links[i] for i in path.link_indices()]
-            self._transport[key] = links
-        return links
-
-    def _port(self, asn: int) -> MemberPort:
-        """The member port of ``asn``, from whichever bridge holds it."""
-        for bridge in self.bridges.values():
-            port = bridge.ports.get(asn)
-            if port is not None:
-                return port
-        raise KeyError(asn)
+    def _path(self, here: BridgeState, remote: str) -> Tuple[int, List[Link]]:
+        """Path MTU and links of the wire direction from ``here`` to
+        ``remote``."""
+        key = (here.pe, remote)
+        path = self._transport.get(key)
+        if path is None:
+            lsp = here.pws[remote].transport_from(here.pe, self.labels)
+            links = [self.topo.links[i] for i in lsp.link_indices()]
+            path = self._transport[key] = (min(link.mtu for link in links), links)
+        return path
 
     def inject(self, asn: int, frame: EthernetFrame, round_no: int = 0) -> InjectResult:
         """Offer a frame at a member port and propagate it everywhere it goes.
@@ -329,42 +330,55 @@ class Fabric:
         in bridge_forward guarantees termination without a visited set, and
         the trace records would expose any violation of that.
         """
-        port = self._port(asn)
-        bridge = self.bridges[port.attach_pe]
-        via = "port/%d" % asn
+        port = self.ports[asn]
+        pe = port.attach_pe
+        tid = frame.trace_id
+        log = self._log
+        arrival, via = _port_attachment(asn)
         reason = ingress_filter(port, frame)
         if reason is not None:
-            self._log(round_no, frame.trace_id, port.attach_pe, via, "drop:%s" % reason.value)
-            self.drops.append(DropRecord(round_no, asn, reason, frame.trace_id))
+            if log:
+                log(TraceRow(round_no, tid, pe, via, "drop:" + reason.value))
+            self.drops.append(DropRecord(round_no, asn, reason, tid))
             return InjectResult(accepted=False, drop_reason=reason)
-        self._log(round_no, frame.trace_id, port.attach_pe, via, "accept")
+        if log:
+            log(TraceRow(round_no, tid, pe, via, "accept"))
 
         result = InjectResult(accepted=True, drop_reason=None)
-        queue: deque[Tuple[BridgeState, Attachment]] = deque([(bridge, PortRef(asn))])
+        deliveries, visited = result.deliveries, result.visited_pes
+        emitted = crossed = 0
+        queue: deque[Tuple[BridgeState, Attachment]] = deque([(self.bridges[pe], arrival)])
         while queue:
             here, arrived = queue.popleft()
-            result.visited_pes.append(here.pe)
-            emissions = bridge_forward(here, frame, arrived, round_no)
-            for em in emissions:
-                result.emissions += 1
-                label = attachment_label(em.via)
-                self._log(round_no, frame.trace_id, here.pe, label, "emit")
-                if isinstance(em.via, PortRef):
+            visited.append(here.pe)
+            for em in bridge_forward(here, frame, arrived, round_no):
+                emitted += 1
+                via = em.via
+                port_bound = isinstance(via, PortRef)
+                label = (_port_attachment(via.asn) if port_bound
+                         else _wire_attachment(via.remote_pe))[1]
+                if log:
+                    log(TraceRow(round_no, tid, here.pe, label, "emit"))
+                if port_bound:
                     # Local hand-off: no tunnel, no modelled access link.
-                    self._log(round_no, frame.trace_id, here.pe, label, "deliver")
-                    result.deliveries.append(em.via.asn)
+                    if log:
+                        log(TraceRow(round_no, tid, here.pe, label, "deliver"))
+                    deliveries.append(via.asn)
                     continue
-                pw = here.pws[em.via.remote_pe]
-                bad = transmit(em, self._transport_links(pw, here.pe))
-                if bad is not None:
-                    self._log(round_no, frame.trace_id, here.pe, label,
-                              "drop:%s" % DropReason.MTU_EXCEEDED.value)
+                remote = via.remote_pe
+                mtu, links = self._path(here, remote)
+                if em.encapsulated_size > mtu:
+                    if log:
+                        log(TraceRow(round_no, tid, here.pe, label,
+                                     "drop:" + DropReason.MTU_EXCEEDED.value))
                     self.drops.append(DropRecord(
-                        round_no, None, DropReason.MTU_EXCEEDED, frame.trace_id,
-                        offending_link=bad))
+                        round_no, None, DropReason.MTU_EXCEEDED, tid,
+                        offending_link=transmit(em, links)))
                     continue
-                remote = em.via.remote_pe
-                result.pw_traversals += 1
-                self._log(round_no, frame.trace_id, remote, "pw/%s" % here.pe, "receive")
-                queue.append((self.bridges[remote], PwRef(here.pe)))
+                crossed += 1
+                back, back_label = _wire_attachment(here.pe)
+                if log:
+                    log(TraceRow(round_no, tid, remote, back_label, "receive"))
+                queue.append((self.bridges[remote], back))
+        result.emissions, result.pw_traversals = emitted, crossed
         return result

@@ -173,8 +173,9 @@ class Simulation:
         self._rebuild_fabric(labels)
 
     def _rebuild_fabric(self, labels: LabelTable) -> None:
-        """Fresh bridges wired to the current pseudo-wire mesh, carried over
-        the LSPs of ``labels``.  Learned MACs and resolved transport do not
+        """Fresh bridges wired to the current ports and pseudo-wire mesh,
+        carried over the LSPs of ``labels``; no bridge is rewired after
+        this (see BridgeState).  Learned MACs and resolved transport do not
         survive reconvergence; the logs and trace numbering do."""
         bridges = {}
         for name in self.topo.node_names():

@@ -288,7 +288,7 @@ def reachability_matrix(
     """
     probe = fabric.clone()
     by_ip: Dict[ipaddress.IPv4Address, MemberPort] = {}
-    for asn, port in sorted(probe.ports_by_asn().items()):
+    for asn, port in sorted(probe.ports.items()):
         by_ip.setdefault(port.exchange_ip, port)  # lowest ASN, as port_with_ip
     targets = [(pfx, m.asn) for m in sorted(members, key=lambda m: m.asn)
                for pfx in m.announced_prefixes]

@@ -135,8 +135,7 @@ def rerun_stale_spf(
     return {name: _spf(adj, name) for name in stale}
 
 
-@dataclass(frozen=True)
-class LabelBinding:
+class LabelBinding(NamedTuple):
     """One node's forwarding entry for one destination loopback.
 
     ``in_label`` is what this node tells its neighbours to send; ``out_label``

@@ -5,21 +5,50 @@ union-find rather than BFS, plain double loops rather than closed formulas,
 route reflection run to a fixpoint rather than its closed form, a full ARP
 exchange and data probe per reachability cell rather than one
 flood per source member, a pairwise prefix-overlap scan rather than a
-sweep, and a RIB dump formatted line by line from ``chosen()`` rather than
-once per distinct route.
+sweep, a RIB dump formatted line by line from ``chosen()`` rather than
+once per distinct route, and frame forwarding that derives every port
+lookup, flood target, local MAC set and wire path again on each hop
+rather than once per fabric, bridge or wire direction.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import math
+from collections import deque
 from itertools import combinations
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from ixsim.dataplane import EtherType, EthernetFrame, Fabric
+from ixsim.dataplane import (
+    BROADCAST_MAC,
+    Attachment,
+    BridgeState,
+    DropReason,
+    DropRecord,
+    Emission,
+    EtherType,
+    EthernetFrame,
+    Fabric,
+    InjectResult,
+    MacEntry,
+    PortRef,
+    PwRef,
+    TraceRow,
+    encapsulated_size,
+    ingress_filter,
+    transmit,
+)
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import PROBE_PAYLOAD_SIZE, MemberRib, arp_resolve
-from ixsim.model import LinkState, MemberAs, MemberPort, PortState, Topology, Violation
+from ixsim.model import (
+    LinkState,
+    MemberAs,
+    MemberPort,
+    PortState,
+    Topology,
+    Violation,
+    is_unicast,
+)
 from ixsim.vpls_signal import IbgpKind, IbgpSession, VplsAdvert
 
 
@@ -227,3 +256,91 @@ def reference_rib_dump(sim: Simulation) -> str:
                 asn, prefix, " ".join(str(n) for n in route.as_path),
                 route.next_hop, route.learned_from))
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
+
+
+def reference_forward(
+    bridge: BridgeState,
+    frame: EthernetFrame,
+    arrived_via: Attachment,
+    round_no: int = 0,
+) -> List[Emission]:
+    """Learn, then flood or forward, with the targets sorted and built
+    again on every flood and the local MACs collected again on every wire
+    arrival."""
+    src = frame.src_mac
+    if is_unicast(src):
+        remote_claims_local = isinstance(arrived_via, PwRef) and src in {
+            p.nominated_mac for p in bridge.ports.values()}
+        if not remote_claims_local:
+            bridge.mac_table[src] = MacEntry(arrived_via, round_no)
+
+    if frame.dst_mac != BROADCAST_MAC:
+        entry = bridge.lookup(frame.dst_mac, round_no)
+        if entry is not None:
+            if entry.where == arrived_via:
+                return []
+            if isinstance(entry.where, PortRef) and entry.where.asn not in bridge.ports:
+                del bridge.mac_table[frame.dst_mac]
+            else:
+                return [Emission(frame, entry.where,
+                                 encapsulated_size(frame, entry.where))]
+
+    targets: List[Attachment] = [
+        PortRef(asn)
+        for asn, port in sorted(bridge.ports.items())
+        if port.state is PortState.ACTIVE and PortRef(asn) != arrived_via
+    ]
+    if not isinstance(arrived_via, PwRef):
+        targets += [PwRef(pe) for pe in sorted(bridge.pws)]
+    return [Emission(frame, t, encapsulated_size(frame, t)) for t in targets]
+
+
+def reference_inject(
+    fabric: Fabric,
+    asn: int,
+    frame: EthernetFrame,
+    round_no: int = 0,
+) -> InjectResult:
+    """``Fabric.inject`` with nothing cached: the sender's port is found by
+    scanning every bridge, every hop goes through ``reference_forward``,
+    and every wire crossing walks its LSP from the label table and checks
+    each link's MTU.  Appends to ``fabric.trace`` and ``fabric.drops``."""
+
+    def log(pe: str, via: str, action: str) -> None:
+        fabric.trace.append(TraceRow(round_no, frame.trace_id, pe, via, action))
+
+    port = next(b.ports[asn] for b in fabric.bridges.values() if asn in b.ports)
+    via = "port/%d" % asn
+    reason = ingress_filter(port, frame)
+    if reason is not None:
+        log(port.attach_pe, via, "drop:%s" % reason.value)
+        fabric.drops.append(DropRecord(round_no, asn, reason, frame.trace_id))
+        return InjectResult(accepted=False, drop_reason=reason)
+    log(port.attach_pe, via, "accept")
+
+    result = InjectResult(accepted=True, drop_reason=None)
+    queue = deque([(fabric.bridges[port.attach_pe], PortRef(asn))])
+    while queue:
+        here, arrived = queue.popleft()
+        result.visited_pes.append(here.pe)
+        for em in reference_forward(here, frame, arrived, round_no):
+            result.emissions += 1
+            label = ("port/%d" % em.via.asn if isinstance(em.via, PortRef)
+                     else "pw/%s" % em.via.remote_pe)
+            log(here.pe, label, "emit")
+            if isinstance(em.via, PortRef):
+                log(here.pe, label, "deliver")
+                result.deliveries.append(em.via.asn)
+                continue
+            path = here.pws[em.via.remote_pe].transport_from(here.pe, fabric.labels)
+            bad = transmit(em, [fabric.topo.links[i] for i in path.link_indices()])
+            if bad is not None:
+                log(here.pe, label, "drop:%s" % DropReason.MTU_EXCEEDED.value)
+                fabric.drops.append(DropRecord(
+                    round_no, None, DropReason.MTU_EXCEEDED, frame.trace_id,
+                    offending_link=bad))
+                continue
+            result.pw_traversals += 1
+            log(em.via.remote_pe, "pw/%s" % here.pe, "receive")
+            queue.append((fabric.bridges[em.via.remote_pe], PwRef(here.pe)))
+    return result

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hand_fabric as tiny_fabric
-from helpers import make_port, make_topology, random_exchange
+from helpers import converged, make_port, make_topology, random_exchange
 from ixsim.dataplane import (
     BROADCAST_MAC,
     DEFAULT_MAC_AGING_ROUNDS,
@@ -33,6 +34,7 @@ from ixsim.dataplane import (
     transmit,
 )
 from ixsim.model import PortState
+from oracles import reference_inject
 
 
 def _frame(src, dst, ethertype=EtherType.IPV4, size=100, trace="t"):
@@ -305,8 +307,8 @@ def test_port_lookups():
         [("a", "b", 1)],
         [(63001, "a", 1), (63002, "b", 2)],
         reflectors={"a"})
-    assert sorted(fabric.ports_by_asn()) == [63001, 63002]
-    port = fabric.ports_by_asn()[63002]
+    assert sorted(fabric.ports) == [63001, 63002]
+    port = fabric.ports[63002]
     assert fabric.port_with_ip(port.exchange_ip) == port
     assert fabric.port_with_ip(make_port(1, "a", 200).exchange_ip) is None
 
@@ -318,13 +320,69 @@ def test_floods_never_loop_on_random_fabrics(seed):
     sim = random_exchange(rng, rng.randint(2, 8))
     asn = rng.choice(sorted(sim.ports))
     port = sim.ports[asn]
-    fabric = sim.fabric.clone()
+    fabric = sim.fabric  # a probe clone records no trace rows to check
     frame = EthernetFrame(port.nominated_mac, BROADCAST_MAC, EtherType.ARP, 64, "p1")
     result = fabric.inject(asn, frame)
     assert result.accepted
     # each bridge at most once, each wire at most once, every member reached
     assert len(result.visited_pes) == len(set(result.visited_pes))
-    receives = [(r.pe, r.via) for r in fabric.trace if r.action == "receive"]
+    receives = [(r.pe, r.via) for r in fabric.trace
+                if r.trace_id == "p1" and r.action == "receive"]
+    assert len(receives) == result.pw_traversals
     assert len(receives) == len(set(receives))
     others = sorted(a for a in sim.ports if a != asn)
     assert sorted(result.deliveries) == others
+
+
+def _twin_exchanges(rng):
+    """Two identical converged exchanges over one random topology whose
+    links carry mixed MTUs, some ports starting in quarantine."""
+    sim = random_exchange(rng, rng.randint(2, 7), quarantined=rng.randint(0, 3))
+    links = tuple(dataclasses.replace(link, mtu=rng.choice([1580, 1600, 1700, 9000]))
+                  for link in sim.topo.links)
+    scenario = dataclasses.replace(
+        sim.scenario, topology=dataclasses.replace(sim.topo, links=links))
+    return converged(scenario), converged(scenario)
+
+
+FRAME_STEPS = st.lists(st.tuples(
+    st.integers(0, 99),  # sender, modulo the number of ports
+    st.sampled_from([True, True, True, False]),  # own nominated MAC, or a stranger's
+    st.sampled_from(["broadcast", "member", "reply", "reply", "unknown", "multicast"]),
+    st.integers(0, 99),  # destination member, modulo the number of ports
+    st.sampled_from(list(EtherType)),
+    st.sampled_from([28, 100, 1500, 1554, 1555, 1574, 1575, 1580, 8000]),
+    st.sampled_from([0, 0, 1, 150, DEFAULT_MAC_AGING_ROUNDS]),  # rounds before it
+), min_size=2, max_size=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), steps=FRAME_STEPS)
+def test_inject_matches_the_uncached_reference(seed, steps):
+    """Every frame leaves the same trace rows, drops, result and MAC tables
+    as the reference walk that caches nothing; a probe clone forwards the
+    same way and logs drops but no rows."""
+    sim, ref = _twin_exchanges(random.Random(seed))
+    fabric, reference = sim.fabric, ref.fabric
+    probe = fabric.clone()
+    asns = sorted(sim.ports)
+    round_no, last = 0, asns[0]
+    for i, (who, own, dst, whom, ethertype, size, elapsed) in enumerate(steps):
+        round_no += elapsed
+        asn = asns[who % len(asns)]
+        dst_mac = {"broadcast": BROADCAST_MAC,
+                   "member": sim.ports[asns[whom % len(asns)]].nominated_mac,
+                   "reply": sim.ports[last].nominated_mac,  # the previous sender
+                   "unknown": "02:0b:ad:00:00:02",
+                   "multicast": "01:00:5e:00:00:01"}[dst]
+        src_mac = sim.ports[asn].nominated_mac if own else "02:0b:ad:00:00:01"
+        frame = EthernetFrame(src_mac, dst_mac, ethertype, size, "f%d" % i)
+        want = reference_inject(reference, asn, frame, round_no)
+        assert fabric.inject(asn, frame, round_no) == want
+        assert probe.inject(asn, frame, round_no) == want
+        assert fabric.trace == reference.trace and probe.trace == []
+        assert fabric.drops == reference.drops == probe.drops
+        tables = {pe: b.mac_table for pe, b in reference.bridges.items()}
+        assert {pe: b.mac_table for pe, b in fabric.bridges.items()} == tables
+        assert {pe: b.mac_table for pe, b in probe.bridges.items()} == tables
+        last = asn

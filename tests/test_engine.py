@@ -280,6 +280,47 @@ def test_reachability_floods_once_per_source_and_probes_each_pair_once(monkeypat
     assert unicast and len(unicast) == len(set(unicast))
 
 
+def test_report_probes_on_a_clone_that_keeps_drops_but_no_trace_rows(monkeypatch):
+    """``report()`` leaves the real fabric's trace, drops and MAC tables as
+    they were; its probe clone counts the drops probes meet but appends no
+    trace row."""
+    scn = make_exchange(
+        [("a", "b", 1), ("b", "c", 1, 50)],
+        [(64496, "a"), (64497, "b"), (64498, "c"), (64499, "a", PortState.QUARANTINE)],
+        reflectors={"a"},
+        rs_nodes={"a"},
+        all_on_rs=True,
+    )
+    sim = converged(scn)
+    for at, asn in enumerate((64496, 64497, 64498, 64499), start=1):
+        sim.apply_event(Event(at, EventKind.INJECT_FRAME,
+                              (asn, BROADCAST_MAC, EtherType.ARP, 28)))
+    fabric = sim.fabric
+    trace, drops = list(fabric.trace), list(fabric.drops)
+    tables = {pe: dict(b.mac_table) for pe, b in fabric.bridges.items()}
+    assert trace and drops and any(tables.values())
+
+    clones = []
+    clone = Fabric.clone
+
+    def recorded(real):
+        clones.append(clone(real))
+        return clones[-1]
+
+    monkeypatch.setattr(Fabric, "clone", recorded)
+    report = sim.report()
+    (probe,) = clones
+    assert probe.trace == []
+    narrow = sim.topo.links[sim.topo.links_between("b", "c")[0]]
+    assert probe.drops and {(d.reason, d.offending_link) for d in probe.drops} == {
+        (DropReason.MTU_EXCEEDED, narrow)}
+    assert not report.reachability[(64496, "10.177.3.0/24")]  # 64498 is behind the narrow link
+    assert report.frame_trace_rows == len(trace)
+    assert sim.fabric is fabric
+    assert fabric.trace == trace and fabric.drops == drops
+    assert {pe: b.mac_table for pe, b in fabric.bridges.items()} == tables
+
+
 def test_report_text_is_sorted_and_complete(whix_run):
     _, report = whix_run
     text = report.to_text()

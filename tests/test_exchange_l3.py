@@ -225,7 +225,7 @@ def test_upstream_announcements_prepend_and_filter():
 def test_arp_resolves_active_owner():
     fabric = hand_fabric([("a", "b", 1)], [(64601, "a", 1), (64602, "b", 2)],
                          reflectors={"a"})
-    ports = fabric.ports_by_asn()
+    ports = fabric.ports
     mac = arp_resolve(ports[64601], ports[64602].exchange_ip, fabric)
     assert mac == ports[64602].nominated_mac
     ids = {r.trace_id for r in fabric.trace}
@@ -237,7 +237,7 @@ def test_arp_fails_for_unknown_self_or_quarantined():
         [("a", "b", 1)],
         [(64601, "a", 1), (64602, "b", 2, PortState.QUARANTINE)],
         reflectors={"a"})
-    ports = fabric.ports_by_asn()
+    ports = fabric.ports
     assert arp_resolve(ports[64601], _ip("192.0.2.250"), fabric) is None
     assert arp_resolve(ports[64601], ports[64601].exchange_ip, fabric) is None
     # quarantined owner is invisible at layer 2
@@ -246,14 +246,14 @@ def test_arp_fails_for_unknown_self_or_quarantined():
         [("a", "b", 1)],
         [(64601, "a", 1, PortState.QUARANTINE), (64602, "b", 2)],
         reflectors={"a"})
-    qports = quarantined.ports_by_asn()
+    qports = quarantined.ports
     assert arp_resolve(qports[64601], qports[64602].exchange_ip, quarantined) is None
 
 
 def _matrix_state():
     fabric = hand_fabric([("a", "b", 1)], [(64601, "a", 1), (64602, "b", 2)],
                          reflectors={"a"})
-    ports = fabric.ports_by_asn()
+    ports = fabric.ports
     members = [
         MemberAs(64601, "one", False, (_net("10.177.1.0/24"),)),
         MemberAs(64602, "two", False, (_net("10.177.2.0/24"),)),
@@ -287,7 +287,7 @@ def test_matrix_false_when_quarantine_blocks_the_next_hop():
         [("a", "b", 1)],
         [(64601, "a", 1), (64602, "b", 2, PortState.QUARANTINE)],
         reflectors={"a"})
-    ports = fabric.ports_by_asn()
+    ports = fabric.ports
     members = [
         MemberAs(64601, "one", False, (_net("10.177.1.0/24"),)),
         MemberAs(64602, "two", False, (_net("10.177.2.0/24"),)),
@@ -366,7 +366,7 @@ def _hand_matrix(placements, changes):
     other member's prefix.  ``changes`` maps an ASN to port fields that
     validation would reject."""
     fabric = hand_fabric([("a", "b", 1)], placements, reflectors={"a"})
-    ports = fabric.ports_by_asn()
+    ports = fabric.ports
     for asn, fields in changes.items():
         port = dataclasses.replace(ports[asn], **fields)
         ports[asn] = fabric.bridges[port.attach_pe].ports[asn] = port
