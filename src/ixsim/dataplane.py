@@ -173,17 +173,22 @@ def bridge_forward(
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int = 0,
+    src_unicast: Optional[bool] = None,
 ) -> List[Emission]:
     """Learn, then flood or forward.  The caller has already run the ingress
     policy when the frame came from a local port; pseudo-wire arrivals were
-    filtered once at their ingress PE and are trusted here.
+    filtered once at their ingress PE and are trusted here.  Only a unicast
+    source is learned; ``src_unicast`` is that test's answer when the
+    caller has it already, since it holds for the whole walk of a frame.
 
     Split horizon: a frame off a pseudo-wire goes to local ports only.
     Known unicast toward its own arrival attachment is suppressed entirely.
     """
     src = frame.src_mac
     from_wire = isinstance(arrived_via, PwRef)
-    if is_unicast(src) and not (from_wire and src in bridge.local_macs):
+    if src_unicast is None:
+        src_unicast = is_unicast(src)
+    if src_unicast and not (from_wire and src in bridge.local_macs):
         bridge.mac_table[src] = MacEntry(arrived_via, round_no)
 
     dst = frame.dst_mac
@@ -346,12 +351,13 @@ class Fabric:
 
         result = InjectResult(accepted=True, drop_reason=None)
         deliveries, visited = result.deliveries, result.visited_pes
+        src_unicast = is_unicast(frame.src_mac)
         emitted = crossed = 0
         queue: deque[Tuple[BridgeState, Attachment]] = deque([(self.bridges[pe], arrival)])
         while queue:
             here, arrived = queue.popleft()
             visited.append(here.pe)
-            for em in bridge_forward(here, frame, arrived, round_no):
+            for em in bridge_forward(here, frame, arrived, round_no, src_unicast):
                 emitted += 1
                 via = em.via
                 port_bound = isinstance(via, PortRef)

@@ -8,7 +8,10 @@ above all of them (see underlay), and route reflection is complete by
 construction, so no binding, block, session or advert depends on what the
 underlay reaches.  converge() rebuilds the fabric and runs one sweep of
 member route exchange.  Route servers only reflect what members announce,
-so that sweep reads configuration alone and is already final.
+so that sweep reads configuration alone and is already final.  Each route
+server collects its clients' routes into one table that every client's
+RIB views (see exchange_l3), so a sweep, its comparison with the last one
+and the RIB dump all work per server table, not per member and route.
 
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
@@ -28,6 +31,7 @@ byte-identical reports, RIB dumps, traces and graph exports.
 from __future__ import annotations
 
 import ipaddress
+from bisect import bisect
 from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, Set, Tuple
 
@@ -47,6 +51,7 @@ from ixsim.exchange_l3 import (
     PeeringSession,
     RouteServer,
     reachability_matrix,
+    ribs_differ,
     rs_redistribute,
     selection_key,
     transit_deliveries,
@@ -87,7 +92,6 @@ class _L3State:
     """Outcome of one full route-exchange sweep."""
 
     ribs: Dict[int, MemberRib] = field(default_factory=dict)
-    loop_drops: List[Tuple[str, int, BgpRoute]] = field(default_factory=list)
     upstream: List[BgpRoute] = field(default_factory=list)
 
 
@@ -150,7 +154,7 @@ class Simulation:
         Returns 1 when the member RIBs changed and 0 when they did not."""
         self._rebuild_fabric(self.fabric.labels)
         sweep = self._exchange_routes()
-        changed = int(sweep.ribs != self.l3.ribs)
+        changed = int(ribs_differ(self.l3.ribs, sweep.ribs))
         self.l3 = sweep
         self.rounds_total += changed
         return changed
@@ -189,10 +193,22 @@ class Simulation:
                              trace=self.fabric.trace, drops=self.fabric.drops)
 
     def _exchange_routes(self) -> _L3State:
-        """One synchronous sweep of every active session."""
-        state = _L3State(ribs={asn: MemberRib(asn) for asn in self.members})
-        ribs = state.ribs
+        """One synchronous sweep of every active session.  Each active
+        route server collects its clients' routes into one table, which
+        every client's RIB views; bilateral and transit routes are added
+        to the receiving RIB."""
         sessions = self.active_sessions()
+        tables = []
+        for server in self.active_servers():
+            learned = "rs/%s" % server.host_pe
+            tables.append(rs_redistribute(server, (
+                (client, BgpRoute(pfx, (client,), self.ports[client].exchange_ip, learned))
+                for client in sorted(server.client_sessions)
+                for pfx in self.announced(client))))
+        state = _L3State(ribs={
+            asn: MemberRib(asn, [t for t in tables if asn in t.clients])
+            for asn in self.members})
+        ribs = state.ribs
 
         for s in sorted((x for x in sessions if x.kind is PeerKind.BILATERAL),
                         key=lambda x: (x.a, x.b)):
@@ -200,16 +216,6 @@ class Simulation:
                 for pfx in self.announced(left):
                     ribs[right].add(BgpRoute(
                         pfx, (left,), self.ports[left].exchange_ip, "bgp/%d" % left))
-
-        for server in self.active_servers():
-            learned = "rs/%s" % server.host_pe
-            for client in sorted(server.client_sessions):
-                for pfx in self.announced(client):
-                    route = BgpRoute(pfx, (client,),
-                                     self.ports[client].exchange_ip, learned)
-                    for to_asn, reflected in rs_redistribute(
-                            server, route, client, diagnostics=state.loop_drops):
-                        ribs[to_asn].add(reflected)
 
         for asn in sorted(self.members):
             member = self.members[asn]
@@ -334,24 +340,55 @@ class Simulation:
 
     def rib_dump(self) -> str:
         """One line per selected route, pipe-separated, in plain string
-        order.  Route servers hand one route object to every client, so
-        each distinct route's selection key and text are made once per
-        call, keyed by id(): the RIBs hold every route until it returns."""
+        order.  Members that view the same server tables share the best of
+        those tables' last offers at each prefix, so that line is selected
+        and formatted once per group of members; a member revisits only
+        its own candidates and the keys a server withholds from it.  Each
+        distinct route is rendered once, keyed by id(): the RIBs hold every
+        route until this returns.  Heads "<asn>|" and prefix fields are
+        prefix-free, so members sorted by head and each group's lines
+        sorted once emit the lines in final order; the last sort only
+        confirms it."""
         rendered: Dict[int, Tuple[tuple, str]] = {}
-        lines = []
-        for asn in sorted(self.l3.ribs):
+
+        def render(route: BgpRoute) -> Tuple[tuple, str]:
+            entry = rendered.get(id(route))
+            if entry is None:
+                entry = rendered[id(route)] = (selection_key(route), "%s|%s|%s|%s" % (
+                    route.prefix, " ".join(str(n) for n in route.as_path),
+                    route.next_hop, route.learned_from))
+            return entry
+
+        groups: Dict[Tuple[int, ...], Tuple[List[str], Dict[Tuple[int, int], int]]] = {}
+        lines: List[str] = []
+        ribs = self.l3.ribs
+        for asn in sorted(ribs, key=lambda n: "%d|" % n):
+            rib = ribs[asn]
+            views = tuple(map(id, rib.views))
+            if views not in groups:
+                best: Dict[Tuple[int, int], Tuple[tuple, str]] = {}
+                for table in rib.views:
+                    for key, offers in table.offers.items():
+                        entry = render(offers[-1][1])
+                        if key not in best or entry[0] < best[key][0]:
+                            best[key] = entry
+                order = sorted(best, key=lambda k: best[k][1])
+                groups[views] = ([best[k][1] for k in order],
+                                 {k: i for i, k in enumerate(order)})
+            shared, index = groups[views]
+            texts: List = list(shared)
+            extras = []
+            for key in rib.revisits():
+                route = rib.best_at(key)
+                text = None if route is None else render(route)[1]
+                if key in index:
+                    texts[index[key]] = text
+                elif text is not None:
+                    extras.append(text)
+            for text in sorted(extras, reverse=True):
+                texts.insert(bisect(shared, text), text)
             head = "%d|" % asn
-            for routes in self.l3.ribs[asn].candidates.values():
-                best = None
-                for route in routes.values():
-                    entry = rendered.get(id(route))
-                    if entry is None:
-                        entry = rendered[id(route)] = (selection_key(route), "%s|%s|%s|%s" % (
-                            route.prefix, " ".join(str(n) for n in route.as_path),
-                            route.next_hop, route.learned_from))
-                    if best is None or entry[0] < best[0]:
-                        best = entry
-                lines.append(head + best[1])
+            lines += [head + text for text in texts if text is not None]
         lines.sort()
         return "\n".join(lines) + ("\n" if lines else "")
 

@@ -5,10 +5,16 @@ multiplies one session into reachability from everyone, and it stays out of
 the forwarding story entirely: it never prepends its service ASN and never
 rewrites the next hop, so traffic flows directly between member ports.
 
-Route servers multiply every route into M-1 RIBs, so the per-candidate work
-is kept to integers: a RIB keys its prefixes by ``(network as int, length)``
-and looks up supernets with integer masks.  ``ipaddress`` objects appear
-only at the edges, in the routes themselves and in what ``chosen()`` returns.
+A route server keeps one table of its clients' routes per sweep, as an
+RFC 7947 route server's Loc-RIB does, instead of copying every route into
+M-1 RIBs: a member's RIB holds only its own bilateral and transit
+candidates and composes them with its view of each server table it is a
+client of.  The view filter (never the sender, never a client already in
+the AS path) is the only per-client work, and selection, lookups and
+sweep comparison run over the tables.  Keys stay integers: a RIB keys its
+prefixes by ``(network as int, length)`` and looks up supernets with
+integer masks.  ``ipaddress`` objects appear only at the edges, in the
+routes themselves and in what ``chosen()`` returns.
 """
 
 from __future__ import annotations
@@ -110,26 +116,111 @@ def best_path(candidates: Sequence[BgpRoute]) -> BgpRoute:
     return min(candidates, key=selection_key)
 
 
-class MemberRib:
-    """Candidate store plus selection for one member.  Candidates are keyed
-    by ``BgpRoute.key``, then by where they were learned."""
+class ServerTable:
+    """One route server's client routes for one sweep: the Loc-RIB that an
+    RFC 7947 route server shares among all of its clients.
 
-    def __init__(self, member_asn: int):
+    ``offers`` maps each prefix key to its (sender, route) offers in client
+    order.  A client's view of the table is one filter, not a copy: at each
+    prefix it is offered the last route whose sender is not itself and
+    whose AS path does not hold its ASN.  ``withheld`` names, per ASN, the
+    prefixes where that filter may drop an offer; everywhere else a client
+    sees the last offer.  Every route carries ``learned_from``.  A table is
+    complete before any RIB views it.
+    """
+
+    def __init__(self, server: RouteServer):
+        self.learned_from = "rs/%s" % server.host_pe
+        self.clients = frozenset(server.client_sessions)
+        self.offers: Dict[Tuple[int, int], List[Tuple[int, BgpRoute]]] = {}
+        self.withheld: Dict[int, Set[Tuple[int, int]]] = {}
+        self.lengths: Set[int] = set()  # prefix lengths held
+
+    def __len__(self) -> int:
+        return sum(len(offers) for offers in self.offers.values())
+
+    def pick(self, key: Tuple[int, int], asn: int) -> Optional[BgpRoute]:
+        """The route client ``asn`` is offered at ``key``, if any."""
+        for sender, route in reversed(self.offers.get(key, ())):
+            if sender != asn and asn not in route.as_path:
+                return route
+        return None
+
+    def view(self, asn: int) -> Dict[Tuple[int, int], BgpRoute]:
+        """Everything client ``asn`` is offered, by prefix key."""
+        out = {}
+        for key in self.offers:
+            route = self.pick(key, asn)
+            if route is not None:
+                out[key] = route
+        return out
+
+    def moved(self, other: "ServerTable") -> Set[Tuple[int, int]]:
+        """Prefix keys whose offers differ between this table and ``other``."""
+        a, b = self.offers, other.offers
+        return {key for key in a.keys() | b.keys() if a.get(key) != b.get(key)}
+
+
+class MemberRib:
+    """Candidate store plus selection for one member: its own bilateral and
+    transit candidates, keyed by ``BgpRoute.key`` and then by where they
+    were learned, composed with its view of each route server's table it
+    is a client of (``views``)."""
+
+    def __init__(self, member_asn: int, views: Sequence[ServerTable] = ()):
         self.member_asn = member_asn
-        self.candidates: Dict[Tuple[int, int], Dict[str, BgpRoute]] = {}
+        self.own: Dict[Tuple[int, int], Dict[str, BgpRoute]] = {}
+        self.views = tuple(views)
+        # Per view: its offers, the keys where this member's filter drops
+        # an offer, and the table; elsewhere the last offer is the pick.
+        self._views = tuple((t.offers, t.withheld.get(member_asn, frozenset()), t)
+                            for t in self.views)
+        self._view_lengths = set().union(*(t.lengths for t in self.views))
         self._lengths: List[int] = []  # prefix lengths held, longest first
-        self._indexed = 0  # len(candidates) when _lengths was taken
+        self._indexed = -1  # len(own) when _lengths was taken
 
     def add(self, route: BgpRoute) -> None:
         if self.member_asn in route.as_path:
             return  # standard loop rejection on receipt
-        self.candidates.setdefault(route.key, {})[route.learned_from] = route
+        self.own.setdefault(route.key, {})[route.learned_from] = route
+
+    @property
+    def candidates(self) -> Dict[Tuple[int, int], Dict[str, BgpRoute]]:
+        """Own candidates and server views merged, as
+        ``{key: {learned_from: route}}``; built on every read."""
+        merged = {key: dict(routes) for key, routes in self.own.items()}
+        for table in self.views:
+            for key, route in table.view(self.member_asn).items():
+                merged.setdefault(key, {})[table.learned_from] = route
+        return merged
+
+    def best_at(self, key: Tuple[int, int]) -> Optional[BgpRoute]:
+        """The selected route at one prefix key, or None."""
+        best = None
+        routes = self.own.get(key)
+        if routes:
+            best = min(routes.values(), key=selection_key)
+        for offers, withheld, table in self._views:
+            entry = offers.get(key)
+            if entry is None:
+                continue
+            route = table.pick(key, self.member_asn) if key in withheld else entry[-1][1]
+            if route is not None and (best is None
+                                      or selection_key(route) < selection_key(best)):
+                best = route
+        return best
+
+    def revisits(self) -> Set[Tuple[int, int]]:
+        """Keys where this member's selection may differ from the best of
+        its views' last offers: its own candidates and its withheld keys."""
+        return set(self.own).union(*(withheld for _, withheld, _ in self._views))
 
     def chosen(self) -> Dict[ipaddress.IPv4Network, BgpRoute]:
         out = {}
-        for routes in self.candidates.values():
-            route = best_path(list(routes.values()))
-            out[route.prefix] = route
+        for key in set(self.own).union(*(offers for offers, _, _ in self._views)):
+            route = self.best_at(key)
+            if route is not None:
+                out[route.prefix] = route
         return out
 
     def covering(
@@ -142,14 +233,15 @@ class MemberRib:
             address, target_len = int(target), 32
         else:
             address, target_len = int(target.network_address), target.prefixlen
-        if self._indexed != len(self.candidates):  # prefixes are never removed
-            self._lengths = sorted({n for _, n in self.candidates}, reverse=True)
-            self._indexed = len(self.candidates)
+        if self._indexed != len(self.own):  # own prefixes are never removed
+            self._lengths = sorted(self._view_lengths.union(n for _, n in self.own),
+                                   reverse=True)
+            self._indexed = len(self.own)
         for length in self._lengths:
             if length <= target_len:
-                routes = self.candidates.get((address & _MASKS[length], length))
-                if routes:
-                    return best_path(list(routes.values()))
+                route = self.best_at((address & _MASKS[length], length))
+                if route is not None:
+                    return route
         return None
 
     def __eq__(self, other) -> bool:
@@ -158,28 +250,67 @@ class MemberRib:
                 and self.candidates == other.candidates)
 
 
+def ribs_differ(old: Dict[int, MemberRib], new: Dict[int, MemberRib]) -> bool:
+    """Whether two sweeps' RIBs differ: other members, or some member with
+    other merged candidates.  Exact for RIBs built as the engine builds
+    them, whose own candidates and views are learned from different
+    sources, so merged candidates differ exactly when the own candidates
+    or one view does.  A view is compared only at the keys where its
+    server's table moved (``ServerTable.moved``, once per pair of tables),
+    or in full where the member is a client in one sweep only; no
+    member's RIB is composed."""
+    if old.keys() != new.keys():
+        return True
+    moved: Dict[Tuple[int, int], Set[Tuple[int, int]]] = {}
+    for asn, rib in new.items():
+        if old[asn].own != rib.own:
+            return True
+        before = {t.learned_from: t for t in old[asn].views}
+        after = {t.learned_from: t for t in rib.views}
+        for learned in before.keys() | after.keys():
+            a, b = before.get(learned), after.get(learned)
+            if a is None or b is None:
+                if (a or b).view(asn):
+                    return True
+                continue
+            keys = moved.get((id(a), id(b)))
+            if keys is None:
+                keys = moved[(id(a), id(b))] = a.moved(b)
+            if any(a.pick(key, asn) != b.pick(key, asn) for key in keys):
+                return True
+    return False
+
+
 def rs_redistribute(
     server: RouteServer,
-    route: BgpRoute,
-    from_asn: int,
+    offers: Iterable[Tuple[int, BgpRoute]],
     diagnostics: Optional[List[Tuple[str, int, BgpRoute]]] = None,
-) -> List[Tuple[int, BgpRoute]]:
-    """Reflect a client's route to every other client, untouched.
+) -> ServerTable:
+    """Reflect each client's routes to every other client, untouched, by
+    collecting them once into the table all of ``server``'s clients share.
 
-    Transparency is the whole point: the AS path and next hop pass through
-    verbatim, without the service ASN.  A route is withheld from a client
-    whose own ASN already appears in the path; that would be a loop.
+    ``offers`` are (sender, route) pairs in client order.  Transparency is
+    the whole point: the AS path and next hop pass through verbatim,
+    without the service ASN.  A route is withheld from its sender and from
+    a client whose own ASN already appears in the path; the latter would
+    be a loop, and each such client is recorded in ``diagnostics`` as
+    ``("AS_LOOP", client, route)``.
     """
-    out: List[Tuple[int, BgpRoute]] = []
-    for client in sorted(server.client_sessions):
-        if client == from_asn:
-            continue
-        if client in route.as_path:
-            if diagnostics is not None:
-                diagnostics.append(("AS_LOOP", client, route))
-            continue
-        out.append((client, route))
-    return out
+    table = ServerTable(server)
+    for sender, route in offers:
+        if route.learned_from != table.learned_from:
+            raise ValueError("route learned from %s offered to %s"
+                             % (route.learned_from, table.learned_from))
+        key = route.key
+        table.offers.setdefault(key, []).append((sender, route))
+        table.lengths.add(key[1])
+        for asn in {sender, *route.as_path}:
+            table.withheld.setdefault(asn, set()).add(key)
+        if diagnostics is not None:
+            diagnostics.extend(("AS_LOOP", client, route)
+                               for client in sorted(table.clients.intersection(route.as_path))
+                               if client != sender)
+    return table
 
 
 def transit_deliveries(

@@ -6,6 +6,7 @@ import ipaddress
 import random
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -181,7 +182,8 @@ def random_connected_topology(rng: random.Random, n: int,
 
 def random_exchange(rng: random.Random, n: int,
                     route_server: bool = False, externals: int = 0,
-                    bilateral: int = 0, quarantined: int = 0) -> Simulation:
+                    bilateral: int = 0, quarantined: int = 0,
+                    split_clients: bool = False) -> Simulation:
     """Converged fabric over a random topology, one or two members per PE.
     With route_server, the reflector hosts one and every member is its
     client.  With externals, the first member is a transit provider for
@@ -189,7 +191,9 @@ def random_exchange(rng: random.Random, n: int,
     route, the full table or nothing from it.  Then up to ``bilateral``
     random member pairs peer directly and ``quarantined`` random ports
     start in quarantine; both draw from rng only when asked for, after
-    everything else."""
+    everything else.  With split_clients as well as route_server, and at
+    least two PEs, a second PE hosts a route server too and each member is
+    a client of one of the two or of both; drawn last."""
     topo = random_connected_topology(rng, n)
     placements = []  # [asn, pe, port state, transit]
     asn = 63001
@@ -213,13 +217,28 @@ def random_exchange(rng: random.Random, n: int,
     for k in rng.sample(range(len(placements)), min(quarantined, len(placements))):
         placements[k][2] = PortState.QUARANTINE
     reflectors = [n.name for n in topo.nodes if n.is_route_reflector]
+    rs_nodes = reflectors if route_server else []
+    split = route_server and split_clients and len(topo.nodes) > 1
+    if split:
+        rs_nodes = reflectors + [rng.choice([n for n in topo.node_names()
+                                             if n not in reflectors])]
     scenario = make_exchange(
         [(l.a, l.b, l.cost, l.mtu) for l in topo.links],
         [tuple(p) for p in placements],
         reflectors=reflectors,
-        rs_nodes=reflectors if route_server else (),
+        rs_nodes=rs_nodes,
         all_on_rs=route_server,
         sessions=sessions,
         externals=["198.51.%d.0/24" % i for i in range(externals)],
     )
+    if split:
+        hosts = {asn: rng.choice([{0}, {1}, {0, 1}]) for asn in asns}
+        servers = [replace(server, client_sessions=tuple(
+            asn for asn in server.client_sessions if i in hosts[asn]))
+            for i, server in enumerate(scenario.route_servers)]
+        kept = {(asn, server.host_pe) for server in servers
+                for asn in server.client_sessions}
+        scenario = replace(scenario, route_servers=tuple(servers), sessions=tuple(
+            s for s in scenario.sessions
+            if s.kind is not PeerKind.ROUTE_SERVER or (s.a, s.rs_node) in kept))
     return converged(scenario)

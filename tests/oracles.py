@@ -5,8 +5,9 @@ union-find rather than BFS, plain double loops rather than closed formulas,
 route reflection run to a fixpoint rather than its closed form, a full ARP
 exchange and data probe per reachability cell rather than one
 flood per source member, a pairwise prefix-overlap scan rather than a
-sweep, a RIB dump formatted line by line from ``chosen()`` rather than
-once per distinct route, and frame forwarding that derives every port
+sweep, route-server routes copied into every other client's RIB rather
+than one table per server, a RIB dump formatted line by line from
+``chosen()`` rather than once per distinct route, and frame forwarding that derives every port
 lookup, flood target, local MAC set and wire path again on each hop
 rather than once per fabric, bridge or wire direction.
 """
@@ -17,7 +18,7 @@ import ipaddress
 import math
 from collections import deque
 from itertools import combinations
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ixsim.dataplane import (
     BROADCAST_MAC,
@@ -39,7 +40,16 @@ from ixsim.dataplane import (
     transmit,
 )
 from ixsim.engine import Simulation
-from ixsim.exchange_l3 import PROBE_PAYLOAD_SIZE, MemberRib, arp_resolve
+from ixsim.exchange_l3 import (
+    PROBE_PAYLOAD_SIZE,
+    BgpRoute,
+    MemberRib,
+    PeerKind,
+    RouteServer,
+    arp_resolve,
+    transit_deliveries,
+    upstream_announcements,
+)
 from ixsim.model import (
     LinkState,
     MemberAs,
@@ -247,11 +257,73 @@ def reference_prefix_overlaps(members: Iterable[MemberAs]) -> List[Violation]:
     return found
 
 
-def reference_rib_dump(sim: Simulation) -> str:
+def reference_rs_redistribute(
+    server: RouteServer,
+    route: BgpRoute,
+    from_asn: int,
+    diagnostics: Optional[List[Tuple[str, int, BgpRoute]]] = None,
+) -> List[Tuple[int, BgpRoute]]:
+    """One copy of a client's route per other client, in client order,
+    withheld from a client already in the AS path."""
+    out: List[Tuple[int, BgpRoute]] = []
+    for client in sorted(server.client_sessions):
+        if client == from_asn:
+            continue
+        if client in route.as_path:
+            if diagnostics is not None:
+                diagnostics.append(("AS_LOOP", client, route))
+            continue
+        out.append((client, route))
+    return out
+
+
+def reference_exchange_routes(
+    sim: Simulation,
+) -> Tuple[Dict[int, MemberRib], List[BgpRoute]]:
+    """One sweep of ``sim``'s active sessions into flat RIBs: every
+    route-server route goes into each other client's RIB through
+    ``MemberRib.add``.  Returns the RIBs and the upstream announcements."""
+    ribs = {asn: MemberRib(asn) for asn in sim.members}
+    sessions = sim.active_sessions()
+
+    for s in sorted((x for x in sessions if x.kind is PeerKind.BILATERAL),
+                    key=lambda x: (x.a, x.b)):
+        for left, right in ((s.a, s.b), (s.b, s.a)):
+            for pfx in sim.announced(left):
+                ribs[right].add(BgpRoute(
+                    pfx, (left,), sim.ports[left].exchange_ip, "bgp/%d" % left))
+
+    for server in sim.active_servers():
+        learned = "rs/%s" % server.host_pe
+        for client in sorted(server.client_sessions):
+            for pfx in sim.announced(client):
+                route = BgpRoute(pfx, (client,), sim.ports[client].exchange_ip, learned)
+                for to_asn, reflected in reference_rs_redistribute(server, route, client):
+                    ribs[to_asn].add(reflected)
+
+    for asn in sorted(sim.members):
+        member = sim.members[asn]
+        if not member.is_transit or not sim._port_active(asn):
+            continue
+        for to_asn, route in transit_deliveries(
+                member, sim.ports[asn].exchange_ip, sessions,
+                sim.scenario.external_prefixes):
+            ribs[to_asn].add(route)
+
+    upstream: List[BgpRoute] = []
+    member_prefixes = [p for m in sim.members.values() for p in m.announced_prefixes]
+    for asn in sorted(sim.members):
+        member = sim.members[asn]
+        if member.is_transit and sim._port_active(asn):
+            upstream.extend(upstream_announcements(member, ribs[asn], member_prefixes))
+    return ribs, upstream
+
+
+def reference_rib_dump(ribs: Dict[int, MemberRib]) -> str:
     """One line per member and chosen route, each formatted on its own."""
     lines = []
-    for asn in sorted(sim.l3.ribs):
-        for prefix, route in sim.l3.ribs[asn].chosen().items():
+    for asn in sorted(ribs):
+        for prefix, route in ribs[asn].chosen().items():
             lines.append("%d|%s|%s|%s|%s" % (
                 asn, prefix, " ".join(str(n) for n in route.as_path),
                 route.next_hop, route.learned_from))

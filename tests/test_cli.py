@@ -346,6 +346,15 @@ GENERATED_ARTEFACT_DIGESTS = {
     ("route_scale", 1): {
         "ribs": "9b319c333572568b150101f54c02f89c9595e44b8a8fb8dfb584b5e0445cd086",
     },
+    # Recorded before route servers kept one shared client table each.
+    ("route_scale", 2): {
+        "trace": "a24541620aabb5f45c937f66c8cfe09fd6073ee8045bb9caf01f20de2aae4e88",
+        "ribs": "e203c64e76b75a2df404d7e540ac1c889d23bd507e69d0d5f2aa5a2da95dfec1",
+    },
+    ("route_scale", 3): {
+        "trace": "9f480645c838c78cd612dca3393a342222466231c72655c2eaca72e9419e6f13",
+        "ribs": "e1ad4ca50c057f38e337e078717e3449f0207d3dc3ee9cd321f520b9d9d6dc74",
+    },
 }
 
 

@@ -20,7 +20,7 @@ from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind, parse_scenario
 from ixsim.underlay import FIRST_FREE_LABEL, IMPLICIT_NULL, compute_all_spf
-from oracles import reference_rib_dump, union_find_components
+from oracles import reference_exchange_routes, reference_rib_dump, union_find_components
 
 
 def _net(text):
@@ -342,7 +342,7 @@ def test_report_text_is_sorted_and_complete(whix_run):
 def test_rib_dump_lines(whix_run):
     sim, _ = whix_run
     dump = sim.rib_dump()
-    assert dump == reference_rib_dump(sim)
+    assert dump == reference_rib_dump(sim.l3.ribs)
     lines = dump.splitlines()
     assert lines == sorted(lines)
     # direct feed beats the reflected copies of the same announcement
@@ -364,13 +364,119 @@ def test_rib_dump_matches_the_reference(seed, route_server, externals,
     sim = random_exchange(rng, rng.randint(2, 7), route_server=route_server,
                           externals=externals, bilateral=bilateral,
                           quarantined=quarantined)
-    assert sim.rib_dump() == reference_rib_dump(sim)
+    assert sim.rib_dump() == reference_rib_dump(sim.l3.ribs)
     announcing = [m for m in sim.members.values() if m.announced_prefixes]
     if announcing:
         member = rng.choice(announcing)
         sim.apply_event(Event(1, EventKind.MEMBER_WITHDRAW,
                               (member.asn, member.announced_prefixes[0])))
-        assert sim.rib_dump() == reference_rib_dump(sim)
+        assert sim.rib_dump() == reference_rib_dump(sim.l3.ribs)
+
+
+def _assert_matches_the_copying_exchange(sim, ribs, upstream, rng):
+    """Every view of ``sim``'s route plane equals the flat RIBs
+    ``ribs`` and ``upstream`` of ``reference_exchange_routes``."""
+    assert sim.l3.ribs.keys() == ribs.keys()
+    targets = [ipaddress.IPv4Address(rng.getrandbits(32)) for _ in range(5)]
+    for pfx in [p for m in sim.members.values() for p in m.announced_prefixes] \
+            + list(sim.scenario.external_prefixes):
+        targets += [pfx, pfx.supernet(rng.randint(1, 8)),
+                    pfx.network_address + rng.randrange(pfx.num_addresses)]
+    for asn, rib in sim.l3.ribs.items():
+        flat = ribs[asn]
+        assert rib.candidates == flat.candidates
+        assert rib == flat and flat == rib
+        assert rib.chosen() == flat.chosen()
+        for target in targets:
+            assert rib.covering(target) == flat.covering(target)
+    assert sim.l3.upstream == upstream
+    assert sim.rib_dump() == reference_rib_dump(ribs) == reference_rib_dump(sim.l3.ribs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), split_clients=st.booleans(),
+       externals=st.integers(0, 3), bilateral=st.integers(0, 6),
+       quarantined=st.integers(0, 3))
+def test_server_tables_match_per_member_copies(seed, split_clients, externals,
+                                               bilateral, quarantined):
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 7), route_server=True,
+                          externals=externals, bilateral=bilateral,
+                          quarantined=quarantined, split_clients=split_clients)
+    ribs, upstream = reference_exchange_routes(sim)
+    assert sim.rounds_total == int(ribs != {})  # the first converge()
+    _assert_matches_the_copying_exchange(sim, ribs, upstream, rng)
+    for at in range(1, rng.randint(2, 7)):
+        if rng.random() < 0.5:
+            event = Event(at, EventKind.PORT_PROMOTE_CHECK, (rng.choice(sorted(sim.ports)),))
+        else:
+            announcing = [m for m in sim.members.values() if m.announced_prefixes]
+            if not announcing:
+                continue
+            member = rng.choice(announcing)
+            event = Event(at, EventKind.MEMBER_WITHDRAW,
+                          (member.asn, rng.choice(member.announced_prefixes)))
+        rounds, before = sim.rounds_total, ribs
+        sim.apply_event(event)
+        ribs, upstream = reference_exchange_routes(sim)
+        assert sim.rounds_total - rounds == int(ribs != before)
+        _assert_matches_the_copying_exchange(sim, ribs, upstream, rng)
+
+
+def test_withdraw_at_a_single_client_server_changes_nothing():
+    """The lone active client never sees its own route, so withdrawing it
+    moves the server's table but no member's RIB; nor does promoting a
+    client that announces nothing into the then empty table."""
+    sim = converged(make_exchange(
+        [("a", "b", 1)], [(64496, "a"), (64497, "b", PortState.QUARANTINE)],
+        reflectors={"a"}, rs_nodes={"a"}, all_on_rs=True))
+    assert sim.rounds_total == 1
+    (table,) = sim.l3.ribs[64496].views
+    assert len(table) == 1 and sim.l3.ribs[64496].candidates == {}
+    assert sim.l3.ribs[64497].views == ()
+    events = [Event(1, EventKind.MEMBER_WITHDRAW, (64497, _net("10.177.2.0/24"))),
+              Event(2, EventKind.MEMBER_WITHDRAW, (64496, _net("10.177.1.0/24"))),
+              Event(12, EventKind.PORT_PROMOTE_CHECK, (64497,))]
+    for event in events:
+        sim.apply_event(event)
+        assert sim.rounds_total == 1
+        assert sim.l3.ribs == reference_exchange_routes(sim)[0]
+    assert len(sim.l3.ribs[64496].views[0]) == 0
+    assert sim.ports[64497].state is PortState.ACTIVE
+    assert sim.l3.ribs[64497].views[0].clients == {64496, 64497}
+    assert sim.converge() == 0
+
+
+def test_rib_dump_selects_across_servers_and_clients_offering_one_prefix():
+    """Two servers with different clients, and prefixes offered by two
+    clients each: the group viewing both tables takes the second table's
+    lower next hop, and a server offers each client the last offer that
+    passes its filter."""
+    one, two = _net("10.200.0.0/24"), _net("10.201.0.0/24")
+    scenario = make_exchange([("a", "b", 1)],
+                             [(64496, "a"), (64497, "a"), (64498, "b"), (64499, "b")],
+                             reflectors={"a"}, rs_nodes={"a", "b"}, all_on_rs=True)
+    clients = {"a": (64497, 64498, 64499), "b": (64496, 64498)}
+    announced = {64496: (one,), 64497: (one,), 64498: (two,), 64499: (two,)}
+    scenario = dataclasses.replace(
+        scenario,
+        members=tuple(dataclasses.replace(m, announced_prefixes=announced[m.asn])
+                      for m in scenario.members),
+        route_servers=tuple(dataclasses.replace(s, client_sessions=clients[s.host_pe])
+                            for s in scenario.route_servers),
+        sessions=tuple(s for s in scenario.sessions if s.a in clients[s.rs_node]))
+    sim = converged(scenario)
+    ribs, _ = reference_exchange_routes(sim)
+    assert sim.l3.ribs == ribs
+    assert sim.rib_dump() == reference_rib_dump(ribs)
+    assert sim.rib_dump().splitlines() == [
+        "64496|10.201.0.0/24|64498|192.0.2.13|rs/b",
+        "64497|10.201.0.0/24|64499|192.0.2.14|rs/a",
+        "64498|10.200.0.0/24|64496|192.0.2.11|rs/b",
+        "64498|10.201.0.0/24|64499|192.0.2.14|rs/a",
+        "64499|10.200.0.0/24|64497|192.0.2.12|rs/a",
+        "64499|10.201.0.0/24|64498|192.0.2.13|rs/a",
+    ]
 
 
 @settings(max_examples=40, deadline=None)
