@@ -52,8 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
-    except ScenarioValidationError:
-        raise
     except OSError as err:
         raise ParseError(0, "cannot read %s: %s" % (path, err.strerror))
 

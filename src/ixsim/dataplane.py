@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
 from ixsim.underlay import LabelTable
@@ -105,7 +105,6 @@ class BridgeState:
     ports: Dict[int, MemberPort] = field(default_factory=dict)
     pws: Dict[str, Pseudowire] = field(default_factory=dict)
     mac_table: Dict[str, MacEntry] = field(default_factory=dict)
-    aging_rounds: int = DEFAULT_MAC_AGING_ROUNDS
 
     @cached_property
     def local_macs(self) -> FrozenSet[str]:
@@ -132,7 +131,7 @@ class BridgeState:
         entry = self.mac_table.get(mac)
         if entry is None:
             return None
-        if round_no - entry.learned_round >= self.aging_rounds:
+        if round_no - entry.learned_round >= DEFAULT_MAC_AGING_ROUNDS:
             del self.mac_table[mac]
             return None
         return entry
@@ -155,34 +154,23 @@ def ingress_filter(port: MemberPort, frame: EthernetFrame) -> Optional[DropReaso
     return None
 
 
-class Emission(NamedTuple):
-    frame: EthernetFrame
-    via: Attachment
-    encapsulated_size: int
-
-
-def encapsulated_size(frame: EthernetFrame, via: Attachment) -> int:
-    size = frame.payload_size + ETHERNET_OVERHEAD
-    if isinstance(via, PwRef):
-        size += MPLS_OVERHEAD
-    return size
-
-
 def bridge_forward(
     bridge: BridgeState,
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int = 0,
     src_unicast: Optional[bool] = None,
-) -> List[Emission]:
-    """Learn, then flood or forward.  The caller has already run the ingress
-    policy when the frame came from a local port; pseudo-wire arrivals were
-    filtered once at their ingress PE and are trusted here.  Only a unicast
-    source is learned; ``src_unicast`` is that test's answer when the
-    caller has it already, since it holds for the whole walk of a frame.
+) -> Sequence[Attachment]:
+    """Learn, then return the attachments the frame leaves by.  The caller
+    has already run the ingress policy when the frame came from a local
+    port; pseudo-wire arrivals were filtered once at their ingress PE and
+    are trusted here.  Only a unicast source is learned; ``src_unicast`` is
+    that test's answer when the caller has it already, since it holds for
+    the whole walk of a frame.
 
-    Split horizon: a frame off a pseudo-wire goes to local ports only.
-    Known unicast toward its own arrival attachment is suppressed entirely.
+    Split horizon: a frame off a pseudo-wire goes to local ports only, and
+    the result is then ``bridge.port_targets`` itself, which callers must
+    not mutate.  Known unicast toward its own arrival is suppressed entirely.
     """
     src = frame.src_mac
     from_wire = isinstance(arrived_via, PwRef)
@@ -197,25 +185,24 @@ def bridge_forward(
         if entry is not None:
             where = entry.where
             if where == arrived_via:
-                return []  # would hairpin; the destination already saw it
+                return ()  # would hairpin; the destination already saw it
             if isinstance(where, PortRef) and where.asn not in bridge.ports:
                 del bridge.mac_table[dst]  # port went away; relearn
             else:
-                return [Emission(frame, where, encapsulated_size(frame, where))]
+                return (where,)
 
-    size = frame.payload_size + ETHERNET_OVERHEAD
-    out = [Emission(frame, via, size) for via in bridge.port_targets if via != arrived_via]
-    if not from_wire:
-        size += MPLS_OVERHEAD
-        out += [Emission(frame, via, size) for via in bridge.wire_targets]
+    if from_wire:
+        return bridge.port_targets
+    out: List[Attachment] = [via for via in bridge.port_targets if via != arrived_via]
+    out += bridge.wire_targets
     return out
 
 
-def transmit(emission: Emission, links: Iterable[Link]) -> Optional[Link]:
-    """MTU gate for one emission.  Returns the first link that cannot carry
-    the encapsulated frame, or None when it fits everywhere."""
+def transmit(size: int, links: Iterable[Link]) -> Optional[Link]:
+    """MTU gate for a frame of ``size`` bytes, tunnel headers included.
+    Returns the first link that cannot carry it, or None when it fits."""
     for link in links:
-        if emission.encapsulated_size > link.mtu:
+        if size > link.mtu:
             return link
     return None
 
@@ -267,7 +254,6 @@ class InjectResult:
     drop_reason: Optional[DropReason]
     deliveries: List[int] = field(default_factory=list)
     pw_traversals: int = 0
-    visited_pes: List[str] = field(default_factory=list)
     emissions: int = 0
 
 
@@ -280,7 +266,8 @@ class Fabric:
     built the bridges.  A pseudo-wire direction's links and its path MTU,
     the smallest MTU among them, are walked from it the first time a frame
     crosses that direction and kept for this fabric's lifetime;
-    reconvergence builds a new fabric, so no path outlives its table.
+    reconvergence builds a new fabric, so no path outlives its table.  A
+    frame is gated on the path MTU; the links are scanned only on a drop.
     """
 
     def __init__(
@@ -333,7 +320,8 @@ class Fabric:
 
         The walk is breadth-first over pseudo-wire deliveries; split horizon
         in bridge_forward guarantees termination without a visited set, and
-        the trace records would expose any violation of that.
+        the trace records would expose any violation of that.  A frame has
+        the same encapsulated size on every wire, so it is computed once.
         """
         port = self.ports[asn]
         pe = port.attach_pe
@@ -350,36 +338,36 @@ class Fabric:
             log(TraceRow(round_no, tid, pe, via, "accept"))
 
         result = InjectResult(accepted=True, drop_reason=None)
-        deliveries, visited = result.deliveries, result.visited_pes
+        deliveries = result.deliveries
         src_unicast = is_unicast(frame.src_mac)
+        size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
         emitted = crossed = 0
         queue: deque[Tuple[BridgeState, Attachment]] = deque([(self.bridges[pe], arrival)])
         while queue:
             here, arrived = queue.popleft()
-            visited.append(here.pe)
-            for em in bridge_forward(here, frame, arrived, round_no, src_unicast):
-                emitted += 1
-                via = em.via
-                port_bound = isinstance(via, PortRef)
-                label = (_port_attachment(via.asn) if port_bound
-                         else _wire_attachment(via.remote_pe))[1]
-                if log:
-                    log(TraceRow(round_no, tid, here.pe, label, "emit"))
-                if port_bound:
+            targets = bridge_forward(here, frame, arrived, round_no, src_unicast)
+            emitted += len(targets)
+            for via in targets:
+                if isinstance(via, PortRef):
                     # Local hand-off: no tunnel, no modelled access link.
                     if log:
+                        label = _port_attachment(via.asn)[1]
+                        log(TraceRow(round_no, tid, here.pe, label, "emit"))
                         log(TraceRow(round_no, tid, here.pe, label, "deliver"))
                     deliveries.append(via.asn)
                     continue
                 remote = via.remote_pe
+                if log:
+                    label = _wire_attachment(remote)[1]
+                    log(TraceRow(round_no, tid, here.pe, label, "emit"))
                 mtu, links = self._path(here, remote)
-                if em.encapsulated_size > mtu:
+                if size > mtu:
                     if log:
                         log(TraceRow(round_no, tid, here.pe, label,
                                      "drop:" + DropReason.MTU_EXCEEDED.value))
                     self.drops.append(DropRecord(
                         round_no, None, DropReason.MTU_EXCEEDED, tid,
-                        offending_link=transmit(em, links)))
+                        offending_link=transmit(size, links)))
                     continue
                 crossed += 1
                 back, back_label = _wire_attachment(here.pe)

@@ -75,10 +75,6 @@ class BgpRoute:
         object.__setattr__(self, "key", (int(self.prefix.network_address),
                                          self.prefix.prefixlen))
 
-    @property
-    def origin_asn(self) -> int:
-        return self.as_path[-1]
-
 
 @dataclass(frozen=True)
 class PeeringSession:
@@ -107,13 +103,6 @@ def selection_key(route: BgpRoute) -> Tuple[int, int, str]:
     learned-from identifier.  A RIB holds one route per learned-from
     identifier and prefix, so the order is total there."""
     return (len(route.as_path), int(route.next_hop), route.learned_from)
-
-
-def best_path(candidates: Sequence[BgpRoute]) -> BgpRoute:
-    """Deterministic selection by ``selection_key``; no hidden state."""
-    if not candidates:
-        raise ValueError("no candidates")
-    return min(candidates, key=selection_key)
 
 
 class ServerTable:

@@ -92,16 +92,6 @@ class Link:
     kind: LinkKind
     state: LinkState = LinkState.UP
 
-    def touches(self, node: str) -> bool:
-        return node == self.a or node == self.b
-
-    def other(self, node: str) -> str:
-        if node == self.a:
-            return self.b
-        if node == self.b:
-            return self.a
-        raise ValueError("%s is not an endpoint of %s-%s" % (node, self.a, self.b))
-
     @property
     def endpoints(self) -> tuple[str, str]:
         """Endpoint pair in name order, for undirected comparisons."""

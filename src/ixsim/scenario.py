@@ -101,12 +101,6 @@ class Scenario:
     exchange_prefix: Optional[ipaddress.IPv4Network]
     events: Tuple[Event, ...]
 
-    def member(self, asn: int) -> MemberAs:
-        for m in self.members:
-            if m.asn == asn:
-                return m
-        raise KeyError(asn)
-
 
 class _Builder:
     def __init__(self):

@@ -230,6 +230,7 @@ def random_exchange(rng: random.Random, n: int,
         all_on_rs=route_server,
         sessions=sessions,
         externals=["198.51.%d.0/24" % i for i in range(externals)],
+        extra_nodes=topo.node_names(),  # one PE has no link to infer it from
     )
     if split:
         hosts = {asn: rng.choice([{0}, {1}, {0, 1}]) for asn in asns}

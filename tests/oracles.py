@@ -22,11 +22,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ixsim.dataplane import (
     BROADCAST_MAC,
+    ETHERNET_OVERHEAD,
+    MPLS_OVERHEAD,
     Attachment,
     BridgeState,
     DropReason,
     DropRecord,
-    Emission,
     EtherType,
     EthernetFrame,
     Fabric,
@@ -35,9 +36,7 @@ from ixsim.dataplane import (
     PortRef,
     PwRef,
     TraceRow,
-    encapsulated_size,
     ingress_filter,
-    transmit,
 )
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import (
@@ -335,10 +334,10 @@ def reference_forward(
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int = 0,
-) -> List[Emission]:
-    """Learn, then flood or forward, with the targets sorted and built
-    again on every flood and the local MACs collected again on every wire
-    arrival."""
+) -> List[Attachment]:
+    """Learn, then return the attachments the frame leaves by, with the
+    targets sorted and built again on every flood and the local MACs
+    collected again on every wire arrival."""
     src = frame.src_mac
     if is_unicast(src):
         remote_claims_local = isinstance(arrived_via, PwRef) and src in {
@@ -354,8 +353,7 @@ def reference_forward(
             if isinstance(entry.where, PortRef) and entry.where.asn not in bridge.ports:
                 del bridge.mac_table[frame.dst_mac]
             else:
-                return [Emission(frame, entry.where,
-                                 encapsulated_size(frame, entry.where))]
+                return [entry.where]
 
     targets: List[Attachment] = [
         PortRef(asn)
@@ -364,7 +362,7 @@ def reference_forward(
     ]
     if not isinstance(arrived_via, PwRef):
         targets += [PwRef(pe) for pe in sorted(bridge.pws)]
-    return [Emission(frame, t, encapsulated_size(frame, t)) for t in targets]
+    return targets
 
 
 def reference_inject(
@@ -375,8 +373,9 @@ def reference_inject(
 ) -> InjectResult:
     """``Fabric.inject`` with nothing cached: the sender's port is found by
     scanning every bridge, every hop goes through ``reference_forward``,
-    and every wire crossing walks its LSP from the label table and checks
-    each link's MTU.  Appends to ``fabric.trace`` and ``fabric.drops``."""
+    and every wire crossing sizes the frame again, walks its LSP from the
+    label table and checks each link's MTU.  Appends to ``fabric.trace``
+    and ``fabric.drops``."""
 
     def log(pe: str, via: str, action: str) -> None:
         fabric.trace.append(TraceRow(round_no, frame.trace_id, pe, via, action))
@@ -394,18 +393,21 @@ def reference_inject(
     queue = deque([(fabric.bridges[port.attach_pe], PortRef(asn))])
     while queue:
         here, arrived = queue.popleft()
-        result.visited_pes.append(here.pe)
-        for em in reference_forward(here, frame, arrived, round_no):
+        for via in reference_forward(here, frame, arrived, round_no):
             result.emissions += 1
-            label = ("port/%d" % em.via.asn if isinstance(em.via, PortRef)
-                     else "pw/%s" % em.via.remote_pe)
+            label = ("port/%d" % via.asn if isinstance(via, PortRef)
+                     else "pw/%s" % via.remote_pe)
             log(here.pe, label, "emit")
-            if isinstance(em.via, PortRef):
+            if isinstance(via, PortRef):
                 log(here.pe, label, "deliver")
-                result.deliveries.append(em.via.asn)
+                result.deliveries.append(via.asn)
                 continue
-            path = here.pws[em.via.remote_pe].transport_from(here.pe, fabric.labels)
-            bad = transmit(em, [fabric.topo.links[i] for i in path.link_indices()])
+            # on a wire: Ethernet header and FCS, a transport and a VPLS label
+            size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
+            path = here.pws[via.remote_pe].transport_from(here.pe, fabric.labels)
+            bad = next((link for link in
+                        (fabric.topo.links[i] for i in path.link_indices())
+                        if size > link.mtu), None)
             if bad is not None:
                 log(here.pe, label, "drop:%s" % DropReason.MTU_EXCEEDED.value)
                 fabric.drops.append(DropRecord(
@@ -413,6 +415,6 @@ def reference_inject(
                     offending_link=bad))
                 continue
             result.pw_traversals += 1
-            log(em.via.remote_pe, "pw/%s" % here.pe, "receive")
-            queue.append((fabric.bridges[em.via.remote_pe], PwRef(here.pe)))
+            log(via.remote_pe, "pw/%s" % here.pe, "receive")
+            queue.append((fabric.bridges[via.remote_pe], PwRef(here.pe)))
     return result

@@ -49,9 +49,7 @@ def test_minimal_scenario_wires_up():
     assert [m.asn for m in scn.members] == [64496, 64497]
     assert [p.member_asn for p in scn.ports] == [64496, 64497]
     assert scn.exchange_prefix == ipaddress.IPv4Network("192.0.2.0/24")
-    assert scn.member(64496).name == "one"
-    with pytest.raises(KeyError):
-        scn.member(99)
+    assert scn.members[0].name == "one"
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -121,8 +119,9 @@ def test_member_flags_set_role_and_state():
                   " ip 192.0.2.21 transit\n"
                 + "member 64509 newcomer port kyle mac 02:00:00:00:00:0c"
                   " ip 192.0.2.22 quarantine\n")
-    assert scn.member(64510).is_transit
-    assert not scn.member(64509).is_transit
+    members = {m.asn: m for m in scn.members}
+    assert members[64510].is_transit
+    assert not members[64509].is_transit
     by_asn = {p.member_asn: p for p in scn.ports}
     assert by_asn[64510].state is PortState.ACTIVE
     assert by_asn[64509].state is PortState.QUARANTINE
@@ -136,7 +135,7 @@ def test_mac_addresses_are_normalised_to_lower_case():
 
 def test_announce_accumulates_in_order():
     scn = parse(BASE + "announce 64496 10.96.1.0/24\nannounce 64496 10.96.2.0/24\n")
-    assert scn.member(64496).announced_prefixes == (
+    assert scn.members[0].announced_prefixes == (
         ipaddress.IPv4Network("10.96.1.0/24"),
         ipaddress.IPv4Network("10.96.2.0/24"),
     )
