@@ -31,7 +31,6 @@ byte-identical reports, RIB dumps, traces and graph exports.
 from __future__ import annotations
 
 import ipaddress
-from bisect import bisect
 from dataclasses import dataclass, field, replace
 from typing import Collection, Dict, List, Set, Tuple
 
@@ -123,15 +122,9 @@ class Simulation:
         return self.members[asn].announced_prefixes
 
     def active_sessions(self) -> List[PeeringSession]:
-        """Configured sessions whose member endpoints have active ports."""
-        out = []
-        for s in self.scenario.sessions:
-            if not self._port_active(s.a):
-                continue
-            if s.kind is not PeerKind.ROUTE_SERVER and not self._port_active(s.b):
-                continue
-            out.append(s)
-        return out
+        """Configured sessions whose two members have active ports."""
+        return [s for s in self.scenario.sessions
+                if self._port_active(s.a) and self._port_active(s.b)]
 
     def _port_active(self, asn: int) -> bool:
         port = self.ports.get(asn)
@@ -202,7 +195,7 @@ class Simulation:
         for server in self.active_servers():
             learned = "rs/%s" % server.host_pe
             tables.append(rs_redistribute(server, (
-                (client, BgpRoute(pfx, (client,), self.ports[client].exchange_ip, learned))
+                BgpRoute(pfx, (client,), self.ports[client].exchange_ip, learned)
                 for client in sorted(server.client_sessions)
                 for pfx in self.announced(client))))
         state = _L3State(ribs={
@@ -324,7 +317,7 @@ class Simulation:
             missing_transport_count=len(self.missing_transport),
             ibgp_session_count=len(self.ibgp_sessions),
             rs_session_count=sum(
-                1 for s in sessions if s.kind is PeerKind.ROUTE_SERVER),
+                len(server.client_sessions) for server in self.active_servers()),
             rs_server_count=len(self.scenario.route_servers),
             bilateral_session_count=sum(
                 1 for s in sessions if s.kind is PeerKind.BILATERAL),
@@ -342,54 +335,49 @@ class Simulation:
         """One line per selected route, pipe-separated, in plain string
         order.  Members that view the same server tables share the best of
         those tables' last offers at each prefix, so that line is selected
-        and formatted once per group of members; a member revisits only
-        its own candidates and the keys a server withholds from it.  Each
-        distinct route is rendered once, keyed by id(): the RIBs hold every
-        route until this returns.  Heads "<asn>|" and prefix fields are
-        prefix-free, so members sorted by head and each group's lines
-        sorted once emit the lines in final order; the last sort only
-        confirms it."""
-        rendered: Dict[int, Tuple[tuple, str]] = {}
+        and formatted once per group of members; a member patches a copy
+        of it only at its own candidates and the keys a server withholds
+        from it.  Each distinct route is rendered once, keyed by id(): the
+        RIBs hold every route until this returns.  Heads "<asn>|" are
+        prefix-free, so members taken in head order, each with its lines
+        sorted, emit the lines in final order; a group's texts are kept in
+        text order, so each member's sort mostly confirms it."""
+        rendered: Dict[int, str] = {}
 
-        def render(route: BgpRoute) -> Tuple[tuple, str]:
-            entry = rendered.get(id(route))
-            if entry is None:
-                entry = rendered[id(route)] = (selection_key(route), "%s|%s|%s|%s" % (
+        def render(route: BgpRoute) -> str:
+            text = rendered.get(id(route))
+            if text is None:
+                text = rendered[id(route)] = "%s|%s|%s|%s" % (
                     route.prefix, " ".join(str(n) for n in route.as_path),
-                    route.next_hop, route.learned_from))
-            return entry
+                    route.next_hop, route.learned_from)
+            return text
 
-        groups: Dict[Tuple[int, ...], Tuple[List[str], Dict[Tuple[int, int], int]]] = {}
+        groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], str]] = {}
         lines: List[str] = []
         ribs = self.l3.ribs
         for asn in sorted(ribs, key=lambda n: "%d|" % n):
             rib = ribs[asn]
             views = tuple(map(id, rib.views))
-            if views not in groups:
-                best: Dict[Tuple[int, int], Tuple[tuple, str]] = {}
+            shared = groups.get(views)
+            if shared is None:
+                best: Dict[Tuple[int, int], BgpRoute] = {}
                 for table in rib.views:
                     for key, offers in table.offers.items():
-                        entry = render(offers[-1][1])
-                        if key not in best or entry[0] < best[key][0]:
-                            best[key] = entry
-                order = sorted(best, key=lambda k: best[k][1])
-                groups[views] = ([best[k][1] for k in order],
-                                 {k: i for i, k in enumerate(order)})
-            shared, index = groups[views]
-            texts: List = list(shared)
-            extras = []
+                        route = offers[-1]
+                        if key not in best or selection_key(route) < selection_key(best[key]):
+                            best[key] = route
+                shared = groups[views] = dict(sorted(
+                    ((key, render(route)) for key, route in best.items()),
+                    key=lambda item: item[1]))
+            texts = dict(shared)
             for key in rib.revisits():
                 route = rib.best_at(key)
-                text = None if route is None else render(route)[1]
-                if key in index:
-                    texts[index[key]] = text
-                elif text is not None:
-                    extras.append(text)
-            for text in sorted(extras, reverse=True):
-                texts.insert(bisect(shared, text), text)
+                if route is None:
+                    texts.pop(key, None)
+                else:
+                    texts[key] = render(route)
             head = "%d|" % asn
-            lines += [head + text for text in texts if text is not None]
-        lines.sort()
+            lines.extend(head + text for text in sorted(texts.values()))
         return "\n".join(lines) + ("\n" if lines else "")
 
     def trace_dump(self) -> str:
@@ -484,12 +472,10 @@ def export_dot(sim: Simulation, layer: str) -> str:
             lines.append("  \"AS%d\";" % asn)
         for server in sim.scenario.route_servers:
             lines.append("  \"RS:%s\";" % server.host_pe)
-        edges = []
+        edges = ["  \"AS%d\" -- \"RS:%s\" [style=dashed];" % (asn, server.host_pe)
+                 for server in sim.active_servers() for asn in server.client_sessions]
         for s in sim.active_sessions():
-            if s.kind is PeerKind.ROUTE_SERVER:
-                edges.append("  \"AS%d\" -- \"RS:%s\" [style=dashed];"
-                             % (s.a, s.rs_node))
-            elif s.kind is PeerKind.BILATERAL:
+            if s.kind is PeerKind.BILATERAL:
                 edges.append("  \"AS%d\" -- \"AS%d\";" % (s.a, s.b))
             else:
                 edges.append("  \"AS%d\" -- \"AS%d\" [style=bold, label=\"%s\"];"

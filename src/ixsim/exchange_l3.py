@@ -9,9 +9,10 @@ A route server keeps one table of its clients' routes per sweep, as an
 RFC 7947 route server's Loc-RIB does, instead of copying every route into
 M-1 RIBs: a member's RIB holds only its own bilateral and transit
 candidates and composes them with its view of each server table it is a
-client of.  The view filter (never the sender, never a client already in
-the AS path) is the only per-client work, and selection, lookups and
-sweep comparison run over the tables.  Keys stay integers: a RIB keys its
+client of.  A route's AS path starts with its sender, so a client's view
+of a table is its own loop rejection (never a route whose AS path holds
+its ASN), the only per-client work; selection, lookups and sweep
+comparison run over the tables.  Keys stay integers: a RIB keys its
 prefixes by ``(network as int, length)`` and looks up supernets with
 integer masks.  ``ipaddress`` objects appear only at the edges, in the
 routes themselves and in what ``chosen()`` returns.
@@ -43,7 +44,6 @@ PROBE_PAYLOAD_SIZE = 100
 
 class PeerKind(Enum):
     BILATERAL = "bilateral"
-    ROUTE_SERVER = "rs"
     TRANSIT = "transit"
 
 
@@ -78,17 +78,15 @@ class BgpRoute:
 
 @dataclass(frozen=True)
 class PeeringSession:
-    """A configured peering: bilateral, via a route server, or transit.
-
-    ``a`` is always the member; ``b`` is the peer member for bilateral, the
-    service ASN for route-server sessions, the upstream's ASN for transit.
+    """A configured bilateral or transit peering.  ``a`` is always the
+    member; ``b`` is the peer member for bilateral, the upstream's ASN for
+    transit.  Route-server sessions are ``RouteServer.client_sessions``.
     """
 
     a: int
     b: int
     kind: PeerKind
     policy: Optional[TransitPolicy] = None
-    rs_node: Optional[str] = None
 
 
 @dataclass(frozen=True)
@@ -109,19 +107,20 @@ class ServerTable:
     """One route server's client routes for one sweep: the Loc-RIB that an
     RFC 7947 route server shares among all of its clients.
 
-    ``offers`` maps each prefix key to its (sender, route) offers in client
-    order.  A client's view of the table is one filter, not a copy: at each
-    prefix it is offered the last route whose sender is not itself and
-    whose AS path does not hold its ASN.  ``withheld`` names, per ASN, the
-    prefixes where that filter may drop an offer; everywhere else a client
-    sees the last offer.  Every route carries ``learned_from``.  A table is
-    complete before any RIB views it.
+    ``offers`` maps each prefix key to its routes in client order, each
+    route's AS path starting with its sender.  A client's view of the table
+    is one filter, not a copy: at each prefix it is offered the last route
+    whose AS path does not hold its ASN, the loop rejection of
+    ``MemberRib.add``, which also keeps a route from its sender.
+    ``withheld`` names, per ASN, the prefixes where that filter may drop an
+    offer; everywhere else a client sees the last offer.  Every route
+    carries ``learned_from``.  A table is complete before any RIB views it.
     """
 
     def __init__(self, server: RouteServer):
         self.learned_from = "rs/%s" % server.host_pe
         self.clients = frozenset(server.client_sessions)
-        self.offers: Dict[Tuple[int, int], List[Tuple[int, BgpRoute]]] = {}
+        self.offers: Dict[Tuple[int, int], List[BgpRoute]] = {}
         self.withheld: Dict[int, Set[Tuple[int, int]]] = {}
         self.lengths: Set[int] = set()  # prefix lengths held
 
@@ -130,8 +129,8 @@ class ServerTable:
 
     def pick(self, key: Tuple[int, int], asn: int) -> Optional[BgpRoute]:
         """The route client ``asn`` is offered at ``key``, if any."""
-        for sender, route in reversed(self.offers.get(key, ())):
-            if sender != asn and asn not in route.as_path:
+        for route in reversed(self.offers.get(key, ())):
+            if asn not in route.as_path:
                 return route
         return None
 
@@ -193,7 +192,7 @@ class MemberRib:
             entry = offers.get(key)
             if entry is None:
                 continue
-            route = table.pick(key, self.member_asn) if key in withheld else entry[-1][1]
+            route = table.pick(key, self.member_asn) if key in withheld else entry[-1]
             if route is not None and (best is None
                                       or selection_key(route) < selection_key(best)):
                 best = route
@@ -270,35 +269,26 @@ def ribs_differ(old: Dict[int, MemberRib], new: Dict[int, MemberRib]) -> bool:
     return False
 
 
-def rs_redistribute(
-    server: RouteServer,
-    offers: Iterable[Tuple[int, BgpRoute]],
-    diagnostics: Optional[List[Tuple[str, int, BgpRoute]]] = None,
-) -> ServerTable:
+def rs_redistribute(server: RouteServer, routes: Iterable[BgpRoute]) -> ServerTable:
     """Reflect each client's routes to every other client, untouched, by
     collecting them once into the table all of ``server``'s clients share.
 
-    ``offers`` are (sender, route) pairs in client order.  Transparency is
-    the whole point: the AS path and next hop pass through verbatim,
-    without the service ASN.  A route is withheld from its sender and from
-    a client whose own ASN already appears in the path; the latter would
-    be a loop, and each such client is recorded in ``diagnostics`` as
-    ``("AS_LOOP", client, route)``.
+    ``routes`` come in client order, each AS path starting with its sender.
+    Transparency is the whole point: the AS path and next hop pass through
+    verbatim, without the service ASN.  A route is withheld from every
+    client whose ASN appears in the path: its sender, and any client it
+    would loop back to.
     """
     table = ServerTable(server)
-    for sender, route in offers:
+    for route in routes:
         if route.learned_from != table.learned_from:
             raise ValueError("route learned from %s offered to %s"
                              % (route.learned_from, table.learned_from))
         key = route.key
-        table.offers.setdefault(key, []).append((sender, route))
+        table.offers.setdefault(key, []).append(route)
         table.lengths.add(key[1])
-        for asn in {sender, *route.as_path}:
+        for asn in route.as_path:
             table.withheld.setdefault(asn, set()).add(key)
-        if diagnostics is not None:
-            diagnostics.extend(("AS_LOOP", client, route)
-                               for client in sorted(table.clients.intersection(route.as_path))
-                               if client != sender)
     return table
 
 

@@ -113,9 +113,6 @@ class Topology:
                 return n
         raise UnknownNodeError(name)
 
-    def has_node(self, name: str) -> bool:
-        return any(n.name == name for n in self.nodes)
-
     def node_names(self) -> list[str]:
         return sorted(n.name for n in self.nodes)
 

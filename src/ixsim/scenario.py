@@ -385,14 +385,9 @@ def parse_scenario(text: str) -> Scenario:
     ports = tuple(b.ports[asn] for asn in sorted(b.ports))
 
     servers = []
-    sessions = list(b.sessions)
     for index, node in enumerate(topo.route_server_names()):
-        service_asn = DOC_ASN32_FIRST + index
         clients = tuple(sorted(set(b.rs_clients.get(node, []))))
-        servers.append(RouteServer(node, service_asn, clients))
-        for asn in clients:
-            sessions.append(PeeringSession(
-                asn, service_asn, PeerKind.ROUTE_SERVER, rs_node=node))
+        servers.append(RouteServer(node, DOC_ASN32_FIRST + index, clients))
 
     if len(b.externals) + len(servers) > DOC_ASN32_LAST - DOC_ASN32_FIRST + 1:
         _fail(0, "documentation ASN pool exhausted by externals and route servers")
@@ -406,7 +401,7 @@ def parse_scenario(text: str) -> Scenario:
         topology=topo,
         members=members,
         ports=ports,
-        sessions=tuple(sessions),
+        sessions=tuple(b.sessions),
         route_servers=tuple(servers),
         external_prefixes=tuple(b.externals),
         exchange_prefix=b.exchange_prefix,

@@ -37,7 +37,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Collection, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from ixsim.model import Topology, UnknownNodeError
+from ixsim.model import Topology
 
 # Reserved label values live below 16 (RFC 3032); bindings start above
 # them.  Implicit null asks the upstream neighbour to pop rather than swap.
@@ -60,20 +60,14 @@ class SpfTree:
     first_hop: Dict[str, Tuple[str, int]]
 
 
-def compute_spf(topo: Topology, source: str) -> SpfTree:
-    """Dijkstra over links in state up, rooted at source.
+def _spf(adj: Dict[str, List[Tuple[str, int, int]]], source: str) -> SpfTree:
+    """Dijkstra over the up links of ``adj``, rooted at source.
 
     Ties resolve toward the lexicographically smaller predecessor name and
     then the lower link index, so every run and every node agrees on the
     same tree.  A destination's first hop is inherited from the predecessor
     that wins, at the moment it wins.
     """
-    if not topo.has_node(source):
-        raise UnknownNodeError(source)
-    return _spf(topo.adjacency(), source)
-
-
-def _spf(adj: Dict[str, List[Tuple[str, int, int]]], source: str) -> SpfTree:
     dist: Dict[str, int] = {}
     parent: Dict[str, Tuple[str, int]] = {}
     first: Dict[str, Tuple[str, int]] = {}
@@ -145,7 +139,6 @@ class LabelBinding(NamedTuple):
     LOCAL at the destination's own node.
     """
 
-    at_node: str
     fec: str
     in_label: int
     out_label: int
@@ -194,7 +187,7 @@ def rebind(table: LabelTable, topo: Topology, trees: Dict[str, SpfTree]) -> None
                 continue
             neigh, link = hop
             out = IMPLICIT_NULL if neigh in (dst, LOCAL) else label
-            table[key] = LabelBinding(node, fec, label, out, neigh, link)
+            table[key] = LabelBinding(fec, label, out, neigh, link)
 
 
 class LspHop(NamedTuple):

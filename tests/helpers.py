@@ -113,15 +113,9 @@ def make_exchange(
         members.append(MemberAs(asn, "as%d" % asn, transit, prefixes))
         ports.append(make_port(asn, pe, i + 1, state))
 
-    sessions = list(sessions)
-    servers = []
-    for i, node in enumerate(sorted(set(rs_nodes))):
-        service_asn = 65536 + i
-        clients = tuple(m.asn for m in members) if all_on_rs else ()
-        servers.append(RouteServer(node, service_asn, clients))
-        for asn in clients:
-            sessions.append(PeeringSession(asn, service_asn,
-                                           PeerKind.ROUTE_SERVER, rs_node=node))
+    clients = tuple(m.asn for m in members) if all_on_rs else ()
+    servers = [RouteServer(node, 65536 + i, clients)
+               for i, node in enumerate(sorted(set(rs_nodes)))]
 
     return Scenario(
         topology=topo,
@@ -234,12 +228,8 @@ def random_exchange(rng: random.Random, n: int,
     )
     if split:
         hosts = {asn: rng.choice([{0}, {1}, {0, 1}]) for asn in asns}
-        servers = [replace(server, client_sessions=tuple(
-            asn for asn in server.client_sessions if i in hosts[asn]))
-            for i, server in enumerate(scenario.route_servers)]
-        kept = {(asn, server.host_pe) for server in servers
-                for asn in server.client_sessions}
-        scenario = replace(scenario, route_servers=tuple(servers), sessions=tuple(
-            s for s in scenario.sessions
-            if s.kind is not PeerKind.ROUTE_SERVER or (s.a, s.rs_node) in kept))
+        scenario = replace(scenario, route_servers=tuple(
+            replace(server, client_sessions=tuple(
+                asn for asn in server.client_sessions if i in hosts[asn]))
+            for i, server in enumerate(scenario.route_servers)))
     return converged(scenario)

@@ -26,7 +26,7 @@ from ixsim.dataplane import BROADCAST_MAC, DropReason, EthernetFrame, EtherType
 from ixsim.engine import Simulation, export_dot
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind
-from ixsim.underlay import compute_spf
+from ixsim.underlay import compute_all_spf
 from oracles import all_pairs_distances, count_unordered_pairs, same_component
 
 EXTERNALS = ("198.51.100.0/24", "203.0.113.0/24", "192.88.99.0/24")
@@ -254,8 +254,9 @@ def test_criterion_09_spf_against_floyd_warshall():
                 if rng.random() < 0.2:
                     topo = topo.with_link_state(i, LinkState.DOWN)
         oracle = all_pairs_distances(topo)
+        trees = compute_all_spf(topo)
         for src in topo.node_names():
-            tree = compute_spf(topo, src)
+            tree = trees[src]
             for dst in topo.node_names():
                 expect = oracle[(src, dst)]
                 if expect is math.inf:

@@ -463,8 +463,7 @@ def test_rib_dump_selects_across_servers_and_clients_offering_one_prefix():
         members=tuple(dataclasses.replace(m, announced_prefixes=announced[m.asn])
                       for m in scenario.members),
         route_servers=tuple(dataclasses.replace(s, client_sessions=clients[s.host_pe])
-                            for s in scenario.route_servers),
-        sessions=tuple(s for s in scenario.sessions if s.a in clients[s.rs_node]))
+                            for s in scenario.route_servers))
     sim = converged(scenario)
     ribs, _ = reference_exchange_routes(sim)
     assert sim.l3.ribs == ribs

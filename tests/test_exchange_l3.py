@@ -168,7 +168,7 @@ def test_rib_equality_tracks_candidates():
 def test_route_server_reflects_transparently_to_other_clients():
     server = RouteServer("mallaig", 65536, (64496, 64497, 64498))
     route = _route("10.0.0.0/24", (64497,), "192.0.2.12", "rs/mallaig")
-    table = rs_redistribute(server, [(64497, route)])
+    table = rs_redistribute(server, [route])
     assert len(table) == 1
     offered = {asn: MemberRib(asn, [table]).chosen() for asn in server.client_sessions}
     assert offered == {64496: {route.prefix: route}, 64497: {},
@@ -183,27 +183,24 @@ def test_route_server_reflects_transparently_to_other_clients():
 def test_route_server_withholds_looping_paths():
     server = RouteServer("mallaig", 65536, (64496, 64497, 64498))
     route = _route("10.0.0.0/24", (64499, 64498), "192.0.2.9", "rs/mallaig")
-    diagnostics = []
-    table = rs_redistribute(server, [(64499, route)], diagnostics=diagnostics)
+    table = rs_redistribute(server, [route])
     assert [asn for asn in sorted(server.client_sessions)
             if table.pick(route.key, asn) is route] == [64496, 64497]
     assert table.view(64498) == {}
     assert MemberRib(64498, [table]).chosen() == {}
     assert MemberRib(64498, [table]).covering(route.prefix) is None
-    assert diagnostics == [("AS_LOOP", 64498, route)]
 
 
 def test_route_server_offers_the_last_client_that_passes_the_filter():
     server = RouteServer("mallaig", 65536, (64496, 64497, 64498))
     first = _route("10.0.0.0/24", (64496,), "192.0.2.11", "rs/mallaig")
     second = _route("10.0.0.0/24", (64497, 64496), "192.0.2.12", "rs/mallaig")
-    table = rs_redistribute(server, [(64496, first), (64497, second)])
+    table = rs_redistribute(server, [first, second])
     assert table.pick(first.key, 64498) is second
     assert table.pick(first.key, 64497) is first
     assert table.pick(first.key, 64496) is None
     with pytest.raises(ValueError):
-        rs_redistribute(server, [(64496, _route("10.0.0.0/24", (64496,), "192.0.2.11",
-                                                "rs/smo"))])
+        rs_redistribute(server, [_route("10.0.0.0/24", (64496,), "192.0.2.11", "rs/smo")])
 
 
 def test_transit_policies_shape_the_delivered_table():

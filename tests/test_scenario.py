@@ -160,8 +160,8 @@ def test_rs_sessions_get_service_numbers_per_host():
     assert by_host["mallaig"].service_asn == 65537
     assert by_host["mallaig"].client_sessions == (64496, 64497)
     assert by_host["kyle"].client_sessions == (64497,)
-    rs_sessions = [s for s in scn.sessions if s.kind is PeerKind.ROUTE_SERVER]
-    assert {(s.a, s.b, s.rs_node) for s in rs_sessions} == {
+    assert {(asn, s.service_asn, s.host_pe) for s in scn.route_servers
+            for asn in s.client_sessions} == {
         (64497, 65536, "kyle"),
         (64496, 65537, "mallaig"),
         (64497, 65537, "mallaig"),
@@ -280,7 +280,7 @@ def test_bundled_scenario_shape():
     kinds = [s.kind for s in scn.sessions]
     assert kinds.count(PeerKind.BILATERAL) == 3
     assert kinds.count(PeerKind.TRANSIT) == 9
-    assert kinds.count(PeerKind.ROUTE_SERVER) == 22
+    assert sum(len(s.client_sessions) for s in scn.route_servers) == 22
     assert {s.service_asn for s in scn.route_servers} == {65536, 65537}
     assert all(len(s.client_sessions) == 11 for s in scn.route_servers)
     assert len(scn.external_prefixes) == 3

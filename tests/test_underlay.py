@@ -19,7 +19,6 @@ from ixsim.underlay import (
     LspHop,
     allocate_labels,
     compute_all_spf,
-    compute_spf,
     rebind,
     rerun_stale_spf,
     resolve_lsp,
@@ -35,7 +34,7 @@ def _lsp_links(topo, src, dst):
 def test_triangle_prefers_two_hop_path():
     topo = make_topology([("a", "b", 1), ("b", "c", 1), ("a", "c", 3)],
                          reflectors={"a"})
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert tree.dist == {"a": 0, "b": 1, "c": 2}
     assert tree.first_hop["c"] == ("b", 0)
     assert _lsp_links(topo, "a", "c") == (0, 1)
@@ -45,7 +44,7 @@ def test_equal_cost_tie_prefers_smaller_predecessor_name():
     topo = make_topology(
         [("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)],
         reflectors={"a"})
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert tree.dist["d"] == 2
     assert tree.first_hop["d"] == ("b", 0)
     assert _lsp_links(topo, "a", "d") == (0, 2)
@@ -53,7 +52,7 @@ def test_equal_cost_tie_prefers_smaller_predecessor_name():
     topo = make_topology(
         [("a", "b", 2), ("a", "c", 1), ("b", "d", 1), ("c", "d", 2)],
         reflectors={"a"})
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert tree.dist["d"] == 3
     assert tree.first_hop["d"] == ("b", 0)
     assert _lsp_links(topo, "a", "d") == (0, 2)
@@ -61,7 +60,7 @@ def test_equal_cost_tie_prefers_smaller_predecessor_name():
 
 def test_parallel_links_tie_prefers_lower_index():
     topo = make_topology([("a", "b", 1), ("a", "b", 1)], reflectors={"a"})
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert tree.first_hop["b"] == ("b", 0)
     assert _lsp_links(topo, "a", "b") == (0,)
     assert _lsp_links(topo, "b", "a") == (0,)
@@ -70,7 +69,7 @@ def test_parallel_links_tie_prefers_lower_index():
 def test_down_links_are_ignored():
     topo = make_topology([("a", "b", 1), ("a", "b", 5)], reflectors={"a"})
     topo = topo.with_link_state(0, LinkState.DOWN)
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert tree.dist["b"] == 5
     assert tree.first_hop["b"] == ("b", 1)
     assert _lsp_links(topo, "a", "b") == (1,)
@@ -78,7 +77,7 @@ def test_down_links_are_ignored():
 
 def test_unreachable_node_missing_from_tree():
     topo = make_topology([("a", "b", 1)], extra_nodes=["z"], reflectors={"a"})
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert "z" not in tree.dist
     assert "z" not in tree.first_hop
 
@@ -86,13 +85,13 @@ def test_unreachable_node_missing_from_tree():
 def test_unknown_source_rejected():
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
     with pytest.raises(UnknownNodeError):
-        compute_spf(topo, "ghost")
+        topo.node("ghost")
 
 
 def test_path_to_source_is_empty():
     # the source needs no hop to reach itself, so it has no first hop
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
-    tree = compute_spf(topo, "a")
+    tree = compute_all_spf(topo)["a"]
     assert tree.dist["a"] == 0
     assert tree.first_hop == {"b": ("b", 0)}
 
@@ -106,8 +105,9 @@ def test_spf_distances_match_floyd_warshall(seed, n):
         if rng.random() < 0.25:
             topo = topo.with_link_state(i, LinkState.DOWN)
     oracle = all_pairs_distances(topo)
+    trees = compute_all_spf(topo)
     for src in topo.node_names():
-        tree = compute_spf(topo, src)
+        tree = trees[src]
         for dst in topo.node_names():
             expect = oracle[(src, dst)]
             if expect is math.inf:
@@ -176,8 +176,8 @@ def test_lsps_are_shortest_paths_under_ties(seed, n):
 def _flip(topo, indices, state):
     """Set the ``indices`` links to ``state``, rerun the trees that makes
     stale and rebind the label table.  Checks the merged trees against
-    compute_spf on the new topology and the rebound table against a fresh
-    allocation; returns the old trees and the reruns."""
+    compute_all_spf on the new topology and the rebound table against a
+    fresh allocation; returns the old trees and the reruns."""
     trees = compute_all_spf(topo)
     table = allocate_labels(topo, trees)
     for i in indices:
@@ -185,7 +185,7 @@ def _flip(topo, indices, state):
         topo = topo.with_link_state(i, state)
     fresh = rerun_stale_spf(topo, trees, indices)
     merged = {**trees, **fresh}
-    assert merged == {name: compute_spf(topo, name) for name in topo.node_names()}
+    assert merged == compute_all_spf(topo)
     rebind(table, topo, fresh)
     assert table == allocate_labels(topo, compute_all_spf(topo))
     return topo, trees, fresh
@@ -211,7 +211,7 @@ def test_up_link_that_ties_and_wins_the_tie_break_is_rerun():
     topo = make_topology(
         [("a", "b", 1), ("a", "c", 1), ("b", "d", 1), ("c", "d", 1)], reflectors={"a"})
     topo = topo.with_link_state(2, LinkState.DOWN)
-    old = compute_spf(topo, "a")
+    old = compute_all_spf(topo)["a"]
     assert old.dist["b"] + 1 == old.dist["d"] == 2
     assert old.first_hop["d"] == ("c", 1)
     topo, _, fresh = _flip(topo, [2], LinkState.UP)
@@ -321,4 +321,4 @@ def test_results_are_repeatable():
     first = allocate_labels(topo, compute_all_spf(topo))
     second = allocate_labels(topo, compute_all_spf(topo))
     assert first == second
-    assert compute_spf(topo, "pe01").first_hop == compute_spf(topo, "pe01").first_hop
+    assert compute_all_spf(topo)["pe01"].first_hop == compute_all_spf(topo)["pe01"].first_hop
