@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when the scenario is structurally invalid or a
-run fails, 2 when the file cannot be read or parsed.  Diagnostics go to
-stderr; requested artefacts go to stdout unless a path flag redirects them.
+Exit codes: 0 on success, 1 when the scenario is invalid (an event that
+names what the run would not find included), 2 when the file cannot be read
+or parsed.  Diagnostics go to stderr; requested artefacts go to stdout
+unless a path flag redirects them.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from ixsim.engine import (
-    DOT_LAYERS,
-    Simulation,
-    UnknownEntityError,
-    export_dot,
-)
+from ixsim.engine import DOT_LAYERS, Simulation, export_dot
 from ixsim.scenario import ParseError, Scenario, ScenarioValidationError, load_scenario
 
 EXIT_OK = 0
@@ -86,9 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as err:
         print("parse error: %s" % err, file=sys.stderr)
         return EXIT_PARSE
-    except UnknownEntityError as err:
-        print("run failed: %s" % err, file=sys.stderr)
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

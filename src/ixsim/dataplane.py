@@ -158,15 +158,15 @@ def bridge_forward(
     bridge: BridgeState,
     frame: EthernetFrame,
     arrived_via: Attachment,
-    round_no: int = 0,
-    src_unicast: Optional[bool] = None,
+    round_no: int,
+    src_unicast: bool,
 ) -> Sequence[Attachment]:
     """Learn, then return the attachments the frame leaves by.  The caller
     has already run the ingress policy when the frame came from a local
     port; pseudo-wire arrivals were filtered once at their ingress PE and
     are trusted here.  Only a unicast source is learned; ``src_unicast`` is
-    that test's answer when the caller has it already, since it holds for
-    the whole walk of a frame.
+    whether the source MAC is unicast, which holds for the whole walk of a
+    frame, so the caller decides it once.
 
     Split horizon: a frame off a pseudo-wire goes to local ports only, and
     the result is then ``bridge.port_targets`` itself, which callers must
@@ -174,8 +174,6 @@ def bridge_forward(
     """
     src = frame.src_mac
     from_wire = isinstance(arrived_via, PwRef)
-    if src_unicast is None:
-        src_unicast = is_unicast(src)
     if src_unicast and not (from_wire and src in bridge.local_macs):
         bridge.mac_table[src] = MacEntry(arrived_via, round_no)
 
@@ -262,12 +260,13 @@ class Fabric:
 
     Owns the frame trace and the drop log; both survive reconvergence so a
     run's history stays complete.  ``ports`` indexes every bridge's member
-    ports by ASN.  ``labels`` is the label table of the convergence that
-    built the bridges.  A pseudo-wire direction's links and its path MTU,
-    the smallest MTU among them, are walked from it the first time a frame
-    crosses that direction and kept for this fabric's lifetime;
-    reconvergence builds a new fabric, so no path outlives its table.  A
-    frame is gated on the path MTU; the links are scanned only on a drop.
+    ports by ASN.  ``labels`` is the underlay's next-hop table from the
+    convergence that built the bridges.  A pseudo-wire direction's links
+    and its path MTU, the smallest MTU among them, are walked from it the
+    first time a frame crosses that direction and kept for this fabric's
+    lifetime; reconvergence builds a new fabric, so no path outlives its
+    table.  A frame is gated on the path MTU; the links are scanned only
+    on a drop.
     """
 
     def __init__(
@@ -310,8 +309,8 @@ class Fabric:
         key = (here.pe, remote)
         path = self._transport.get(key)
         if path is None:
-            lsp = here.pws[remote].transport_from(here.pe, self.labels)
-            links = [self.topo.links[i] for i in lsp.link_indices()]
+            links = [self.topo.links[i]
+                     for i in here.pws[remote].transport_from(here.pe, self.labels)]
             path = self._transport[key] = (min(link.mtu for link in links), links)
         return path
 

@@ -1,11 +1,12 @@
 """Convergence engine and reporting for scenario runs.
 
 One Simulation owns all mutable run state.  It builds the underlay and the
-signalling once, when it is made: shortest-path trees, label bindings, the
-signalling session graph, membership adverts and the pseudo-wire mesh.
-Every node binds the same label for a loopback and every label block sits
-above all of them (see underlay), and route reflection is complete by
-construction, so no binding, block, session or advert depends on what the
+signalling once, when it is made: shortest-path trees, the next-hop table,
+the signalling session graph, membership adverts and the pseudo-wire mesh.
+Every label block starts at FIRST_FREE_LABEL + P, leaving 16 up to
+16 + P - 1 for one transport label per loopback (RFC 8402) that the fabric
+never reads (see vpls_signal), and route reflection is complete by
+construction, so no block, session or advert depends on what the
 underlay reaches.  converge() rebuilds the fabric and runs one sweep of
 member route exchange.  Route servers only reflect what members announce,
 so that sweep reads configuration alone and is already final.  Each route
@@ -16,9 +17,9 @@ and the RIB dump all work per server table, not per member and route.
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
 since no RIB depends on a link, and reruns only the shortest-path trees
-the flipped links make stale (see underlay).  Only the bindings of those
-trees' sources whose first hop moved, appeared or vanished are rewritten;
-the pseudo-wire mesh is derived again only when some rerun tree reaches a
+the flipped links make stale (see underlay).  Only the rows of rerun
+trees whose first hops changed are set again from those trees; the
+pseudo-wire mesh is derived again only when some rerun tree reaches a
 different set of nodes, so a partition or a heal takes the same path as
 any other link event.  Link events rebuild the fabric as converge() does,
 so learned MACs and walked LSPs are reset on every event that
@@ -155,9 +156,9 @@ class Simulation:
     def _relink(self, flapped: Collection[int]) -> None:
         """Bring the link-dependent layers up to date after the ``flapped``
         links (indices into ``self.topo``) changed state: rerun the trees
-        they make stale, rebind the rows those trees moved, derive the
-        pseudo-wire mesh again if a reachable set changed, and rebuild
-        the fabric."""
+        they make stale, rebind the rows of those whose first hops moved,
+        derive the pseudo-wire mesh again if a reachable set changed, and
+        rebuild the fabric."""
         fresh = rerun_stale_spf(self.topo, self.trees, flapped)
         labels = dict(self.fabric.labels)
         rebind(labels, self.topo, {name: tree for name, tree in fresh.items()
@@ -171,7 +172,7 @@ class Simulation:
 
     def _rebuild_fabric(self, labels: LabelTable) -> None:
         """Fresh bridges wired to the current ports and pseudo-wire mesh,
-        carried over the LSPs of ``labels``; no bridge is rewired after
+        carried over the next hops of ``labels``; no bridge is rewired after
         this (see BridgeState).  Learned MACs and resolved transport do not
         survive reconvergence; the logs and trace numbering do."""
         bridges = {}

@@ -71,11 +71,6 @@ class PeNode:
     is_route_reflector: bool = False
     hosts_route_server: bool = False
 
-    @property
-    def fec(self) -> str:
-        """Host route for the loopback; the forwarding class other PEs bind to."""
-        return "%s/32" % self.loopback
-
 
 @dataclass(frozen=True)
 class Link:

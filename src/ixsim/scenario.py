@@ -45,6 +45,8 @@ from ixsim.model import (
     PeNode,
     PortState,
     Topology,
+    ValidationReport,
+    Violation,
     validate_topology,
 )
 
@@ -62,12 +64,13 @@ class ParseError(Exception):
 
 
 class ScenarioValidationError(ParseError):
-    """The file parsed but the described exchange breaks an invariant."""
+    """The file parsed but the described exchange breaks an invariant, on
+    source line ``line`` when one event is at fault."""
 
-    def __init__(self, report):
+    def __init__(self, report, line: int = 0):
         worst = report.violations[0]
         parts = (worst.code, worst.subject, worst.detail)
-        super().__init__(0, "validation failed: " + " ".join(p for p in parts if p))
+        super().__init__(line, "validation failed: " + " ".join(p for p in parts if p))
         self.report = report
 
 
@@ -113,7 +116,7 @@ class _Builder:
         self.rs_clients: Dict[str, List[int]] = {}
         self.externals: List[ipaddress.IPv4Network] = []
         self.exchange_prefix: Optional[ipaddress.IPv4Network] = None
-        self.events: List[Event] = []
+        self.events: List[Tuple[Event, int]] = []  # with its source line
 
     def node_names(self) -> set:
         return {n.name for n in self.nodes}
@@ -308,7 +311,7 @@ def _parse_event(b: _Builder, tokens: List[str], line: int) -> None:
     if kind in ("link-down", "link-up"):
         _want(tokens, 5, line, "event %s" % kind)
         which = EventKind.LINK_DOWN if kind == "link-down" else EventKind.LINK_UP
-        b.events.append(Event(at_round, which, (rest[0], rest[1])))
+        b.events.append((Event(at_round, which, (rest[0], rest[1])), line))
     elif kind == "inject":
         _want(tokens, 7, line, "event inject")
         asn = _int(rest[0], line, "ASN")
@@ -320,19 +323,52 @@ def _parse_event(b: _Builder, tokens: List[str], line: int) -> None:
         size = _int(rest[3], line, "size")
         if size < 0:
             _fail(line, "negative payload size")
-        b.events.append(Event(at_round, EventKind.INJECT_FRAME,
-                              (asn, dst, ethertype, size)))
+        b.events.append((Event(at_round, EventKind.INJECT_FRAME,
+                               (asn, dst, ethertype, size)), line))
     elif kind == "promote":
         _want(tokens, 4, line, "event promote")
-        b.events.append(Event(at_round, EventKind.PORT_PROMOTE_CHECK,
-                              (_int(rest[0], line, "ASN"),)))
+        b.events.append((Event(at_round, EventKind.PORT_PROMOTE_CHECK,
+                               (_int(rest[0], line, "ASN"),)), line))
     elif kind == "withdraw":
         _want(tokens, 5, line, "event withdraw")
         asn = _int(rest[0], line, "ASN")
-        b.events.append(Event(at_round, EventKind.MEMBER_WITHDRAW,
-                              (asn, _network(rest[1], line))))
+        b.events.append((Event(at_round, EventKind.MEMBER_WITHDRAW,
+                               (asn, _network(rest[1], line))), line))
     else:
         _fail(line, "unknown event kind %r" % kind)
+
+
+def _check_events(
+    topo: Topology,
+    members: Tuple[MemberAs, ...],
+    events: List[Tuple[Event, int]],
+) -> None:
+    """Raise ScenarioValidationError, with its source line, for the first
+    event in round order that names what the run would not find when it
+    comes: a link event with no link between its endpoints, an inject or
+    promote for an ASN without a port, or a withdraw for an unknown member
+    or for a prefix that member no longer announces."""
+    pairs = {link.endpoints for link in topo.links}
+    # A member line declares the member and its port, so ports and members
+    # share their ASNs.
+    announced = {m.asn: set(m.announced_prefixes) for m in members}
+    for event, line in events:
+        kind, args = event.kind, event.args
+        bad = None
+        if kind in (EventKind.LINK_DOWN, EventKind.LINK_UP):
+            if tuple(sorted(args)) not in pairs:
+                bad = Violation("NO_LINK", "%s-%s" % args)
+        elif kind in (EventKind.INJECT_FRAME, EventKind.PORT_PROMOTE_CHECK):
+            if args[0] not in announced:
+                bad = Violation("NO_PORT", str(args[0]))
+        elif args[0] not in announced:  # a withdraw from here on
+            bad = Violation("UNKNOWN_MEMBER", str(args[0]))
+        elif args[1] not in announced[args[0]]:
+            bad = Violation("NOT_ANNOUNCED", str(args[0]), str(args[1]))
+        else:
+            announced[args[0]].remove(args[1])
+        if bad is not None:
+            raise ScenarioValidationError(ValidationReport((bad,)), line)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -340,7 +376,8 @@ def parse_scenario(text: str) -> Scenario:
 
     Raises ParseError for syntax and reference problems (with the offending
     line) and ScenarioValidationError when the parsed exchange violates a
-    structural invariant.
+    structural invariant or an event names what the run would not find
+    (with the event's line).
     """
     b = _Builder()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -396,7 +433,8 @@ def parse_scenario(text: str) -> Scenario:
     if not report.ok:
         raise ScenarioValidationError(report)
 
-    events = sorted(b.events, key=lambda e: e.at_round)
+    events = sorted(b.events, key=lambda e: e[0].at_round)
+    _check_events(topo, members, events)
     return Scenario(
         topology=topo,
         members=members,
@@ -405,7 +443,7 @@ def parse_scenario(text: str) -> Scenario:
         route_servers=tuple(servers),
         external_prefixes=tuple(b.externals),
         exchange_prefix=b.exchange_prefix,
-        events=tuple(events),
+        events=tuple(event for event, _ in events),
     )
 
 

@@ -10,9 +10,11 @@ a dedicated exchange.
 The session graph always meshes the reflectors and peers every client with
 every reflector, so reflection is complete by construction: every PE learns
 every other PE's advert.  Signalling therefore depends only on node names
-and reflector flags (for the session graph): the underlay binds one label
-per loopback at every node, so every block starts right above the same P
-transport labels, whatever the underlay reaches.
+and reflector flags (for the session graph): every block starts at
+FIRST_FREE_LABEL + P, whatever the underlay reaches.  That leaves
+FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 for one transport label per
+loopback, as a prefix SID would take (RFC 8402); the fabric forwards on
+next hops and never reads such a label, so none is modelled.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from itertools import combinations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
 from ixsim.model import Topology
-from ixsim.underlay import FIRST_FREE_LABEL, LabelTable, LspPath, resolve_lsp
+from ixsim.underlay import FIRST_FREE_LABEL, LabelTable, resolve_lsp
 
 
 class NoReflectorError(Exception):
@@ -86,9 +88,8 @@ class VplsAdvert:
 def originate_adverts(pes: Iterable[str]) -> Dict[str, VplsAdvert]:
     """Assign VE ids 1..P in name order and give each PE a block of P labels.
 
-    The underlay binds FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 at
-    every node, one label per loopback, so each block starts at
-    FIRST_FREE_LABEL + P and never collides with a transport label.
+    Each block starts at FIRST_FREE_LABEL + P, above the range one
+    transport label per loopback would take.
     """
     ordered = sorted(set(pes))
     count = len(ordered)
@@ -120,8 +121,8 @@ class Pseudowire:
 
     Labels are directional: ``label_a_to_b`` is what pe_b expects on frames
     from pe_a, taken from pe_b's advertised block.  The wire holds no
-    transport path; each direction rides the LSP its sender's bindings
-    stitch in the label table of the same convergence.
+    transport path; each direction rides the LSP its sender's next hops
+    stitch in the underlay table of the same convergence.
     """
 
     pe_a: str
@@ -136,7 +137,8 @@ class Pseudowire:
             return self.pe_a
         raise ValueError("%s is not an endpoint of this pseudo-wire" % pe)
 
-    def transport_from(self, pe: str, table: LabelTable) -> Optional[LspPath]:
+    def transport_from(self, pe: str, table: LabelTable) -> Optional[Tuple[int, ...]]:
+        """Link indices of the direction leaving ``pe``, None when partitioned."""
         return resolve_lsp(table, pe, self.other(pe))
 
 
@@ -146,9 +148,9 @@ def derive_pseudowires(
 ) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
     """One pseudo-wire per unordered pair of participants.
 
-    Pairs without a binding in each direction (underlay partition) come
-    back in the second element as MISSING_TRANSPORT diagnostics instead of
-    wires.  A binding at the ingress is exactly what ``resolve_lsp`` needs,
+    Pairs without a row in each direction (underlay partition) come back
+    in the second element as MISSING_TRANSPORT diagnostics instead of
+    wires.  A row at the ingress is exactly what ``resolve_lsp`` needs,
     so every wire's transport resolves; the fabric walks it only when a
     frame first crosses the wire.
     """

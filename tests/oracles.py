@@ -374,7 +374,7 @@ def reference_inject(
     """``Fabric.inject`` with nothing cached: the sender's port is found by
     scanning every bridge, every hop goes through ``reference_forward``,
     and every wire crossing sizes the frame again, walks its LSP from the
-    label table and checks each link's MTU.  Appends to ``fabric.trace``
+    next-hop table and checks each link's MTU.  Appends to ``fabric.trace``
     and ``fabric.drops``."""
 
     def log(pe: str, via: str, action: str) -> None:
@@ -406,7 +406,7 @@ def reference_inject(
             size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
             path = here.pws[via.remote_pe].transport_from(here.pe, fabric.labels)
             bad = next((link for link in
-                        (fabric.topo.links[i] for i in path.link_indices())
+                        (fabric.topo.links[i] for i in path)
                         if size > link.mtu), None)
             if bad is not None:
                 log(here.pe, label, "drop:%s" % DropReason.MTU_EXCEEDED.value)

@@ -161,8 +161,26 @@ def test_runtime_event_against_missing_entity_fails(tmp_path, capsys):
         member 64496 one port a mac 02:00:00:00:00:01 ip 192.0.2.11
         event 1 link-down a nessie
         """)
-    assert main(["run", path]) == EXIT_INVALID
-    assert "run failed" in capsys.readouterr().err
+    for command in ("check", "run"):
+        assert main([command, path]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid scenario: line 6: validation failed: NO_LINK a-nessie\n")
+
+
+@pytest.mark.parametrize("events,diagnostic", [
+    (["event 5 inject 64999 broadcast arp 28"], "NO_PORT 64999"),
+    (["event 5 withdraw 64496 10.96.1.0/24"] * 2, "NOT_ANNOUNCED 64496 10.96.1.0/24"),
+])
+def test_check_rejects_events_the_run_would_trip_over(tmp_path, capsys, events, diagnostic):
+    """``check`` is as strict as ``run``: an event naming what the run would
+    not find fails at load, on the line of the first such event."""
+    text = WHIX.read_text(encoding="utf-8") + "".join(e + "\n" for e in events)
+    path = write(tmp_path, text)
+    line = len(WHIX_LINES) + len(events)
+    for command in ("check", "run"):
+        assert main([command, path]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "invalid scenario: line %d: validation failed: %s\n" % (line, diagnostic))
 
 
 def test_dot_layers(capsys):
@@ -245,15 +263,17 @@ def whix_mutants(draw):
 def test_whix_mutants_exit_cleanly(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("mutant") / "whix.scn"
     path.write_text(text, encoding="utf-8")
-    for command in ("run", "dot", "ribs"):
+    codes = {}
+    for command in ("check", "run", "dot", "ribs"):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(path)])
+            code = codes[command] = main([command, str(path)])
         assert code in (EXIT_OK, EXIT_INVALID, EXIT_PARSE)
         if code == EXIT_OK:
             assert err.getvalue() == ""
         else:
             assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert codes["check"] == codes["run"]
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -86,7 +86,7 @@ def test_flood_goes_to_active_ports_and_all_wires_in_stable_order():
     bridge.ports[63009] = make_port(63009, "a", 9, PortState.QUARANTINE)
     bridge.pws = {"c": None, "b": None}  # placeholders; flood never dereferences
     frame = _frame(_mac(1), _mac(77), trace="t1")
-    targets = bridge_forward(bridge, frame, PortRef(63001))
+    targets = bridge_forward(bridge, frame, PortRef(63001), 0, True)
     assert list(targets) == [PortRef(63002), PortRef(63005), PwRef("b"), PwRef("c")]
 
 
@@ -95,7 +95,7 @@ def test_split_horizon_keeps_wire_arrivals_off_other_wires():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None, "c": None}
     frame = _frame(_mac(9), _mac(77))
-    targets = bridge_forward(bridge, frame, PwRef("b"))
+    targets = bridge_forward(bridge, frame, PwRef("b"), 0, True)
     assert list(targets) == [PortRef(63001)]
 
 
@@ -104,7 +104,7 @@ def test_known_unicast_uses_single_learned_attachment():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None}
     bridge.mac_table[_mac(7)] = MacEntry(PwRef("b"), 0)
-    targets = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001))
+    targets = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001), 0, True)
     assert list(targets) == [PwRef("b")]
 
 
@@ -113,7 +113,7 @@ def test_hairpin_toward_arrival_is_suppressed():
     bridge.ports[63002] = make_port(63002, "b", 2)
     bridge.pws = {"a": None}
     bridge.mac_table[_mac(1)] = MacEntry(PwRef("a"), 0)
-    targets = bridge_forward(bridge, _frame(_mac(9), _mac(1)), PwRef("a"))
+    targets = bridge_forward(bridge, _frame(_mac(9), _mac(1)), PwRef("a"), 0, True)
     assert list(targets) == []
 
 
@@ -121,10 +121,10 @@ def test_learning_records_source_and_protects_local_macs():
     bridge = BridgeState(pe="a")
     bridge.ports[63001] = make_port(63001, "a", 1)
     local_mac = bridge.ports[63001].nominated_mac
-    bridge_forward(bridge, _frame(_mac(9), _mac(77)), PwRef("b"))
+    bridge_forward(bridge, _frame(_mac(9), _mac(77)), PwRef("b"), 0, True)
     assert bridge.mac_table[_mac(9)].where == PwRef("b")
     # a wire arrival claiming a locally nominated MAC must not poison the table
-    targets = bridge_forward(bridge, _frame(local_mac, _mac(77)), PwRef("b"))
+    targets = bridge_forward(bridge, _frame(local_mac, _mac(77)), PwRef("b"), 0, True)
     assert local_mac not in bridge.mac_table
     assert list(targets) == [PortRef(63001)]
 
@@ -134,7 +134,7 @@ def test_broadcast_never_consults_the_mac_table():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.mac_table[BROADCAST_MAC] = MacEntry(PortRef(63001), 0)  # nonsense entry
     frame = _frame(_mac(9), BROADCAST_MAC, EtherType.ARP)
-    targets = bridge_forward(bridge, frame, PwRef("b"))
+    targets = bridge_forward(bridge, frame, PwRef("b"), 0, True)
     assert list(targets) == [PortRef(63001)]
 
 
@@ -143,7 +143,7 @@ def test_entry_for_departed_port_is_dropped_and_relearned():
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None}
     bridge.mac_table[_mac(7)] = MacEntry(PortRef(64000), 0)  # port no longer present
-    targets = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001))
+    targets = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001), 0, True)
     assert _mac(7) not in bridge.mac_table
     # falls back to flooding; the arrival port itself is never a target
     assert list(targets) == [PwRef("b")]

@@ -19,7 +19,7 @@ from ixsim.engine import DOT_LAYERS, Simulation, UnknownEntityError, export_dot
 from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind, parse_scenario
-from ixsim.underlay import FIRST_FREE_LABEL, IMPLICIT_NULL, compute_all_spf
+from ixsim.underlay import FIRST_FREE_LABEL, compute_all_spf
 from oracles import reference_exchange_routes, reference_rib_dump, union_find_components
 
 
@@ -507,12 +507,11 @@ def _fresh(sim):
 def test_flaps_match_a_fresh_convergence(seed, route_server):
     """Random link events on sparse random topologies, so partitions and
     heals are common: after each one the incrementally kept state equals a
-    from-scratch convergence on the same topology, every node binds a
-    class's rank-derived label, and no label block overlaps one."""
+    from-scratch convergence on the same topology, the next-hop table is
+    the trees' first hops laid side by side, and every label block starts
+    above the range one transport label per loopback would take."""
     rng = random.Random(seed)
     sim = random_exchange(rng, rng.randint(2, 10), route_server=route_server)
-    by_class = sorted(sim.topo.nodes, key=lambda n: n.fec)
-    label_of = {n.name: FIRST_FREE_LABEL + rank for rank, n in enumerate(by_class)}
     for at in range(1, 13):
         link = rng.choice(sim.topo.links)
         kind = rng.choice([EventKind.LINK_DOWN, EventKind.LINK_UP])
@@ -525,11 +524,10 @@ def test_flaps_match_a_fresh_convergence(seed, route_server):
         assert sim.ibgp_sessions == fresh.ibgp_sessions
         for layer in DOT_LAYERS:
             assert export_dot(sim, layer) == export_dot(fresh, layer)
-        for (_, dst), binding in sim.fabric.labels.items():
-            assert binding.in_label == label_of[dst]
-            assert binding.out_label in (IMPLICIT_NULL, label_of[dst])
+        assert sim.fabric.labels == {(node, dst): hop for node, tree in sim.trees.items()
+                                     for dst, hop in tree.first_hop.items()}
         for pw in sim.pseudowires:
-            assert min(pw.label_a_to_b, pw.label_b_to_a) >= FIRST_FREE_LABEL + len(by_class)
+            assert min(pw.label_a_to_b, pw.label_b_to_a) >= FIRST_FREE_LABEL + len(sim.topo.nodes)
 
 
 # SHA-256 of the trace of whix plus the events below, recorded before link

@@ -192,6 +192,7 @@ def test_externals_keep_file_order():
 
 def test_event_forms_parse_to_their_kinds():
     scn = parse(BASE + textwrap.dedent("""\
+        announce 64496 10.96.1.0/24
         event 3 link-down mallaig kyle
         event 4 link-up mallaig kyle
         event 1 inject 64496 broadcast arp 64
@@ -228,11 +229,33 @@ def test_event_round_must_be_an_integer():
     assert "round" in err.message
 
 
-def test_events_may_reference_runtime_entities_loosely():
-    # events resolve when applied, not when parsed; the engine rejects
-    # unknown names with its own error at that point
-    scn = parse(BASE + "event 1 link-down mallaig nessie\n")
-    assert scn.events[0].args == ("mallaig", "nessie")
+@pytest.mark.parametrize("events,line,diagnostic", [
+    (["event 1 link-down mallaig nessie"], 8, "NO_LINK mallaig-nessie"),
+    (["event 1 link-up kyle kyle"], 8, "NO_LINK kyle-kyle"),
+    (["event 1 inject 64999 broadcast arp 64"], 8, "NO_PORT 64999"),
+    (["event 1 promote 64999"], 8, "NO_PORT 64999"),
+    (["event 1 withdraw 64999 10.96.1.0/24"], 8, "UNKNOWN_MEMBER 64999"),
+    (["event 1 withdraw 64496 10.96.2.0/24"], 8, "NOT_ANNOUNCED 64496 10.96.2.0/24"),
+    # round order, not file order, decides which withdrawal comes second
+    (["event 9 withdraw 64496 10.96.1.0/24", "event 2 withdraw 64496 10.96.1.0/24"],
+     8, "NOT_ANNOUNCED 64496 10.96.1.0/24"),
+])
+def test_events_naming_what_the_run_lacks_are_rejected(events, line, diagnostic):
+    # checked at load in round order, with the line of the first bad event;
+    # BASE and the announcement take lines 1-7
+    text = BASE + "announce 64496 10.96.1.0/24\n" + "".join(e + "\n" for e in events)
+    with pytest.raises(ScenarioValidationError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value) == "line %d: validation failed: %s" % (line, diagnostic)
+
+
+def test_events_naming_what_the_run_finds_parse():
+    scn = parse(BASE + "announce 64496 10.96.1.0/24\n"
+                + "event 1 withdraw 64496 10.96.1.0/24\n"
+                + "event 2 link-down kyle mallaig\nevent 3 promote 64497\n")
+    assert [e.kind for e in scn.events] == [
+        EventKind.MEMBER_WITHDRAW, EventKind.LINK_DOWN, EventKind.PORT_PROMOTE_CHECK]
 
 
 def test_negative_event_round_rejected_even_when_built_directly():

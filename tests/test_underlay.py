@@ -1,4 +1,4 @@
-"""Shortest-path trees, label allocation and LSP stitching."""
+"""Shortest-path trees, next-hop tables and LSP stitching."""
 
 from __future__ import annotations
 
@@ -13,10 +13,6 @@ from helpers import converged, make_exchange, make_topology, random_connected_to
 from ixsim.model import LinkState, UnknownNodeError
 from ixsim.scenario import Event, EventKind
 from ixsim.underlay import (
-    FIRST_FREE_LABEL,
-    IMPLICIT_NULL,
-    LOCAL,
-    LspHop,
     allocate_labels,
     compute_all_spf,
     rebind,
@@ -27,8 +23,7 @@ from oracles import all_pairs_distances
 
 
 def _lsp_links(topo, src, dst):
-    lsp = resolve_lsp(allocate_labels(topo, compute_all_spf(topo)), src, dst)
-    return lsp.link_indices()
+    return resolve_lsp(allocate_labels(topo, compute_all_spf(topo)), src, dst)
 
 
 def test_triangle_prefers_two_hop_path():
@@ -139,11 +134,11 @@ def _tie_heavy_topology(rng, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 9))
 def test_lsps_are_shortest_paths_under_ties(seed, n):
-    """Following the bindings hop by hop lands on a shortest path.
+    """Following the next hops row by row lands on a shortest path.
 
-    Each node points its binding at its own tree's first hop, so every
-    step of the walk must be a link on one of that node's shortest paths,
-    ties included, and the labels must chain from binding to binding.
+    Each node's row holds its own tree's first hop, so every step of the
+    walk must be a link on one of that node's shortest paths, ties
+    included.
     """
     rng = random.Random(seed)
     topo = _tie_heavy_topology(rng, n)
@@ -153,29 +148,27 @@ def test_lsps_are_shortest_paths_under_ties(seed, n):
         for dst in topo.node_names():
             if src == dst:
                 continue
-            lsp = resolve_lsp(table, src, dst)
+            links = resolve_lsp(table, src, dst)
             if oracle[(src, dst)] is math.inf:
-                assert lsp is None
+                assert links is None
                 continue
-            assert lsp is not None and (lsp.src, lsp.dst) == (src, dst)
-            nodes = [h.node for h in lsp.hops] + [dst]
-            assert nodes[0] == src
-            cost = 0
-            for hop, nxt in zip(lsp.hops, nodes[1:]):
-                link = topo.links[hop.link]
+            assert links is not None
+            node, cost = src, 0
+            for index in links:
+                nxt, row_link = table[(node, dst)]
+                assert row_link == index
+                link = topo.links[index]
                 assert link.state is LinkState.UP
-                assert {hop.node, nxt} == {link.a, link.b}
+                assert {node, nxt} == {link.a, link.b}
                 cost += link.cost
-                if nxt == dst:
-                    assert hop.out_label == IMPLICIT_NULL
-                else:
-                    assert hop.out_label == table[(nxt, dst)].in_label
+                node = nxt
+            assert node == dst
             assert cost == oracle[(src, dst)]
 
 
 def _flip(topo, indices, state):
     """Set the ``indices`` links to ``state``, rerun the trees that makes
-    stale and rebind the label table.  Checks the merged trees against
+    stale and rebind the next-hop table.  Checks the merged trees against
     compute_all_spf on the new topology and the rebound table against a
     fresh allocation; returns the old trees and the reruns."""
     trees = compute_all_spf(topo)
@@ -242,46 +235,26 @@ def test_parallel_links_flap_together():
 
 
 def test_two_node_bindings_and_penultimate_hop_pop():
+    # one row per other node, none at a node's own loopback; each row's
+    # neighbour is the destination, where a label would already be popped
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
     table = allocate_labels(topo, compute_all_spf(topo))
-    local = table[("a", "a")]
-    assert (local.in_label, local.out_label, local.out_neighbor) == (16, IMPLICIT_NULL, LOCAL)
-    toward_b = table[("a", "b")]
-    assert toward_b.in_label == 17
-    # neighbour is the destination, so ask it to pop instead of swap
-    assert toward_b.out_label == IMPLICIT_NULL
-    assert toward_b.out_neighbor == "b"
-    assert table[("b", "a")].in_label == 16
-    assert table[("b", "b")].in_label == 17
+    assert table == {("a", "b"): ("b", 0), ("b", "a"): ("a", 0)}
 
 
 def test_three_node_chain_swaps_then_pops():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
     table = allocate_labels(topo, compute_all_spf(topo))
-    assert table[("a", "c")].out_label == table[("b", "c")].in_label == 18
-    lsp = resolve_lsp(table, "a", "c")
-    assert lsp is not None
-    assert lsp.hops == (LspHop("a", 18, 0), LspHop("b", IMPLICIT_NULL, 1))
-    assert lsp.link_indices() == (0, 1)
-
-
-def test_fec_strings_allocate_in_lexicographic_order():
-    # three reachable classes per node, numbered in loopback string order
-    topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    table = allocate_labels(topo, compute_all_spf(topo))
-    for node in ("a", "b", "c"):
-        labels = [table[(node, dst)].in_label for dst in ("a", "b", "c")]
-        assert labels == [16, 17, 18]
-        fecs = [table[(node, dst)].fec for dst in ("a", "b", "c")]
-        assert fecs == sorted(fecs)
+    assert table[("a", "c")] == ("b", 0)
+    assert table[("b", "c")] == ("c", 1)
+    assert resolve_lsp(table, "a", "c") == (0, 1)
 
 
 def test_partition_leaves_no_binding_and_no_lsp():
     topo = make_topology([("a", "b", 1)], extra_nodes=["z"], reflectors={"a"})
     table = allocate_labels(topo, compute_all_spf(topo))
     assert ("a", "z") not in table
-    # the label is z's class's rank among a, b and z, not among what z reaches
-    assert table[("z", "z")].in_label == FIRST_FREE_LABEL + 2 == 18
+    assert not any(node == "z" or dst == "z" for node, dst in table)
     assert resolve_lsp(table, "a", "z") is None
 
 
@@ -302,17 +275,16 @@ def test_lsp_labels_chain_through_downstream_bindings(seed, n):
         for dst in topo.node_names():
             if src == dst:
                 continue
-            lsp = resolve_lsp(table, src, dst)
-            assert lsp is not None  # topology is connected
-            nodes = [h.node for h in lsp.hops] + [dst]
-            assert nodes[0] == src
-            for hop, nxt in zip(lsp.hops, nodes[1:]):
-                link = topo.links[hop.link]
-                assert {hop.node, nxt} == {link.a, link.b}
-                if nxt == dst:
-                    assert hop.out_label == IMPLICIT_NULL
-                else:
-                    assert hop.out_label == table[(nxt, dst)].in_label
+            links = resolve_lsp(table, src, dst)
+            assert links is not None  # topology is connected
+            node = src
+            for index in links:
+                nxt, row_link = table[(node, dst)]
+                assert row_link == index
+                link = topo.links[index]
+                assert {node, nxt} == {link.a, link.b}
+                node = nxt
+            assert node == dst
 
 
 def test_results_are_repeatable():
