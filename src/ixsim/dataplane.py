@@ -261,12 +261,13 @@ class Fabric:
     Owns the frame trace and the drop log; both survive reconvergence so a
     run's history stays complete.  ``ports`` indexes every bridge's member
     ports by ASN.  ``labels`` is the underlay's next-hop table from the
-    convergence that built the bridges.  A pseudo-wire direction's links
-    and its path MTU, the smallest MTU among them, are walked from it the
-    first time a frame crosses that direction and kept for this fabric's
-    lifetime; reconvergence builds a new fabric, so no path outlives its
-    table.  A frame is gated on the path MTU; the links are scanned only
-    on a drop.
+    convergence that built the bridges: each node's tree's own first-hop
+    map, keyed by node and then by destination.  A pseudo-wire direction's
+    links and its path MTU, the smallest MTU among them, are walked from
+    it the first time a frame crosses that direction and kept for this
+    fabric's lifetime; reconvergence builds a new fabric, so no path
+    outlives its table.  A frame is gated on the path MTU; the links are
+    scanned only on a drop.
     """
 
     def __init__(
@@ -295,7 +296,7 @@ class Fabric:
     def clone(self) -> "Fabric":
         """Copy for probe traffic, with its own MAC tables and drop log, so
         probing never alters the real history.  It shares the topology,
-        label table, port index and walked transport, and each bridge's
+        next-hop table, port index and walked transport, and each bridge's
         wiring.  It records drops but no trace rows: nothing reads a
         probe's rows, so its ``trace`` stays empty."""
         probe = copy.copy(self)

@@ -17,13 +17,13 @@ and the RIB dump all work per server table, not per member and route.
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
 since no RIB depends on a link, and reruns only the shortest-path trees
-the flipped links make stale (see underlay).  Only the rows of rerun
-trees whose first hops changed are set again from those trees; the
-pseudo-wire mesh is derived again only when some rerun tree reaches a
-different set of nodes, so a partition or a heal takes the same path as
-any other link event.  Link events rebuild the fabric as converge() does,
-so learned MACs and walked LSPs are reset on every event that
-reconverges.  Frame injection exercises only the data plane.
+the flipped links make stale (see underlay).  The next-hop table is the
+trees' own first-hop maps, so a rerun tree brings its node's next hops
+with it.  The pseudo-wire mesh is derived again only when some rerun
+tree reaches a different set of nodes, so a partition or a heal takes
+the same path as any other link event.  Link events rebuild the fabric
+as converge() does, so learned MACs and walked LSPs are reset on every
+event that reconverges.  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -71,7 +71,6 @@ from ixsim.underlay import (
     SpfTree,
     allocate_labels,
     compute_all_spf,
-    rebind,
     rerun_stale_spf,
 )
 from ixsim.vpls_signal import (
@@ -109,7 +108,7 @@ class Simulation:
         self._trace_seq = 0
 
         self.trees: Dict[str, SpfTree] = compute_all_spf(self.topo)
-        labels = allocate_labels(self.topo, self.trees)
+        labels = allocate_labels(self.trees)
         self.ibgp_sessions: Set = build_session_graph(self.topo)
         self.adverts: Dict[str, VplsAdvert] = propagate(
             originate_adverts(self.topo.node_names()), self.ibgp_sessions)
@@ -156,13 +155,12 @@ class Simulation:
     def _relink(self, flapped: Collection[int]) -> None:
         """Bring the link-dependent layers up to date after the ``flapped``
         links (indices into ``self.topo``) changed state: rerun the trees
-        they make stale, rebind the rows of those whose first hops moved,
-        derive the pseudo-wire mesh again if a reachable set changed, and
-        rebuild the fabric."""
+        they make stale, take each rerun tree's first hops as its node's
+        next hops, derive the pseudo-wire mesh again if a reachable set
+        changed, and rebuild the fabric."""
         fresh = rerun_stale_spf(self.topo, self.trees, flapped)
-        labels = dict(self.fabric.labels)
-        rebind(labels, self.topo, {name: tree for name, tree in fresh.items()
-                                   if tree.first_hop != self.trees[name].first_hop})
+        labels = {**self.fabric.labels,
+                  **{name: tree.first_hop for name, tree in fresh.items()}}
         if any(tree.dist.keys() != self.trees[name].dist.keys()
                for name, tree in fresh.items()):
             self.pseudowires, self.missing_transport = derive_pseudowires(

@@ -29,7 +29,7 @@ import ipaddress
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ixsim.dataplane import BROADCAST_MAC, EtherType
 from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
@@ -114,7 +114,7 @@ class _Builder:
         self.announced: Dict[int, List[ipaddress.IPv4Network]] = {}
         self.sessions: List[PeeringSession] = []
         self.rs_clients: Dict[str, List[int]] = {}
-        self.externals: List[ipaddress.IPv4Network] = []
+        self.externals: Dict[ipaddress.IPv4Network, int] = {}  # to its source line
         self.exchange_prefix: Optional[ipaddress.IPv4Network] = None
         self.events: List[Tuple[Event, int]] = []  # with its source line
 
@@ -338,20 +338,31 @@ def _parse_event(b: _Builder, tokens: List[str], line: int) -> None:
         _fail(line, "unknown event kind %r" % kind)
 
 
+def _check_externals(externals: Dict[ipaddress.IPv4Network, int],
+                     announced: Dict[int, Set[ipaddress.IPv4Network]]) -> None:
+    """Raise ScenarioValidationError, on the external's line, for an external
+    prefix equal to one a member announces: the two would share one
+    reachability cell, in which the member probes its own prefix."""
+    outside = set(externals)
+    for asn, prefixes in announced.items():
+        if not outside.isdisjoint(prefixes):
+            prefix = min(prefixes & outside, key=externals.__getitem__)
+            raise ScenarioValidationError(ValidationReport((Violation(
+                "EXTERNAL_IS_MEMBER_PREFIX", str(prefix), str(asn)),)), externals[prefix])
+
+
 def _check_events(
     topo: Topology,
-    members: Tuple[MemberAs, ...],
+    announced: Dict[int, Set[ipaddress.IPv4Network]],
     events: List[Tuple[Event, int]],
 ) -> None:
     """Raise ScenarioValidationError, with its source line, for the first
     event in round order that names what the run would not find when it
     comes: a link event with no link between its endpoints, an inject or
     promote for an ASN without a port, or a withdraw for an unknown member
-    or for a prefix that member no longer announces."""
+    or for a prefix that member no longer announces.  ``announced`` maps
+    every member's ASN to its prefixes and is used up on the way."""
     pairs = {link.endpoints for link in topo.links}
-    # A member line declares the member and its port, so ports and members
-    # share their ASNs.
-    announced = {m.asn: set(m.announced_prefixes) for m in members}
     for event, line in events:
         kind, args = event.kind, event.args
         bad = None
@@ -403,7 +414,10 @@ def parse_scenario(text: str) -> Scenario:
             _parse_session(b, tokens, lineno)
         elif keyword == "external":
             _want(tokens, 2, lineno, "external")
-            b.externals.append(_network(tokens[1], lineno))
+            external = _network(tokens[1], lineno)
+            if external in b.externals:
+                _fail(lineno, "external %s declared twice" % external)
+            b.externals[external] = lineno
         elif keyword == "event":
             _parse_event(b, tokens, lineno)
         else:
@@ -433,8 +447,12 @@ def parse_scenario(text: str) -> Scenario:
     if not report.ok:
         raise ScenarioValidationError(report)
 
+    # A member line declares the member and its port, so ports and members
+    # share their ASNs.
+    announced = {m.asn: set(m.announced_prefixes) for m in members}
+    _check_externals(b.externals, announced)
     events = sorted(b.events, key=lambda e: e[0].at_round)
-    _check_events(topo, members, events)
+    _check_events(topo, announced, events)
     return Scenario(
         topology=topo,
         members=members,

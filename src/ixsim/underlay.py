@@ -6,12 +6,12 @@ tie-break: among equal-cost candidates the predecessor with the smaller name
 wins, then the smaller link index.  There is no equal-cost multipath.
 
 Each tree keeps its distances and first hops.  The table that carries
-member frames between PEs holds, for every node and every other node its
-tree reaches, that tree's first hop (neighbour, link) and nothing else;
-an LSP is the chain of these rows from the ingress to the destination,
-and nothing else records the path.  Because every cost is at least 1 and
-all nodes share the tie-break, the chain is the ingress's own shortest
-path.  No transport label is modelled: the fabric forwards on next hops,
+member frames between PEs is every node's own first-hop map: for each
+other node its tree reaches, the (neighbour, link) it sends on, and
+nothing else.  An LSP is the chain of these next hops from the ingress
+to the destination, and nothing else records the path.  Because every
+cost is at least 1 and all nodes share the tie-break, the chain is the
+ingress's own shortest path.  No transport label is modelled: the fabric forwards on next hops,
 and only the VPLS label blocks (see vpls_signal) carry numbers.
 
 A link event reruns only the trees it can touch (incremental SPF:
@@ -119,47 +119,29 @@ def rerun_stale_spf(
     return {name: _spf(adj, name) for name in stale}
 
 
-# Rows are keyed by (node, destination node name) and hold the node's own
-# first hop toward that destination: (neighbour, link index).
-LabelTable = Dict[Tuple[str, str], Tuple[str, int]]
+# Each node's own next hops, keyed by destination: the first-hop map of the
+# node's tree, shared rather than copied (trees never change once built).
+LabelTable = Dict[str, Dict[str, Tuple[str, int]]]
 
 
-def allocate_labels(topo: Topology, trees: Dict[str, SpfTree]) -> LabelTable:
-    """Every node's next hops, for the destinations its own tree reaches:
-    ``rebind`` run on an empty table."""
-    table: LabelTable = {}
-    rebind(table, topo, trees)
-    return table
-
-
-def rebind(table: LabelTable, topo: Topology, trees: Dict[str, SpfTree]) -> None:
-    """Bring each tree's source's rows in line with the tree, in place: a
-    row for every other node the tree reaches, holding the tree's first
-    hop, and none for a node it does not reach."""
-    names = topo.node_names()
-    for node, tree in trees.items():
-        first_hop = tree.first_hop
-        for dst in names:
-            hop = first_hop.get(dst)
-            if hop is None:
-                table.pop((node, dst), None)
-            else:
-                table[(node, dst)] = hop
+def allocate_labels(trees: Dict[str, SpfTree]) -> LabelTable:
+    """Every node's next hops, for the destinations its own tree reaches."""
+    return {name: tree.first_hop for name, tree in trees.items()}
 
 
 def resolve_lsp(table: LabelTable, src: str, dst: str) -> Optional[Tuple[int, ...]]:
     """The links of the transport path src -> dst, stitched from per-node
-    next hops: the ingress's row, then each next node's own row, until dst.
-    Returns None when src has no row for dst, i.e. the underlay is
+    next hops: the ingress's, then each next node's own, until dst.
+    Returns None when src has no next hop for dst, i.e. the underlay is
     partitioned between the two.
     """
     if src == dst:
         raise ValueError("an LSP needs distinct endpoints")
-    if (src, dst) not in table:
+    if dst not in table[src]:
         return None
     links = []
     node = src
     while node != dst:
-        node, link = table[(node, dst)]
+        node, link = table[node][dst]
         links.append(link)
     return tuple(links)

@@ -148,16 +148,16 @@ def derive_pseudowires(
 ) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
     """One pseudo-wire per unordered pair of participants.
 
-    Pairs without a row in each direction (underlay partition) come back
-    in the second element as MISSING_TRANSPORT diagnostics instead of
-    wires.  A row at the ingress is exactly what ``resolve_lsp`` needs,
+    Pairs without a next hop in each direction (underlay partition) come
+    back in the second element as MISSING_TRANSPORT diagnostics instead of
+    wires.  A next hop at the ingress is exactly what ``resolve_lsp`` needs,
     so every wire's transport resolves; the fabric walks it only when a
     frame first crosses the wire.
     """
     wires: list[Pseudowire] = []
     missing: list[Tuple[str, str]] = []
     for a, b in combinations(sorted(adverts), 2):
-        if (a, b) not in table or (b, a) not in table:
+        if b not in table[a] or a not in table[b]:
             missing.append((a, b))
             continue
         ad_a, ad_b = adverts[a], adverts[b]

@@ -133,7 +133,7 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
                 reflectors: Iterable[str]) -> Fabric:
     """Fabric without the engine: placements are (asn, pe, index[, state])."""
     topo = make_topology(edges, reflectors=reflectors)
-    table = allocate_labels(topo, compute_all_spf(topo))
+    table = allocate_labels(compute_all_spf(topo))
     adverts = originate_adverts(topo.node_names())
     wires, missing = derive_pseudowires(
         propagate(adverts, build_session_graph(topo)), table)

@@ -183,6 +183,27 @@ def test_check_rejects_events_the_run_would_trip_over(tmp_path, capsys, events, 
             "invalid scenario: line %d: validation failed: %s\n" % (line, diagnostic))
 
 
+@pytest.mark.parametrize("external,code,diagnostic", [
+    # whix declares 203.0.113.0/24 already: a second line would give the
+    # same cell a second synthetic origin
+    ("203.0.113.0/24", EXIT_PARSE,
+     "parse error: line %d: external 203.0.113.0/24 declared twice"),
+    # 64496 announces 10.96.1.0/24: the external would make 64496 probe
+    # its own prefix
+    ("10.96.1.0/24", EXIT_INVALID, "invalid scenario: line %d: validation failed: "
+     "EXTERNAL_IS_MEMBER_PREFIX 10.96.1.0/24 64496"),
+], ids=["declared-twice", "member-prefix"])
+def test_check_rejects_externals_whose_cells_collide(tmp_path, capsys, external, code,
+                                                     diagnostic):
+    """An external prefix gets one reachability cell per member, so one
+    declared twice, or equal to a member's prefix, fails at load, on the
+    external's line."""
+    path = write(tmp_path, WHIX.read_text(encoding="utf-8") + "external %s\n" % external)
+    for command in ("check", "run"):
+        assert main([command, path]) == code
+        assert capsys.readouterr().err == diagnostic % (len(WHIX_LINES) + 1) + "\n"
+
+
 def test_dot_layers(capsys):
     assert main(["dot", GOOD]) == EXIT_OK
     assert capsys.readouterr().out.startswith("graph physical {")
@@ -310,22 +331,53 @@ WHIX_DIGESTS = {
     ("dot", "peering"): "ea6c6e7c461676cba9a62676e9e824edf3301752fd0c7bb55d5d0a48a7242c6c",
 }
 
+# Event tails appended to whix, and the digests they change.  The cut
+# partitions mallaig from the other PEs; the second tail withdraws a
+# prefix and heals the cut, so the underlay and mesh return to whix's.
+LINK_CUT = ("event 50 link-down mallaig datacentre",)
+CUT_AND_HEAL = LINK_CUT + ("event 51 withdraw 64496 10.96.1.0/24",
+                           "event 52 link-up mallaig datacentre")
+WHIX_TAIL_DIGESTS = {
+    LINK_CUT: {
+        **WHIX_DIGESTS,
+        ("run",): "96a82419ef3823027e532d0b609c0b489cc14144ea3113ebdaa5d7a6f22af950",
+        ("dot", "physical"): "1c2a419ddf6fa218980f9b0c19b5e35943540ab5d20cd77ee68b495c6ea22a5a",
+        ("dot", "vpls"): "2d2cd55277a3159788b03e708b6c6866c90ff5bb805de9ca27285640d61bd9af",
+    },
+    CUT_AND_HEAL: {
+        **WHIX_DIGESTS,
+        ("run",): "df3bc112e488ab91ad333cfee9ab61f440448fd8fa2d61b2f631d84b62243e64",
+        ("ribs",): "880e9ce6327322f1680a4c095173636563311db2a4feb9cc8b7a362f4a0ba8a0",
+    },
+}
 
-def test_whix_outputs_match_committed_digests(tmp_path, capsys):
+
+def _whix_digests(tmp_path, capsys, tail=()):
+    """SHA-256 of every whix artefact, with the ``tail`` events appended."""
     def digest(data):
         return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
+    path = write(tmp_path, WHIX.read_text(encoding="utf-8") + "".join(e + "\n" for e in tail))
     trace = tmp_path / "trace.csv"
     got = {}
-    assert main(["run", GOOD, "--trace", str(trace)]) == EXIT_OK
+    assert main(["run", path, "--trace", str(trace)]) == EXIT_OK
     got[("run",)] = digest(capsys.readouterr().out)
     got[("run", "--trace")] = digest(trace.read_text(encoding="utf-8"))
-    assert main(["ribs", GOOD]) == EXIT_OK
+    assert main(["ribs", path]) == EXIT_OK
     got[("ribs",)] = digest(capsys.readouterr().out)
     for layer in DOT_LAYERS:
-        assert main(["dot", GOOD, "--layer", layer]) == EXIT_OK
+        assert main(["dot", path, "--layer", layer]) == EXIT_OK
         got[("dot", layer)] = digest(capsys.readouterr().out)
-    assert got == WHIX_DIGESTS
+    return got
+
+
+def test_whix_outputs_match_committed_digests(tmp_path, capsys):
+    assert _whix_digests(tmp_path, capsys) == WHIX_DIGESTS
+
+
+@pytest.mark.parametrize("tail", list(WHIX_TAIL_DIGESTS), ids=["cut", "cut-and-heal"])
+def test_whix_outputs_after_link_events_match_committed_digests(tmp_path, capsys, tail):
+    assert _whix_digests(tmp_path, capsys, tail) == WHIX_TAIL_DIGESTS[tail]
 
 
 # SHA-256 of report() on generated rungs, recorded before reachability

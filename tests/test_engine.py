@@ -508,8 +508,9 @@ def test_flaps_match_a_fresh_convergence(seed, route_server):
     """Random link events on sparse random topologies, so partitions and
     heals are common: after each one the incrementally kept state equals a
     from-scratch convergence on the same topology, the next-hop table is
-    the trees' first hops laid side by side, and every label block starts
-    above the range one transport label per loopback would take."""
+    the trees' own first-hop maps, shared and not copied, and every label
+    block starts above the range one transport label per loopback would
+    take."""
     rng = random.Random(seed)
     sim = random_exchange(rng, rng.randint(2, 10), route_server=route_server)
     for at in range(1, 13):
@@ -524,8 +525,8 @@ def test_flaps_match_a_fresh_convergence(seed, route_server):
         assert sim.ibgp_sessions == fresh.ibgp_sessions
         for layer in DOT_LAYERS:
             assert export_dot(sim, layer) == export_dot(fresh, layer)
-        assert sim.fabric.labels == {(node, dst): hop for node, tree in sim.trees.items()
-                                     for dst, hop in tree.first_hop.items()}
+        assert sim.fabric.labels == {n: t.first_hop for n, t in sim.trees.items()}
+        assert all(sim.fabric.labels[n] is t.first_hop for n, t in sim.trees.items())
         for pw in sim.pseudowires:
             assert min(pw.label_a_to_b, pw.label_b_to_a) >= FIRST_FREE_LABEL + len(sim.topo.nodes)
 

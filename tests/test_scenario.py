@@ -258,6 +258,19 @@ def test_events_naming_what_the_run_finds_parse():
         EventKind.MEMBER_WITHDRAW, EventKind.LINK_DOWN, EventKind.PORT_PROMOTE_CHECK]
 
 
+def test_only_an_external_equal_to_a_member_prefix_is_rejected():
+    # BASE and the announcement take lines 1-7; a covering or a covered
+    # external keeps a cell of its own
+    text = BASE + "announce 64496 10.96.1.0/24\n"
+    nested = "external 10.0.0.0/8\nexternal 10.96.1.128/25\n"
+    assert [str(p) for p in parse(text + nested).external_prefixes] == [
+        "10.0.0.0/8", "10.96.1.128/25"]
+    with pytest.raises(ScenarioValidationError) as info:
+        parse(text + nested + "external 10.96.1.0/24\n")
+    assert str(info.value) == (
+        "line 10: validation failed: EXTERNAL_IS_MEMBER_PREFIX 10.96.1.0/24 64496")
+
+
 def test_negative_event_round_rejected_even_when_built_directly():
     with pytest.raises(ValueError):
         Event(-1, EventKind.PORT_PROMOTE_CHECK, (64496,))

@@ -15,7 +15,6 @@ from ixsim.scenario import Event, EventKind
 from ixsim.underlay import (
     allocate_labels,
     compute_all_spf,
-    rebind,
     rerun_stale_spf,
     resolve_lsp,
 )
@@ -23,7 +22,7 @@ from oracles import all_pairs_distances
 
 
 def _lsp_links(topo, src, dst):
-    return resolve_lsp(allocate_labels(topo, compute_all_spf(topo)), src, dst)
+    return resolve_lsp(allocate_labels(compute_all_spf(topo)), src, dst)
 
 
 def test_triangle_prefers_two_hop_path():
@@ -134,15 +133,15 @@ def _tie_heavy_topology(rng, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(2, 9))
 def test_lsps_are_shortest_paths_under_ties(seed, n):
-    """Following the next hops row by row lands on a shortest path.
+    """Following the next hops node by node lands on a shortest path.
 
-    Each node's row holds its own tree's first hop, so every step of the
+    Each node's next hop is its own tree's first hop, so every step of the
     walk must be a link on one of that node's shortest paths, ties
     included.
     """
     rng = random.Random(seed)
     topo = _tie_heavy_topology(rng, n)
-    table = allocate_labels(topo, compute_all_spf(topo))
+    table = allocate_labels(compute_all_spf(topo))
     oracle = all_pairs_distances(topo)
     for src in topo.node_names():
         for dst in topo.node_names():
@@ -155,7 +154,7 @@ def test_lsps_are_shortest_paths_under_ties(seed, n):
             assert links is not None
             node, cost = src, 0
             for index in links:
-                nxt, row_link = table[(node, dst)]
+                nxt, row_link = table[node][dst]
                 assert row_link == index
                 link = topo.links[index]
                 assert link.state is LinkState.UP
@@ -168,19 +167,18 @@ def test_lsps_are_shortest_paths_under_ties(seed, n):
 
 def _flip(topo, indices, state):
     """Set the ``indices`` links to ``state``, rerun the trees that makes
-    stale and rebind the next-hop table.  Checks the merged trees against
-    compute_all_spf on the new topology and the rebound table against a
-    fresh allocation; returns the old trees and the reruns."""
+    stale and merge the reruns into the old trees.  Checks the merged
+    trees against compute_all_spf on the new topology and their next-hop
+    table against a fresh allocation; returns the old trees and the
+    reruns."""
     trees = compute_all_spf(topo)
-    table = allocate_labels(topo, trees)
     for i in indices:
         assert topo.links[i].state is not state
         topo = topo.with_link_state(i, state)
     fresh = rerun_stale_spf(topo, trees, indices)
     merged = {**trees, **fresh}
     assert merged == compute_all_spf(topo)
-    rebind(table, topo, fresh)
-    assert table == allocate_labels(topo, compute_all_spf(topo))
+    assert allocate_labels(merged) == allocate_labels(compute_all_spf(topo))
     return topo, trees, fresh
 
 
@@ -235,32 +233,33 @@ def test_parallel_links_flap_together():
 
 
 def test_two_node_bindings_and_penultimate_hop_pop():
-    # one row per other node, none at a node's own loopback; each row's
-    # neighbour is the destination, where a label would already be popped
+    # one next hop per other node, none at a node's own loopback; each
+    # hop's neighbour is the destination, where a label would already be
+    # popped
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
-    table = allocate_labels(topo, compute_all_spf(topo))
-    assert table == {("a", "b"): ("b", 0), ("b", "a"): ("a", 0)}
+    table = allocate_labels(compute_all_spf(topo))
+    assert table == {"a": {"b": ("b", 0)}, "b": {"a": ("a", 0)}}
 
 
 def test_three_node_chain_swaps_then_pops():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
-    table = allocate_labels(topo, compute_all_spf(topo))
-    assert table[("a", "c")] == ("b", 0)
-    assert table[("b", "c")] == ("c", 1)
+    table = allocate_labels(compute_all_spf(topo))
+    assert table["a"]["c"] == ("b", 0)
+    assert table["b"]["c"] == ("c", 1)
     assert resolve_lsp(table, "a", "c") == (0, 1)
 
 
 def test_partition_leaves_no_binding_and_no_lsp():
     topo = make_topology([("a", "b", 1)], extra_nodes=["z"], reflectors={"a"})
-    table = allocate_labels(topo, compute_all_spf(topo))
-    assert ("a", "z") not in table
-    assert not any(node == "z" or dst == "z" for node, dst in table)
+    table = allocate_labels(compute_all_spf(topo))
+    assert "z" not in table["a"]
+    assert table["z"] == {}
     assert resolve_lsp(table, "a", "z") is None
 
 
 def test_lsp_needs_distinct_endpoints():
     topo = make_topology([("a", "b", 1)], reflectors={"a"})
-    table = allocate_labels(topo, compute_all_spf(topo))
+    table = allocate_labels(compute_all_spf(topo))
     with pytest.raises(ValueError):
         resolve_lsp(table, "a", "a")
 
@@ -270,7 +269,7 @@ def test_lsp_needs_distinct_endpoints():
 def test_lsp_labels_chain_through_downstream_bindings(seed, n):
     rng = random.Random(seed)
     topo = random_connected_topology(rng, n)
-    table = allocate_labels(topo, compute_all_spf(topo))
+    table = allocate_labels(compute_all_spf(topo))
     for src in topo.node_names():
         for dst in topo.node_names():
             if src == dst:
@@ -279,7 +278,7 @@ def test_lsp_labels_chain_through_downstream_bindings(seed, n):
             assert links is not None  # topology is connected
             node = src
             for index in links:
-                nxt, row_link = table[(node, dst)]
+                nxt, row_link = table[node][dst]
                 assert row_link == index
                 link = topo.links[index]
                 assert {node, nxt} == {link.a, link.b}
@@ -290,7 +289,7 @@ def test_lsp_labels_chain_through_downstream_bindings(seed, n):
 def test_results_are_repeatable():
     rng = random.Random(20)
     topo = random_connected_topology(rng, 8)
-    first = allocate_labels(topo, compute_all_spf(topo))
-    second = allocate_labels(topo, compute_all_spf(topo))
+    first = allocate_labels(compute_all_spf(topo))
+    second = allocate_labels(compute_all_spf(topo))
     assert first == second
     assert compute_all_spf(topo)["pe01"].first_hop == compute_all_spf(topo)["pe01"].first_hop

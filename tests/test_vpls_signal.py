@@ -30,7 +30,7 @@ from oracles import (
 
 
 def _full_mesh_state(topo):
-    table = allocate_labels(topo, compute_all_spf(topo))
+    table = allocate_labels(compute_all_spf(topo))
     adverts = originate_adverts(topo.node_names())
     return table, propagate(adverts, build_session_graph(topo))
 
@@ -129,7 +129,7 @@ def test_closed_form_matches_reflection_fixpoint(p, data):
         reflectors = {data.draw(st.sampled_from(names))}
     topo = make_topology([(a, b) for a, b in zip(names, names[1:])],
                          extra_nodes=names, reflectors=reflectors)
-    table = allocate_labels(topo, compute_all_spf(topo))
+    table = allocate_labels(compute_all_spf(topo))
     adverts = originate_adverts(names)
     sessions = build_session_graph(topo)
     received = reference_propagate(adverts, sessions)
