@@ -16,14 +16,18 @@ and the RIB dump all work per server table, not per member and route.
 
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
-since no RIB depends on a link, and reruns only the shortest-path trees
-the flipped links make stale (see underlay).  The next-hop table is the
-trees' own first-hop maps, so a rerun tree brings its node's next hops
-with it.  The pseudo-wire mesh is derived again only when some rerun
-tree reaches a different set of nodes, so a partition or a heal takes
-the same path as any other link event.  Link events rebuild the fabric
-as converge() does, so learned MACs and walked LSPs are reset on every
-event that reconverges.  Frame injection exercises only the data plane.
+since no RIB depends on a link, and repairs only the shortest-path trees
+the flipped links change, each only where the flip moves it (see
+underlay).  A repaired tree is a new object with its own maps, so the
+next hops of the fabric built before the event never change under it.
+The next-hop table is the trees' own first-hop maps, so a repaired tree
+brings its node's next hops with it.  The pseudo-wire mesh is built once,
+since its labels come from the adverts alone; when some repaired tree
+reaches a different set of nodes, a partition or a heal, the wires that
+stand are chosen from it again by next hops.  Link events rebuild the
+fabric as converge() does, so learned MACs and walked LSPs are reset on
+every event that reconverges.  Frame injection exercises only the data
+plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -79,6 +83,7 @@ from ixsim.vpls_signal import (
     derive_pseudowires,
     originate_adverts,
     propagate,
+    pseudowire_mesh,
 )
 
 
@@ -112,7 +117,8 @@ class Simulation:
         self.ibgp_sessions: Set = build_session_graph(self.topo)
         self.adverts: Dict[str, VplsAdvert] = propagate(
             originate_adverts(self.topo.node_names()), self.ibgp_sessions)
-        self.pseudowires, self.missing_transport = derive_pseudowires(self.adverts, labels)
+        self.mesh = pseudowire_mesh(self.adverts)  # every pair; labels never change
+        self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
         self.fabric = Fabric(self.topo, {}, labels)  # bridges come with converge()
         self.l3 = _L3State()
 
@@ -154,17 +160,16 @@ class Simulation:
 
     def _relink(self, flapped: Collection[int]) -> None:
         """Bring the link-dependent layers up to date after the ``flapped``
-        links (indices into ``self.topo``) changed state: rerun the trees
-        they make stale, take each rerun tree's first hops as its node's
-        next hops, derive the pseudo-wire mesh again if a reachable set
-        changed, and rebuild the fabric."""
+        links (indices into ``self.topo``) changed state: repair the trees
+        they change, take each repaired tree's first hops as its node's
+        next hops, choose the standing wires from the mesh again if a
+        reachable set changed, and rebuild the fabric."""
         fresh = rerun_stale_spf(self.topo, self.trees, flapped)
         labels = {**self.fabric.labels,
                   **{name: tree.first_hop for name, tree in fresh.items()}}
         if any(tree.dist.keys() != self.trees[name].dist.keys()
                for name, tree in fresh.items()):
-            self.pseudowires, self.missing_transport = derive_pseudowires(
-                self.adverts, labels)
+            self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
         self.trees = {**self.trees, **fresh}
         self._rebuild_fabric(labels)
 

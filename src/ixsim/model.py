@@ -33,8 +33,10 @@ DOC_ASN32_LAST = 65551
 # full-size Ethernet payload.
 MIN_FABRIC_MTU = 1600
 
-# Announced member prefixes and exchange addressing must stay clear of the
-# RFC 1918 space the underlay uses for its own loopbacks and links.
+# The exchange prefix must stay clear of the RFC 1918 space the underlay
+# uses for its own loopbacks and links (EXCHANGE_PREFIX_PRIVATE).  Announced
+# member prefixes are not checked against it and may lie inside it: every
+# prefix scenarios/whix.scn announces is in 10.96.0.0/16.
 RFC1918 = (
     ipaddress.IPv4Network("10.0.0.0/8"),
     ipaddress.IPv4Network("172.16.0.0/12"),

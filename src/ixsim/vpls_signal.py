@@ -142,11 +142,27 @@ class Pseudowire:
         return resolve_lsp(table, pe, self.other(pe))
 
 
+def pseudowire_mesh(adverts: Dict[str, VplsAdvert]) -> Tuple[Pseudowire, ...]:
+    """One pseudo-wire per unordered pair of participants, in name order.
+
+    A wire's labels come from the two adverts alone, and the adverts never
+    change once originated, so a run builds its mesh once; partitions and
+    heals only choose which of these wires stand (``derive_pseudowires``).
+    """
+    wires: list[Pseudowire] = []
+    for a, b in combinations(sorted(adverts), 2):
+        ad_a, ad_b = adverts[a], adverts[b]
+        wires.append(Pseudowire(
+            a, b, ad_b.label_for(ad_a.ve_id), ad_a.label_for(ad_b.ve_id)))
+    return tuple(wires)
+
+
 def derive_pseudowires(
-    adverts: Dict[str, VplsAdvert],
+    mesh: Tuple[Pseudowire, ...],
     table: LabelTable,
 ) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
-    """One pseudo-wire per unordered pair of participants.
+    """The wires of ``mesh`` whose two PEs have a next hop for each other
+    in ``table``.
 
     Pairs without a next hop in each direction (underlay partition) come
     back in the second element as MISSING_TRANSPORT diagnostics instead of
@@ -156,15 +172,10 @@ def derive_pseudowires(
     """
     wires: list[Pseudowire] = []
     missing: list[Tuple[str, str]] = []
-    for a, b in combinations(sorted(adverts), 2):
-        if b not in table[a] or a not in table[b]:
+    for wire in mesh:
+        a, b = wire.pe_a, wire.pe_b
+        if b in table[a] and a in table[b]:
+            wires.append(wire)
+        else:
             missing.append((a, b))
-            continue
-        ad_a, ad_b = adverts[a], adverts[b]
-        wires.append(Pseudowire(
-            pe_a=a,
-            pe_b=b,
-            label_a_to_b=ad_b.label_for(ad_a.ve_id),
-            label_b_to_a=ad_a.label_for(ad_b.ve_id),
-        ))
     return tuple(wires), tuple(missing)

@@ -14,7 +14,13 @@ from ixsim.dataplane import BridgeState, Fabric
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
 from ixsim.underlay import allocate_labels, compute_all_spf
-from ixsim.vpls_signal import build_session_graph, derive_pseudowires, originate_adverts, propagate
+from ixsim.vpls_signal import (
+    build_session_graph,
+    derive_pseudowires,
+    originate_adverts,
+    propagate,
+    pseudowire_mesh,
+)
 from ixsim.model import (
     Link,
     LinkKind,
@@ -136,7 +142,7 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
     table = allocate_labels(compute_all_spf(topo))
     adverts = originate_adverts(topo.node_names())
     wires, missing = derive_pseudowires(
-        propagate(adverts, build_session_graph(topo)), table)
+        pseudowire_mesh(propagate(adverts, build_session_graph(topo))), table)
     assert missing == ()
     bridges = {pe: BridgeState(pe=pe) for pe in topo.node_names()}
     for p in placements:

@@ -243,20 +243,30 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
 
 
 WHIX_LINES = WHIX.read_text(encoding="utf-8").splitlines()
+WHIX_TOKENS = sorted({token for line in WHIX_LINES if not line.startswith("#")
+                      for token in line.split()})
+# Every linked pair, plus one pair with no link between them.
+WHIX_PAIRS = [tuple(line.split()[1:3]) for line in WHIX_LINES
+              if line.startswith("link ")] + [("kyle", "eigg")]
 OUT_OF_RANGE = ("0", "-1", "65536", "4294967296", "99999999999999999999")
+MUTATIONS = ("delete", "duplicate", "swap", "drop", "insert", "truncate", "number")
 
 
 @st.composite
 def whix_mutants(draw):
-    """whix.scn with one to three statement lines deleted, duplicated,
-    token-swapped, truncated or given an out-of-range number."""
+    """whix.scn with up to three statement lines deleted, duplicated,
+    truncated, given an out-of-range number, or with tokens swapped,
+    dropped or inserted from elsewhere in the file; then up to four link
+    events appended, so that flaps repair shortest-path trees on the
+    mutated topology."""
     lines = list(WHIX_LINES)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         statements = [i for i, line in enumerate(lines)
                       if line.strip() and not line.startswith("#")]
         i = draw(st.sampled_from(statements))
         tokens = lines[i].split()
-        how = draw(st.sampled_from(("delete", "duplicate", "swap", "truncate", "number")))
+        numeric = [j for j, token in enumerate(tokens) if re.search(r"\d", token)]
+        how = draw(st.sampled_from(MUTATIONS if numeric else MUTATIONS[:-1]))
         if how == "delete":
             del lines[i]
         elif how == "duplicate":
@@ -266,16 +276,25 @@ def whix_mutants(draw):
             k = draw(st.integers(0, len(tokens) - 1))
             tokens[j], tokens[k] = tokens[k], tokens[j]
             lines[i] = " ".join(tokens)
+        elif how == "drop":
+            del tokens[draw(st.integers(0, len(tokens) - 1))]
+            lines[i] = " ".join(tokens)
+        elif how == "insert":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(WHIX_TOKENS)))
+            lines[i] = " ".join(tokens)
         elif how == "truncate":
             lines[i] = " ".join(tokens[:draw(st.integers(0, len(tokens) - 1))])
         else:
-            numeric = [j for j, token in enumerate(tokens) if re.search(r"\d", token)]
             j = draw(st.sampled_from(numeric))
             runs = list(re.finditer(r"\d+", tokens[j]))
             run = runs[draw(st.integers(0, len(runs) - 1))]
             tokens[j] = (tokens[j][:run.start()] + draw(st.sampled_from(OUT_OF_RANGE))
                          + tokens[j][run.end():])
             lines[i] = " ".join(tokens)
+    for at in range(50, 50 + draw(st.integers(0, 4))):
+        a, b = draw(st.sampled_from(WHIX_PAIRS))
+        kind = draw(st.sampled_from(("link-down", "link-up")))
+        lines.append("event %d %s %s %s" % (at, kind, a, b))
     return "\n".join(lines) + "\n"
 
 

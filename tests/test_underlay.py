@@ -110,19 +110,20 @@ def test_spf_distances_match_floyd_warshall(seed, n):
                 assert tree.dist[dst] == expect
 
 
-def _tie_heavy_topology(rng, n):
-    """Costs 1 or 2 so equal-cost paths abound; some node pairs get parallel
-    links, and about a fifth of all links are down, which may partition."""
+def _tie_heavy_topology(rng, n, costs=(1, 2)):
+    """Small ``costs`` so equal-cost paths abound; some node pairs get
+    parallel links, and about a fifth of all links are down, which may
+    partition."""
     names = ["pe%02d" % i for i in range(1, n + 1)]
     edges = []
     for i in range(1, n):
-        edges.append((names[i], names[rng.randrange(i)], rng.choice((1, 2))))
+        edges.append((names[i], names[rng.randrange(i)], rng.choice(costs)))
     for _ in range(rng.randint(0, 2 * n)):
         a, b = rng.sample(names, 2)
-        edges.append((a, b, rng.choice((1, 2))))
+        edges.append((a, b, rng.choice(costs)))
     for _ in range(rng.randint(0, 3)):
         a, b, _ = rng.choice(edges)
-        edges.append((a, b, rng.choice((1, 2))))
+        edges.append((a, b, rng.choice(costs)))
     topo = make_topology(edges, reflectors={names[0]})
     for i in range(len(topo.links)):
         if rng.random() < 0.2:
@@ -230,6 +231,51 @@ def test_parallel_links_flap_together():
     topo, _, fresh = _flip(topo, pair, LinkState.UP)
     assert set(fresh) == {"a", "b"}
     assert fresh["a"].first_hop["b"] == ("b", 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(2, 9))
+def test_repaired_trees_match_a_rerun(seed, n):
+    """Random flips with costs 1-3, so ties are common.  Each flip sets
+    every link between two nodes to one state, as a link event does, so
+    parallel pairs flap together; partitions and heals come up as they
+    fall.  After each, the kept trees merged with the repaired ones equal
+    a rerun, parents included.  Only trees that change are repaired, so
+    every other tree stays the same object; a repaired tree shares no dict
+    with its predecessor, and the next-hop table of the old trees, which
+    the old fabric forwards on, does not change."""
+    rng = random.Random(seed)
+    topo = _tie_heavy_topology(rng, n, costs=(1, 2, 3))
+    trees = compute_all_spf(topo)
+    for _ in range(16):
+        state = rng.choice((LinkState.DOWN, LinkState.UP))
+        pair = topo.links_between(*rng.choice(topo.links).endpoints)
+        flapped = [i for i in pair if topo.links[i].state is not state]
+        for i in flapped:
+            topo = topo.with_link_state(i, state)
+        table = allocate_labels(trees)
+        hops_before = {node: dict(hops) for node, hops in table.items()}
+        fresh = rerun_stale_spf(topo, trees, flapped)
+        rerun = compute_all_spf(topo)
+        merged = {**trees, **fresh}
+        assert merged == rerun  # parents included
+        assert set(fresh) == {name for name in trees if trees[name] != rerun[name]}
+        for name, tree in fresh.items():
+            old = trees[name]
+            new_dicts = (tree.dist, tree.first_hop, tree.parent)
+            assert not any(d is o for d in new_dicts
+                           for o in (old.dist, old.first_hop, old.parent))
+        assert table == hops_before
+        assert all(table[name] is tree.first_hop for name, tree in trees.items())
+        trees = merged
+
+
+def test_flaps_that_go_both_ways_are_refused():
+    topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
+    trees = compute_all_spf(topo)
+    topo = topo.with_link_state(0, LinkState.DOWN)
+    with pytest.raises(ValueError):
+        rerun_stale_spf(topo, trees, [0, 1])
 
 
 def test_two_node_bindings_and_penultimate_hop_pop():

@@ -20,6 +20,7 @@ from ixsim.vpls_signal import (
     derive_pseudowires,
     originate_adverts,
     propagate,
+    pseudowire_mesh,
 )
 from oracles import (
     count_unordered_pairs,
@@ -135,7 +136,7 @@ def test_closed_form_matches_reflection_fixpoint(p, data):
     received = reference_propagate(adverts, sessions)
     for pe in names:
         assert received[pe] == {ad for other, ad in adverts.items() if other != pe}
-    wires, missing = derive_pseudowires(propagate(adverts, sessions), table)
+    wires, missing = derive_pseudowires(pseudowire_mesh(propagate(adverts, sessions)), table)
     assert missing == ()
     assert {(w.pe_a, w.pe_b) for w in wires} == mutually_visible_pairs(received)
 
@@ -161,7 +162,7 @@ def test_connected_topology_builds_a_full_mesh(seed, n):
     rng = random.Random(seed)
     topo = random_connected_topology(rng, n)
     table, adverts = _full_mesh_state(topo)
-    wires, missing = derive_pseudowires(adverts, table)
+    wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
     assert missing == ()
     assert len(wires) == count_unordered_pairs(topo.node_names())
     assert {(w.pe_a, w.pe_b) for w in wires} == {
@@ -180,7 +181,7 @@ def test_partitioned_mesh_reports_missing_transport():
     received = reference_propagate(adverts, build_session_graph(topo))
     for pe in topo.node_names():
         assert len(received[pe]) == 7
-    wires, missing = derive_pseudowires(adverts, table)
+    wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
     assert len(wires) == count_unordered_pairs("abcde") + count_unordered_pairs("fgh")
     assert len(missing) == 5 * 3
     assert all((a in "abcde") != (b in "abcde") for a, b in missing)
@@ -199,7 +200,7 @@ def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
         if rng.random() < down_share:
             topo = topo.with_link_state(i, LinkState.DOWN)
     table, adverts = _full_mesh_state(topo)
-    wires, missing = derive_pseudowires(adverts, table)
+    wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
     names = topo.node_names()
     unresolvable = {
         (a, b) for a in names for b in names if a < b
@@ -217,7 +218,7 @@ def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
 def test_directional_labels_come_from_the_receiving_block():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
     table, adverts = _full_mesh_state(topo)
-    wires, _ = derive_pseudowires(adverts, table)
+    wires, _ = derive_pseudowires(pseudowire_mesh(adverts), table)
     by_pair = {(w.pe_a, w.pe_b): w for w in wires}
     ab = by_pair[("a", "b")]
     # traffic a->b arrives with b's block label for sender VE 1
