@@ -390,6 +390,9 @@ class Simulation:
 
 @dataclass
 class Report:
+    """What ``ixsim run`` prints.  Every int field is a report key, printed
+    as ``name=value``; the other fields print under their own prefixes."""
+
     node_count: int
     member_count: int
     convergence_rounds: int
@@ -408,22 +411,9 @@ class Report:
     upstream: tuple
 
     def to_text(self) -> str:
-        lines = [
-            "bilateral_equivalent=%d" % self.bilateral_equivalent,
-            "bilateral_session_count=%d" % self.bilateral_session_count,
-            "convergence_rounds=%d" % self.convergence_rounds,
-            "external_prefix_count=%d" % self.external_prefix_count,
-            "frame_trace_rows=%d" % self.frame_trace_rows,
-            "ibgp_session_count=%d" % self.ibgp_session_count,
-            "member_count=%d" % self.member_count,
-            "missing_transport_count=%d" % self.missing_transport_count,
-            "node_count=%d" % self.node_count,
-            "pseudowire_count=%d" % self.pseudowire_count,
-            "rs_server_count=%d" % self.rs_server_count,
-            "rs_session_count=%d" % self.rs_session_count,
-            "transit_session_count=%d" % self.transit_session_count,
-            "upstream_announcement_count=%d" % len(self.upstream),
-        ]
+        lines = ["%s=%d" % (key, value) for key, value in vars(self).items()
+                 if isinstance(value, int) and not isinstance(value, bool)]
+        lines.append("upstream_announcement_count=%d" % len(self.upstream))
         for reason in DropReason:
             lines.append("drop.%s=%d" % (reason.value, self.drops[reason]))
         for (asn, prefix), ok in self.reachability.items():

@@ -20,14 +20,18 @@ whitespace):
 
 Entities must be declared before they are referenced.  Cost and MTU may be
 omitted on links: cost defaults by link type (leased 1, radio 10) and MTU
-to the fabric minimum of 1600.
+to the fabric minimum of 1600.  BGP keeps one session per peer pair, so a
+bilateral pair repeated in either order, a second transit session for the
+same member and upstream, and a transit session from a member to itself
+are rejected on the later line.  A repeated ``session rs`` line is not: the
+client joins the server's client set, so the repeat changes nothing.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -108,18 +112,16 @@ class Scenario:
 class _Builder:
     def __init__(self):
         self.nodes: List[PeNode] = []
+        self.named: Dict[str, PeNode] = {}  # first of each name; repeats are DUP_NODE
         self.links: List[Link] = []
-        self.members: Dict[int, dict] = {}
+        self.members: Dict[int, MemberAs] = {}  # announcing nothing yet
         self.ports: Dict[int, MemberPort] = {}
         self.announced: Dict[int, List[ipaddress.IPv4Network]] = {}
-        self.sessions: List[PeeringSession] = []
-        self.rs_clients: Dict[str, List[int]] = {}
+        self.sessions: Dict[tuple, PeeringSession] = {}  # by (a, b, kind)
+        self.rs_clients: Dict[str, Set[int]] = {}
         self.externals: Dict[ipaddress.IPv4Network, int] = {}  # to its source line
         self.exchange_prefix: Optional[ipaddress.IPv4Network] = None
         self.events: List[Tuple[Event, int]] = []  # with its source line
-
-    def node_names(self) -> set:
-        return {n.name for n in self.nodes}
 
 
 def _fail(line: int, message: str) -> None:
@@ -159,61 +161,76 @@ def _mac(token: str, line: int) -> str:
     return mac
 
 
+def _choice(token: str, options, line: int, message: str):
+    """``token`` if it is one of ``options``, or its value when ``options``
+    is a map; otherwise a ParseError reading ``message % token``."""
+    if token not in options:
+        _fail(line, message % (token,))
+    return options[token] if isinstance(options, dict) else token
+
+
+def _node(b: _Builder, token: str, line: int) -> PeNode:
+    if token not in b.named:
+        _fail(line, "unknown node %r" % token)
+    return b.named[token]
+
+
+def _member(b: _Builder, token: str, line: int) -> int:
+    asn = _int(token, line, "ASN")
+    if asn not in b.members:
+        _fail(line, "unknown member %d" % asn)
+    return asn
+
+
+_LINK_KINDS = {kind.value: kind for kind in LinkKind}
+_SESSION_TOKENS = {"bilateral": 4, "rs": 4, "transit": 5}  # tokens on the line
+_POLICIES = {policy.value: policy for policy in TransitPolicy}
+_ETHERTYPES = {ethertype.value: ethertype for ethertype in EtherType}
+_EVENT_FORMS = {  # kind token -> (kind, tokens on the line)
+    "link-down": (EventKind.LINK_DOWN, 5),
+    "link-up": (EventKind.LINK_UP, 5),
+    "inject": (EventKind.INJECT_FRAME, 7),
+    "promote": (EventKind.PORT_PROMOTE_CHECK, 4),
+    "withdraw": (EventKind.MEMBER_WITHDRAW, 5),
+}
+
+
 def _parse_node(b: _Builder, tokens: List[str], line: int) -> None:
     if len(tokens) < 4 or tokens[2] != "loopback":
         _fail(line, "node expects: node <name> loopback <ipv4> [rr] [rs]")
-    name = tokens[1]
     loopback = _ipv4(tokens[3], line)
-    flags = tokens[4:]
-    for flag in flags:
-        if flag not in ("rr", "rs"):
-            _fail(line, "unknown node flag %r" % flag)
-    b.nodes.append(PeNode(
-        name=name,
-        loopback=loopback,
-        is_route_reflector="rr" in flags,
-        hosts_route_server="rs" in flags,
-    ))
+    flags = [_choice(flag, ("rr", "rs"), line, "unknown node flag %r") for flag in tokens[4:]]
+    node = PeNode(tokens[1], loopback, is_route_reflector="rr" in flags,
+                  hosts_route_server="rs" in flags)
+    b.nodes.append(node)
+    b.named.setdefault(node.name, node)
 
 
 def _parse_link(b: _Builder, tokens: List[str], line: int) -> None:
     if len(tokens) < 3:
         _fail(line, "link expects two endpoints")
-    a, z = tokens[1], tokens[2]
-    for end in (a, z):
-        if end not in b.node_names():
-            _fail(line, "unknown node %r" % end)
-    cost: Optional[int] = None
-    mtu: Optional[int] = None
-    kind: Optional[LinkKind] = None
+    a, z = _node(b, tokens[1], line).name, _node(b, tokens[2], line).name
+    options = {}
     rest = tokens[3:]
-    i = 0
-    while i < len(rest):
-        key = rest[i]
-        if key in ("cost", "mtu", "type"):
-            if i + 1 >= len(rest):
-                _fail(line, "%s needs a value" % key)
-            value = rest[i + 1]
-            if key == "cost":
-                cost = _int(value, line, "cost")
-            elif key == "mtu":
-                mtu = _int(value, line, "mtu")
-            else:
-                try:
-                    kind = LinkKind(value)
-                except ValueError:
-                    _fail(line, "unknown link type %r" % value)
-            i += 2
-        else:
-            _fail(line, "unexpected token %r" % key)
-    if kind is None:
+    for i in range(0, len(rest), 2):
+        key = _choice(rest[i], ("cost", "mtu", "type"), line, "unexpected token %r")
+        if i + 1 == len(rest):
+            _fail(line, "%s needs a value" % key)
+        value = rest[i + 1]
+        options[key] = (_choice(value, _LINK_KINDS, line, "unknown link type %r")
+                        if key == "type" else _int(value, line, key))
+    if "type" not in options:
         _fail(line, "link needs a type")
-    b.links.append(Link(
-        a=a, b=z,
-        cost=cost if cost is not None else DEFAULT_LINK_COST[kind],
-        mtu=mtu if mtu is not None else DEFAULT_LINK_MTU,
-        kind=kind,
-    ))
+    kind = options["type"]
+    b.links.append(Link(a, z, cost=options.get("cost", DEFAULT_LINK_COST[kind]),
+                        mtu=options.get("mtu", DEFAULT_LINK_MTU), kind=kind))
+
+
+def _parse_exchange_prefix(b: _Builder, tokens: List[str], line: int) -> None:
+    _want(tokens, 2, line, "exchange-prefix")
+    if b.exchange_prefix is not None:
+        _fail(line, "exchange-prefix declared twice")
+    b.exchange_prefix = _network(tokens[1], line)
 
 
 def _parse_member(b: _Builder, tokens: List[str], line: int) -> None:
@@ -222,82 +239,59 @@ def _parse_member(b: _Builder, tokens: List[str], line: int) -> None:
         _fail(line, "member expects: member <asn> <name> port <node> "
                     "mac <mac> ip <ipv4> [transit] [quarantine]")
     asn = _int(tokens[1], line, "ASN")
-    name = tokens[2]
-    pe = tokens[4]
-    if pe not in b.node_names():
-        _fail(line, "unknown node %r" % pe)
+    pe = _node(b, tokens[4], line).name
     mac = _mac(tokens[6], line)
     ip = _ipv4(tokens[8], line)
-    flags = tokens[9:]
-    for flag in flags:
-        if flag not in ("transit", "quarantine"):
-            _fail(line, "unknown member flag %r" % flag)
+    flags = [_choice(flag, ("transit", "quarantine"), line, "unknown member flag %r")
+             for flag in tokens[9:]]
     if asn in b.members:
         _fail(line, "member %d declared twice" % asn)
-    b.members[asn] = {"name": name, "transit": "transit" in flags}
-    b.ports[asn] = MemberPort(
-        member_asn=asn,
-        attach_pe=pe,
-        nominated_mac=mac,
-        exchange_ip=ip,
-        state=PortState.QUARANTINE if "quarantine" in flags else PortState.ACTIVE,
-    )
-    b.announced.setdefault(asn, [])
+    b.members[asn] = MemberAs(asn, tokens[2], is_transit="transit" in flags)
+    b.ports[asn] = MemberPort(asn, pe, mac, ip, state=(
+        PortState.QUARANTINE if "quarantine" in flags else PortState.ACTIVE))
+    b.announced[asn] = []
 
 
 def _parse_announce(b: _Builder, tokens: List[str], line: int) -> None:
     _want(tokens, 3, line, "announce")
-    asn = _int(tokens[1], line, "ASN")
-    if asn not in b.members:
-        _fail(line, "unknown member %d" % asn)
-    b.announced[asn].append(_network(tokens[2], line))
+    b.announced[_member(b, tokens[1], line)].append(_network(tokens[2], line))
 
 
 def _parse_session(b: _Builder, tokens: List[str], line: int) -> None:
     if len(tokens) < 2:
         _fail(line, "session expects a kind")
     kind = tokens[1]
-    if kind == "bilateral":
-        _want(tokens, 4, line, "session bilateral")
-        left = _int(tokens[2], line, "ASN")
-        right = _int(tokens[3], line, "ASN")
-        for asn in (left, right):
-            if asn not in b.members:
-                _fail(line, "unknown member %d" % asn)
-        if left == right:
-            _fail(line, "bilateral session needs two members")
-        b.sessions.append(PeeringSession(
-            min(left, right), max(left, right), PeerKind.BILATERAL))
-    elif kind == "rs":
-        _want(tokens, 4, line, "session rs")
-        asn = _int(tokens[2], line, "ASN")
-        node = tokens[3]
-        if asn not in b.members:
-            _fail(line, "unknown member %d" % asn)
-        host = next((n for n in b.nodes if n.name == node), None)
-        if host is None:
-            _fail(line, "unknown node %r" % node)
+    _want(tokens, _choice(kind, _SESSION_TOKENS, line, "unknown session kind %r"),
+          line, "session " + kind)
+    asn = _member(b, tokens[2], line)
+    if kind == "rs":
+        host = _node(b, tokens[3], line)
         if not host.hosts_route_server:
-            _fail(line, "node %r hosts no route server" % node)
-        b.rs_clients.setdefault(node, []).append(asn)
-    elif kind == "transit":
-        _want(tokens, 5, line, "session transit")
-        asn = _int(tokens[2], line, "ASN")
-        upstream = _int(tokens[3], line, "ASN")
-        for ref in (asn, upstream):
-            if ref not in b.members:
-                _fail(line, "unknown member %d" % ref)
-        if not b.members[upstream]["transit"]:
-            _fail(line, "member %d does not provide transit" % upstream)
-        if tokens[4] == "default":
-            policy = TransitPolicy.DEFAULT_ONLY
-        elif tokens[4] == "full":
-            policy = TransitPolicy.FULL_TABLE
-        else:
-            _fail(line, "transit policy must be default or full, got %r" % tokens[4])
-        b.sessions.append(PeeringSession(asn, upstream, PeerKind.TRANSIT, policy))
+            _fail(line, "node %r hosts no route server" % host.name)
+        b.rs_clients.setdefault(host.name, set()).add(asn)
+        return
+    other = _member(b, tokens[3], line)
+    if asn == other:
+        _fail(line, "%s session needs two members" % kind)
+    if kind == "bilateral":
+        session = PeeringSession(min(asn, other), max(asn, other), PeerKind.BILATERAL)
     else:
-        _fail(line, "unknown session kind %r" % kind)
+        if not b.members[other].is_transit:
+            _fail(line, "member %d does not provide transit" % other)
+        session = PeeringSession(asn, other, PeerKind.TRANSIT, _choice(
+            tokens[4], _POLICIES, line, "transit policy must be default or full, got %r"))
+    key = (session.a, session.b, session.kind)
+    if key in b.sessions:
+        _fail(line, "session %s %d %d declared twice" % (kind, session.a, session.b))
+    b.sessions[key] = session
+
+
+def _parse_external(b: _Builder, tokens: List[str], line: int) -> None:
+    _want(tokens, 2, line, "external")
+    external = _network(tokens[1], line)
+    if external in b.externals:
+        _fail(line, "external %s declared twice" % external)
+    b.externals[external] = line
 
 
 def _parse_event(b: _Builder, tokens: List[str], line: int) -> None:
@@ -306,36 +300,35 @@ def _parse_event(b: _Builder, tokens: List[str], line: int) -> None:
     at_round = _int(tokens[1], line, "round")
     if at_round < 0:
         _fail(line, "event round must be non-negative")
-    kind = tokens[2]
-    rest = tokens[3:]
-    if kind in ("link-down", "link-up"):
-        _want(tokens, 5, line, "event %s" % kind)
-        which = EventKind.LINK_DOWN if kind == "link-down" else EventKind.LINK_UP
-        b.events.append((Event(at_round, which, (rest[0], rest[1])), line))
-    elif kind == "inject":
-        _want(tokens, 7, line, "event inject")
-        asn = _int(rest[0], line, "ASN")
-        dst = BROADCAST_MAC if rest[1] == "broadcast" else _mac(rest[1], line)
-        try:
-            ethertype = EtherType(rest[2])
-        except ValueError:
-            _fail(line, "unknown ethertype %r" % rest[2])
-        size = _int(rest[3], line, "size")
+    kind, count = _choice(tokens[2], _EVENT_FORMS, line, "unknown event kind %r")
+    _want(tokens, count, line, "event " + tokens[2])
+    if kind in (EventKind.LINK_DOWN, EventKind.LINK_UP):
+        args = (tokens[3], tokens[4])
+    elif kind is EventKind.INJECT_FRAME:
+        asn = _int(tokens[3], line, "ASN")
+        dst = BROADCAST_MAC if tokens[4] == "broadcast" else _mac(tokens[4], line)
+        ethertype = _choice(tokens[5], _ETHERTYPES, line, "unknown ethertype %r")
+        size = _int(tokens[6], line, "size")
         if size < 0:
             _fail(line, "negative payload size")
-        b.events.append((Event(at_round, EventKind.INJECT_FRAME,
-                               (asn, dst, ethertype, size)), line))
-    elif kind == "promote":
-        _want(tokens, 4, line, "event promote")
-        b.events.append((Event(at_round, EventKind.PORT_PROMOTE_CHECK,
-                               (_int(rest[0], line, "ASN"),)), line))
-    elif kind == "withdraw":
-        _want(tokens, 5, line, "event withdraw")
-        asn = _int(rest[0], line, "ASN")
-        b.events.append((Event(at_round, EventKind.MEMBER_WITHDRAW,
-                               (asn, _network(rest[1], line))), line))
+        args = (asn, dst, ethertype, size)
+    elif kind is EventKind.PORT_PROMOTE_CHECK:
+        args = (_int(tokens[3], line, "ASN"),)
     else:
-        _fail(line, "unknown event kind %r" % kind)
+        args = (_int(tokens[3], line, "ASN"), _network(tokens[4], line))
+    b.events.append((Event(at_round, kind, args), line))
+
+
+_STATEMENTS = {
+    "node": _parse_node,
+    "link": _parse_link,
+    "exchange-prefix": _parse_exchange_prefix,
+    "member": _parse_member,
+    "announce": _parse_announce,
+    "session": _parse_session,
+    "external": _parse_external,
+    "event": _parse_event,
+}
 
 
 def _check_externals(externals: Dict[ipaddress.IPv4Network, int],
@@ -392,53 +385,18 @@ def parse_scenario(text: str) -> Scenario:
     """
     b = _Builder()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        tokens = stripped.split()
-        keyword = tokens[0]
-        if keyword == "node":
-            _parse_node(b, tokens, lineno)
-        elif keyword == "link":
-            _parse_link(b, tokens, lineno)
-        elif keyword == "exchange-prefix":
-            _want(tokens, 2, lineno, "exchange-prefix")
-            if b.exchange_prefix is not None:
-                _fail(lineno, "exchange-prefix declared twice")
-            b.exchange_prefix = _network(tokens[1], lineno)
-        elif keyword == "member":
-            _parse_member(b, tokens, lineno)
-        elif keyword == "announce":
-            _parse_announce(b, tokens, lineno)
-        elif keyword == "session":
-            _parse_session(b, tokens, lineno)
-        elif keyword == "external":
-            _want(tokens, 2, lineno, "external")
-            external = _network(tokens[1], lineno)
-            if external in b.externals:
-                _fail(lineno, "external %s declared twice" % external)
-            b.externals[external] = lineno
-        elif keyword == "event":
-            _parse_event(b, tokens, lineno)
-        else:
-            _fail(lineno, "unknown statement %r" % keyword)
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            _choice(tokens[0], _STATEMENTS, lineno, "unknown statement %r")(b, tokens, lineno)
 
     topo = Topology.build(b.nodes, b.links)
-    members = tuple(
-        MemberAs(
-            asn=asn,
-            name=attrs["name"],
-            is_transit=attrs["transit"],
-            announced_prefixes=tuple(b.announced[asn]),
-        )
-        for asn, attrs in sorted(b.members.items())
-    )
+    members = tuple(replace(b.members[asn], announced_prefixes=tuple(b.announced[asn]))
+                    for asn in sorted(b.members))
     ports = tuple(b.ports[asn] for asn in sorted(b.ports))
 
-    servers = []
-    for index, node in enumerate(topo.route_server_names()):
-        clients = tuple(sorted(set(b.rs_clients.get(node, []))))
-        servers.append(RouteServer(node, DOC_ASN32_FIRST + index, clients))
+    servers = tuple(RouteServer(node, DOC_ASN32_FIRST + index,
+                                tuple(sorted(b.rs_clients.get(node, ()))))
+                    for index, node in enumerate(topo.route_server_names()))
 
     if len(b.externals) + len(servers) > DOC_ASN32_LAST - DOC_ASN32_FIRST + 1:
         _fail(0, "documentation ASN pool exhausted by externals and route servers")
@@ -457,8 +415,8 @@ def parse_scenario(text: str) -> Scenario:
         topology=topo,
         members=members,
         ports=ports,
-        sessions=tuple(b.sessions),
-        route_servers=tuple(servers),
+        sessions=tuple(b.sessions.values()),
+        route_servers=servers,
         external_prefixes=tuple(b.externals),
         exchange_prefix=b.exchange_prefix,
         events=tuple(event for event, _ in events),

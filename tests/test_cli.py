@@ -204,6 +204,25 @@ def test_check_rejects_externals_whose_cells_collide(tmp_path, capsys, external,
         assert capsys.readouterr().err == diagnostic % (len(WHIX_LINES) + 1) + "\n"
 
 
+@pytest.mark.parametrize("session,message", [
+    ("session bilateral 64496 64503", "session bilateral 64496 64503 declared twice"),
+    ("session bilateral 64503 64496", "session bilateral 64496 64503 declared twice"),
+    ("session transit 64496 64511 full", "session transit 64496 64511 declared twice"),
+    ("session transit 64511 64511 default", "transit session needs two members"),
+], ids=["bilateral", "bilateral-reversed", "transit-twice", "transit-to-itself"])
+def test_check_rejects_sessions_the_run_would_count_twice(tmp_path, capsys, session,
+                                                          message):
+    """whix already peers 64496 with 64503 and gives 64496 a default route
+    from 64511: a repeat would count one relationship twice and draw its
+    edge twice, and a member taking transit from itself would draw a
+    self-loop."""
+    path = write(tmp_path, WHIX.read_text(encoding="utf-8") + session + "\n")
+    for command in ("check", "run"):
+        assert main([command, path]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: line %d: %s\n" % (
+            len(WHIX_LINES) + 1, message)
+
+
 def test_dot_layers(capsys):
     assert main(["dot", GOOD]) == EXIT_OK
     assert capsys.readouterr().out.startswith("graph physical {")

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from helpers import load_whix
+from helpers import load_generator, load_whix
 from ixsim.dataplane import BROADCAST_MAC, EtherType
 from ixsim.exchange_l3 import PeerKind, TransitPolicy
 from ixsim.model import LinkKind, PortState
@@ -100,6 +100,7 @@ def test_parse_errors_carry_the_line_number():
     ("session rs 64496 kyle", "route server"),
     ("session rs 64496 ghost", "unknown node"),
     ("session transit 64496 64497 default", "transit"),
+    ("session transit 64496 64496 default", "two members"),
     ("session carrier 64496 64497", "session kind"),
     ("event 1 explode kyle", "event kind"),
     ("event -1 promote 64496", "non-negative"),
@@ -182,6 +183,34 @@ def test_transit_session_needs_a_transit_member():
     }
     with pytest.raises(ParseError):
         parse(BASE + "session transit 64496 64497 sideways\n")
+
+
+@pytest.mark.parametrize("first,again,message", [
+    ("session bilateral 64496 64497", "session bilateral 64496 64497",
+     "session bilateral 64496 64497 declared twice"),
+    ("session bilateral 64496 64497", "session bilateral 64497 64496",
+     "session bilateral 64496 64497 declared twice"),
+    ("session transit 64496 64510 default", "session transit 64496 64510 full",
+     "session transit 64496 64510 declared twice"),
+], ids=["bilateral", "bilateral-reversed", "transit-other-policy"])
+def test_a_peer_pair_gets_one_session(first, again, message):
+    # BGP keeps one session per peer pair (RFC 4271 section 6.8); the
+    # transit member takes line 7, the first session line 8
+    text = (BASE + "member 64510 carrier port kyle mac 02:00:00:00:00:0b"
+                   " ip 192.0.2.21 transit\n" + first + "\n")
+    assert len(parse(text).sessions) == 1
+    line, err = line_of(text + again + "\n")
+    assert (line, err.message) == (9, message)
+
+
+def test_whix_and_generated_workloads_parse():
+    # a parser rule that rejects a generated file fails here, not only in
+    # the benchmark
+    load_whix()
+    generator = load_generator()
+    for workload in sorted(generator.WORKLOADS):
+        for seed in range(1, 11):
+            parse_scenario(generator.generate(workload, seed))
 
 
 def test_externals_keep_file_order():
