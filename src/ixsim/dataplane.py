@@ -2,15 +2,16 @@
 
 Each PE runs a bridge whose attachments are its local member ports plus one
 pseudo-wire to every other participating PE.  Because the wire mesh is full,
-loop prevention needs no spanning tree: a frame arriving over a pseudo-wire
-is never forwarded onto another one (split horizon), so any frame crosses
-any wire at most once and visits each bridge at most once.
+flooding needs no spanning tree: a flood arriving over a pseudo-wire goes to
+local ports only (split horizon), so it crosses each wire at most once.
+Split horizon covers floods only: a known-unicast frame arriving over a wire
+goes where its destination was learned, which can be one more wire.  What
+ends every walk is ``Fabric.inject``'s bound on wire crossings.
 """
 
 from __future__ import annotations
 
 import copy
-from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -168,13 +169,15 @@ def bridge_forward(
     whether the source MAC is unicast, which holds for the whole walk of a
     frame, so the caller decides it once.
 
-    Split horizon: a frame off a pseudo-wire goes to local ports only, and
+    Split horizon: a flood off a pseudo-wire goes to local ports only, and
     the result is then ``bridge.port_targets`` itself, which callers must
     not mutate.  Known unicast toward its own arrival is suppressed entirely.
+    An entry is rewritten only when its attachment or round changes.
     """
     src = frame.src_mac
     from_wire = isinstance(arrived_via, PwRef)
-    if src_unicast and not (from_wire and src in bridge.local_macs):
+    if (src_unicast and not (from_wire and src in bridge.local_macs)
+            and bridge.mac_table.get(src) != (arrived_via, round_no)):
         bridge.mac_table[src] = MacEntry(arrived_via, round_no)
 
     dst = frame.dst_mac
@@ -246,7 +249,7 @@ class DropRecord:
     offending_link: Optional[Link] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class InjectResult:
     accepted: bool
     drop_reason: Optional[DropReason]
@@ -287,6 +290,8 @@ class Fabric:
             asn: port for bridge in bridges.values() for asn, port in bridge.ports.items()}
         self._transport: Dict[Tuple[str, str], Tuple[int, List[Link]]] = {}
         self._log = self.trace.append  # None on a probe clone
+        # No frame needs more crossings than the mesh has wire directions.
+        self._max_crossings = len(bridges) * (len(bridges) - 1)
 
     def port_with_ip(self, ip) -> Optional[MemberPort]:
         hits = [p for p in self.ports.values() if p.exchange_ip == ip]
@@ -318,10 +323,13 @@ class Fabric:
     def inject(self, asn: int, frame: EthernetFrame, round_no: int = 0) -> InjectResult:
         """Offer a frame at a member port and propagate it everywhere it goes.
 
-        The walk is breadth-first over pseudo-wire deliveries; split horizon
-        in bridge_forward guarantees termination without a visited set, and
-        the trace records would expose any violation of that.  A frame has
-        the same encapsulated size on every wire, so it is computed once.
+        The walk is breadth-first over pseudo-wire deliveries, with no
+        visited set.  Split horizon in bridge_forward keeps a flood to one
+        crossing per wire, but a known-unicast frame off a wire can take one
+        more, so the walk is bounded instead: a frame that crosses more
+        wires than the mesh has directions, P·(P−1), raises RuntimeError
+        naming its trace id.  A frame has the same encapsulated size on
+        every wire, so it is computed once.
         """
         port = self.ports[asn]
         pe = port.attach_pe
@@ -342,9 +350,10 @@ class Fabric:
         src_unicast = is_unicast(frame.src_mac)
         size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
         emitted = crossed = 0
-        queue: deque[Tuple[BridgeState, Attachment]] = deque([(self.bridges[pe], arrival)])
-        while queue:
-            here, arrived = queue.popleft()
+        limit = self._max_crossings
+        # Appended to while it is iterated: breadth-first, as a FIFO queue.
+        queue: List[Tuple[BridgeState, Attachment]] = [(self.bridges[pe], arrival)]
+        for here, arrived in queue:
             targets = bridge_forward(here, frame, arrived, round_no, src_unicast)
             emitted += len(targets)
             for via in targets:
@@ -370,6 +379,9 @@ class Fabric:
                         offending_link=transmit(size, links)))
                     continue
                 crossed += 1
+                if crossed > limit:
+                    raise RuntimeError("frame %r crossed more than %d pseudo-wires"
+                                       % (tid, limit))
                 back, back_label = _wire_attachment(here.pe)
                 if log:
                     log(TraceRow(round_no, tid, remote, back_label, "receive"))

@@ -397,12 +397,14 @@ def reachability_matrix(
     at its own port, so a known-unicast frame goes where a flood would.
     """
     probe = fabric.clone()
-    by_ip: Dict[ipaddress.IPv4Address, MemberPort] = {}
+    # Keyed by the address as an integer, which hashes in C.
+    by_ip: Dict[int, MemberPort] = {}
     for asn, port in sorted(probe.ports.items()):
-        by_ip.setdefault(port.exchange_ip, port)  # lowest ASN, as port_with_ip
-    targets = [(pfx, m.asn) for m in sorted(members, key=lambda m: m.asn)
+        by_ip.setdefault(int(port.exchange_ip), port)  # lowest ASN, as port_with_ip
+    # (prefix, its text as the cell key has it, owner)
+    targets = [(pfx, str(pfx), m.asn) for m in sorted(members, key=lambda m: m.asn)
                for pfx in m.announced_prefixes]
-    targets += [(pfx, 0) for pfx in external_prefixes]  # 0: no member owns it
+    targets += [(pfx, str(pfx), 0) for pfx in external_prefixes]  # 0: no member owns it
 
     matrix: Dict[Tuple[int, str], bool] = {}
     legs: Dict[Tuple[int, int], bool] = {}  # (member, owner) -> reply and data got through
@@ -411,10 +413,10 @@ def reachability_matrix(
         rib = ribs.get(m.asn)
         active = port is not None and rib is not None and port.state is PortState.ACTIVE
         heard: Optional[Set[int]] = None  # flooded at the first covering route
-        for pfx, owner in targets:
+        for pfx, text, owner in targets:
             if owner == m.asn:
                 continue
-            key = (m.asn, str(pfx))
+            key = (m.asn, text)
             matrix[key] = False
             route = rib.covering(pfx) if active else None
             if route is None:
@@ -422,7 +424,7 @@ def reachability_matrix(
             if heard is None:
                 heard = set(_send(port, BROADCAST_MAC, EtherType.ARP, ARP_PAYLOAD_SIZE,
                                   probe, round_no, "probe%d-req" % m.asn))
-            hop = by_ip.get(route.next_hop)
+            hop = by_ip.get(int(route.next_hop))
             if hop is None or hop.member_asn == m.asn or hop.member_asn not in heard:
                 continue
             pair = (m.asn, hop.member_asn)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import ipaddress
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 # AS numbers are unsigned 32-bit and 0 is reserved (RFC 7607); the simulator
@@ -175,6 +176,7 @@ class MemberPort:
     state: PortState = PortState.QUARANTINE
 
 
+@lru_cache(maxsize=None)  # a run sees its port MACs and a few literals
 def is_unicast(mac: str) -> bool:
     # Group bit is the least significant bit of the first octet.
     return not int(mac.split(":", 1)[0], 16) & 1

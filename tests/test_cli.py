@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -434,6 +435,18 @@ def test_generated_reports_match_committed_digests(workload, seed):
     sim.run()
     got = hashlib.sha256(sim.report().to_text().encode("utf-8")).hexdigest()
     assert got == GENERATED_REPORT_DIGESTS[(workload, seed)]
+
+
+def test_larger_probe_rung_matches_its_committed_digest():
+    """``probe_mesh`` at P40/M100 with no frames: 10,200 cells decided by
+    18,624 unicast probe legs and 97 floods."""
+    generator = load_generator()
+    generator.WORKLOADS["probe_mesh"] = dataclasses.replace(
+        generator.WORKLOADS["probe_mesh"], pes=40, members=100, frames=0)
+    sim = Simulation(parse_scenario(generator.generate("probe_mesh", 1)))
+    sim.run()
+    got = hashlib.sha256(sim.report().to_text().encode("utf-8")).hexdigest()
+    assert got == "f79a5dc8487dc9fa24bfaca2df05765eeb8415f901228cf0df36ca9df5820f68"
 
 
 # SHA-256 of the other artefacts of generated rungs, recorded before a

@@ -5,11 +5,13 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import hand_fabric as tiny_fabric
 from helpers import converged, make_port, make_topology, random_exchange
+from ixsim import dataplane
 from ixsim.dataplane import (
     BROADCAST_MAC,
     DEFAULT_MAC_AGING_ROUNDS,
@@ -276,6 +278,43 @@ def test_trace_sequence_for_a_flooded_unicast():
         ("b", "port/63002", "emit"),
         ("b", "port/63002", "deliver"),
     ]
+
+
+def _triangle():
+    """PEs a, b and c, each pair linked, with members 63001..63003 on them."""
+    return tiny_fabric(
+        [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)],
+        [(63001, "a", 1), (63002, "b", 2), (63003, "c", 3)],
+        reflectors={"a"})
+
+
+def test_a_forwarding_loop_fails_instead_of_walking_forever(monkeypatch):
+    fabric = _triangle()
+    forward = dataplane.bridge_forward
+
+    def flood_wire_arrivals_onto_wires(bridge, frame, arrived_via, round_no, src_unicast):
+        targets = list(forward(bridge, frame, arrived_via, round_no, src_unicast))
+        if isinstance(arrived_via, PwRef):
+            targets += [via for via in bridge.wire_targets if via != arrived_via]
+        return targets
+
+    monkeypatch.setattr(dataplane, "bridge_forward", flood_wire_arrivals_onto_wires)
+    frame = _frame(_mac(1), BROADCAST_MAC, EtherType.ARP, 64, "loop1")
+    with pytest.raises(RuntimeError, match="loop1"):
+        fabric.inject(63001, frame)
+    with pytest.raises(RuntimeError, match="loop1"):
+        fabric.clone().inject(63001, frame)
+
+
+@pytest.mark.xfail(strict=True, reason="split horizon covers floods only: known unicast "
+                                       "off a pseudo-wire can leave on another (ROADMAP item 7)")
+def test_known_unicast_off_a_wire_stays_off_other_wires():
+    fabric = _triangle()
+    fabric.inject(63002, _frame(_mac(2), BROADCAST_MAC, EtherType.ARP, 64, "t1"))
+    fabric.inject(63003, _frame(_mac(3), _mac(2), EtherType.IPV4, 100, "t2"))  # only b learns 3
+    result = fabric.inject(63001, _frame(_mac(1), _mac(3), EtherType.IPV4, 100, "t3"))
+    assert result.deliveries == [63003]
+    assert result.pw_traversals == 2
 
 
 def test_clone_isolates_probe_traffic():
