@@ -13,6 +13,9 @@ so that sweep reads configuration alone and is already final.  Each route
 server collects its clients' routes into one table that every client's
 RIB views (see exchange_l3), so a sweep, its comparison with the last one
 and the RIB dump all work per server table, not per member and route.
+Bilateral and transit routes are shared the same way: one object per
+sender and prefix, whichever RIBs receive it, so the RIB dump renders
+each route once.
 
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
@@ -57,7 +60,6 @@ from ixsim.exchange_l3 import (
     reachability_matrix,
     ribs_differ,
     rs_redistribute,
-    selection_key,
     transit_deliveries,
     upstream_announcements,
 )
@@ -193,7 +195,8 @@ class Simulation:
         """One synchronous sweep of every active session.  Each active
         route server collects its clients' routes into one table, which
         every client's RIB views; bilateral and transit routes are added
-        to the receiving RIB."""
+        to the receiving RIB.  A bilateral sender's route to a prefix is
+        one object, shared by every RIB it is added to."""
         sessions = self.active_sessions()
         tables = []
         for server in self.active_servers():
@@ -207,12 +210,17 @@ class Simulation:
             for asn in self.members})
         ribs = state.ribs
 
+        sent: Dict[int, List[BgpRoute]] = {}  # bilateral sender -> its routes
         for s in sorted((x for x in sessions if x.kind is PeerKind.BILATERAL),
                         key=lambda x: (x.a, x.b)):
             for left, right in ((s.a, s.b), (s.b, s.a)):
-                for pfx in self.announced(left):
-                    ribs[right].add(BgpRoute(
-                        pfx, (left,), self.ports[left].exchange_ip, "bgp/%d" % left))
+                routes = sent.get(left)
+                if routes is None:
+                    ip, learned = self.ports[left].exchange_ip, "bgp/%d" % left
+                    routes = sent[left] = [BgpRoute(pfx, (left,), ip, learned)
+                                           for pfx in self.announced(left)]
+                for route in routes:
+                    ribs[right].add(route)
 
         for asn in sorted(self.members):
             member = self.members[asn]
@@ -342,10 +350,12 @@ class Simulation:
         and formatted once per group of members; a member patches a copy
         of it only at its own candidates and the keys a server withholds
         from it.  Each distinct route is rendered once, keyed by id(): the
-        RIBs hold every route until this returns.  Heads "<asn>|" are
-        prefix-free, so members taken in head order, each with its lines
-        sorted, emit the lines in final order; a group's texts are kept in
-        text order, so each member's sort mostly confirms it."""
+        RIBs hold every route until this returns, and a bilateral or
+        transit route is one object per sender and prefix, however many
+        RIBs hold it.  Heads "<asn>|" are prefix-free, so members taken in
+        head order, each with its lines sorted, emit the lines in final
+        order; a group's texts are kept in text order, so each member's
+        sort mostly confirms it, and a member's lines are one join."""
         rendered: Dict[int, str] = {}
 
         def render(route: BgpRoute) -> str:
@@ -357,7 +367,7 @@ class Simulation:
             return text
 
         groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], str]] = {}
-        lines: List[str] = []
+        chunks: List[str] = []  # one per member with routes
         ribs = self.l3.ribs
         for asn in sorted(ribs, key=lambda n: "%d|" % n):
             rib = ribs[asn]
@@ -368,7 +378,7 @@ class Simulation:
                 for table in rib.views:
                     for key, offers in table.offers.items():
                         route = offers[-1]
-                        if key not in best or selection_key(route) < selection_key(best[key]):
+                        if key not in best or route.rank < best[key].rank:
                             best[key] = route
                 shared = groups[views] = dict(sorted(
                     ((key, render(route)) for key, route in best.items()),
@@ -380,9 +390,10 @@ class Simulation:
                     texts.pop(key, None)
                 else:
                     texts[key] = render(route)
-            head = "%d|" % asn
-            lines.extend(head + text for text in sorted(texts.values()))
-        return "\n".join(lines) + ("\n" if lines else "")
+            if texts:
+                head = "%d|" % asn
+                chunks.append(head + ("\n" + head).join(sorted(texts.values())))
+        return "\n".join(chunks) + ("\n" if chunks else "")
 
     def trace_dump(self) -> str:
         return format_trace(self.fabric.trace)

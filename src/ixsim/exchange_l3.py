@@ -14,8 +14,12 @@ of a table is its own loop rejection (never a route whose AS path holds
 its ASN), the only per-client work; selection, lookups and sweep
 comparison run over the tables.  Keys stay integers: a RIB keys its
 prefixes by ``(network as int, length)`` and looks up supernets with
-integer masks.  ``ipaddress`` objects appear only at the edges, in the
-routes themselves and in what ``chosen()`` returns.
+integer masks, and a route's selection rank is computed once, when the
+route is made, so comparing two routes never converts an address.
+``ipaddress`` objects appear only at the edges, in the routes themselves
+and in what ``chosen()`` returns.  A route is one object wherever it is
+delivered: a transit route is built once per transit member and policy
+for all of its takers.
 """
 
 from __future__ import annotations
@@ -66,6 +70,8 @@ class BgpRoute:
     learned_from: str
     # The prefix as (network as int, length): what RIBs are keyed by.
     key: Tuple[int, int] = field(init=False, repr=False, compare=False)
+    # Where the route sorts in selection: see ``selection_key``.
+    rank: Tuple[int, int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.as_path:
@@ -74,6 +80,8 @@ class BgpRoute:
             raise ValueError("AS path repeats an ASN: %r" % (self.as_path,))
         object.__setattr__(self, "key", (int(self.prefix.network_address),
                                          self.prefix.prefixlen))
+        object.__setattr__(self, "rank", (len(self.as_path), int(self.next_hop),
+                                          self.learned_from))
 
 
 @dataclass(frozen=True)
@@ -99,8 +107,9 @@ class RouteServer:
 def selection_key(route: BgpRoute) -> Tuple[int, int, str]:
     """Selection order: shortest AS path, then lowest next hop, then lowest
     learned-from identifier.  A RIB holds one route per learned-from
-    identifier and prefix, so the order is total there."""
-    return (len(route.as_path), int(route.next_hop), route.learned_from)
+    identifier and prefix, so the order is total there.  It is the route's
+    ``rank``, computed once when the route is made."""
+    return route.rank
 
 
 class ServerTable:
@@ -193,8 +202,7 @@ class MemberRib:
             if entry is None:
                 continue
             route = table.pick(key, self.member_asn) if key in withheld else entry[-1]
-            if route is not None and (best is None
-                                      or selection_key(route) < selection_key(best)):
+            if route is not None and (best is None or route.rank < best.rank):
                 best = route
         return best
 
@@ -299,22 +307,18 @@ def transit_deliveries(
     external_prefixes: Sequence[ipaddress.IPv4Network],
 ) -> List[Tuple[int, BgpRoute]]:
     """What the upstream-connected member announces to its customers:
-    a bare default, or one route per external prefix for full-table takers."""
-    origin = {
-        pfx: external_origin_asn(i)
-        for i, pfx in enumerate(external_prefixes)
-    }
+    a bare default, or one route per external prefix for full-table takers.
+    Each route is built once and delivered to every taker of its policy."""
     learned = "bgp/%d" % transit.asn
+    default = [BgpRoute(DEFAULT_ROUTE, (transit.asn,), transit_ip, learned)]
+    full = [BgpRoute(pfx, (transit.asn, external_origin_asn(i)), transit_ip, learned)
+            for i, pfx in enumerate(external_prefixes)]
     out: List[Tuple[int, BgpRoute]] = []
     for s in sorted(sessions, key=lambda s: (s.a, s.b)):
         if s.kind is not PeerKind.TRANSIT or s.b != transit.asn:
             continue
-        if s.policy is TransitPolicy.DEFAULT_ONLY:
-            out.append((s.a, BgpRoute(DEFAULT_ROUTE, (transit.asn,), transit_ip, learned)))
-        else:
-            for pfx in external_prefixes:
-                out.append((s.a, BgpRoute(
-                    pfx, (transit.asn, origin[pfx]), transit_ip, learned)))
+        routes = default if s.policy is TransitPolicy.DEFAULT_ONLY else full
+        out.extend((s.a, route) for route in routes)
     return out
 
 
@@ -331,12 +335,14 @@ def upstream_announcements(
     member_prefixes: Iterable[ipaddress.IPv4Network],
 ) -> List[BgpRoute]:
     """Member routes the transit party re-announces toward its upstream,
-    with itself prepended.  Purely informational: the upstream side of the
+    with itself prepended, in prefix text order.  The RIB is read only at
+    the member prefixes.  Purely informational: the upstream side of the
     world is outside the model."""
-    member_prefixes = set(member_prefixes)
+    keys = {(int(p.network_address), p.prefixlen): p for p in member_prefixes}
     out = []
-    for prefix, route in sorted(rib.chosen().items(), key=lambda kv: str(kv[0])):
-        if prefix not in member_prefixes or transit.asn in route.as_path:
+    for key, prefix in sorted(keys.items(), key=lambda kv: str(kv[1])):
+        route = rib.best_at(key)
+        if route is None or transit.asn in route.as_path:
             continue
         out.append(BgpRoute(prefix, (transit.asn,) + route.as_path,
                             route.next_hop, "upstream"))

@@ -6,8 +6,11 @@ route reflection run to a fixpoint rather than its closed form, a full ARP
 exchange and data probe per reachability cell rather than one
 flood per source member, a pairwise prefix-overlap scan rather than a
 sweep, route-server routes copied into every other client's RIB rather
-than one table per server, a RIB dump formatted line by line from
-``chosen()`` rather than once per distinct route, and frame forwarding that derives every port
+than one table per server, transit routes built again for every taker
+rather than once per policy, upstream announcements read off ``chosen()``
+rather than at the member prefixes, a RIB dump that selects over the
+merged candidates by their fields and formats line by line rather than
+once per distinct route, and frame forwarding that derives every port
 lookup, flood target, local MAC set and wire path again on each hop
 rather than once per fabric, bridge or wire direction.
 """
@@ -40,14 +43,15 @@ from ixsim.dataplane import (
 )
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import (
+    DEFAULT_ROUTE,
     PROBE_PAYLOAD_SIZE,
     BgpRoute,
     MemberRib,
     PeerKind,
     RouteServer,
+    TransitPolicy,
     arp_resolve,
-    transit_deliveries,
-    upstream_announcements,
+    external_origin_asn,
 )
 from ixsim.model import (
     LinkState,
@@ -300,31 +304,49 @@ def reference_exchange_routes(
                 for to_asn, reflected in reference_rs_redistribute(server, route, client):
                     ribs[to_asn].add(reflected)
 
+    externals = sim.scenario.external_prefixes
     for asn in sorted(sim.members):
         member = sim.members[asn]
         if not member.is_transit or not sim._port_active(asn):
             continue
-        for to_asn, route in transit_deliveries(
-                member, sim.ports[asn].exchange_ip, sessions,
-                sim.scenario.external_prefixes):
-            ribs[to_asn].add(route)
+        hop, learned = sim.ports[asn].exchange_ip, "bgp/%d" % asn
+        for s in sorted(sessions, key=lambda s: (s.a, s.b)):
+            if s.kind is not PeerKind.TRANSIT or s.b != asn:
+                continue
+            if s.policy is TransitPolicy.DEFAULT_ONLY:
+                ribs[s.a].add(BgpRoute(DEFAULT_ROUTE, (asn,), hop, learned))
+                continue
+            for i, pfx in enumerate(externals):
+                ribs[s.a].add(BgpRoute(pfx, (asn, external_origin_asn(i)), hop, learned))
 
     upstream: List[BgpRoute] = []
-    member_prefixes = [p for m in sim.members.values() for p in m.announced_prefixes]
+    member_prefixes = {p for m in sim.members.values() for p in m.announced_prefixes}
     for asn in sorted(sim.members):
         member = sim.members[asn]
-        if member.is_transit and sim._port_active(asn):
-            upstream.extend(upstream_announcements(member, ribs[asn], member_prefixes))
+        if not member.is_transit or not sim._port_active(asn):
+            continue
+        for prefix, route in sorted(ribs[asn].chosen().items(), key=lambda kv: str(kv[0])):
+            if prefix in member_prefixes and asn not in route.as_path:
+                upstream.append(BgpRoute(prefix, (asn,) + route.as_path,
+                                         route.next_hop, "upstream"))
     return ribs, upstream
 
 
+def field_order(route: BgpRoute) -> Tuple[int, int, str]:
+    """Selection order read off a route's fields: shortest AS path, lowest
+    next hop, lowest learned-from identifier."""
+    return (len(route.as_path), int(route.next_hop), route.learned_from)
+
+
 def reference_rib_dump(ribs: Dict[int, MemberRib]) -> str:
-    """One line per member and chosen route, each formatted on its own."""
+    """One line per member and prefix, selecting over the merged
+    candidates by ``field_order``, each line formatted on its own."""
     lines = []
     for asn in sorted(ribs):
-        for prefix, route in ribs[asn].chosen().items():
+        for routes in ribs[asn].candidates.values():
+            route = min(routes.values(), key=field_order)
             lines.append("%d|%s|%s|%s|%s" % (
-                asn, prefix, " ".join(str(n) for n in route.as_path),
+                asn, route.prefix, " ".join(str(n) for n in route.as_path),
                 route.next_hop, route.learned_from))
     return "\n".join(sorted(lines)) + ("\n" if lines else "")
 

@@ -449,6 +449,20 @@ def test_larger_probe_rung_matches_its_committed_digest():
     assert got == "f79a5dc8487dc9fa24bfaca2df05765eeb8415f901228cf0df36ca9df5820f68"
 
 
+def test_larger_route_rung_matches_its_committed_digest():
+    """``route_scale`` at P20/M400: 160,279 selected routes, most of them
+    shared by groups of members viewing the same route-server tables."""
+    generator = load_generator()
+    generator.WORKLOADS["route_scale"] = dataclasses.replace(
+        generator.WORKLOADS["route_scale"], pes=20, members=400)
+    sim = Simulation(parse_scenario(generator.generate("route_scale", 1)))
+    sim.run()
+    dump = sim.rib_dump()
+    assert dump.count("\n") == 160279
+    got = hashlib.sha256(dump.encode("utf-8")).hexdigest()
+    assert got == "eeb08c8108be2d509c2f8c489403a1e09886c1c7570bd827a413a6066b6fdd8b"
+
+
 # SHA-256 of the other artefacts of generated rungs, recorded before a
 # pseudo-wire's transport was resolved lazily by the fabric.
 GENERATED_ARTEFACT_DIGESTS = {

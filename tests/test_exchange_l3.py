@@ -31,7 +31,7 @@ from ixsim.exchange_l3 import (
 )
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST
 from ixsim.model import LinkState, MemberAs, PortState, Topology
-from oracles import reference_reachability
+from oracles import field_order, reference_reachability
 
 
 def _net(text):
@@ -68,8 +68,37 @@ def test_route_key_is_derived_from_the_prefix():
     assert BgpRoute(DEFAULT_ROUTE, (64500,), _ip("192.0.2.1"), "rs/x").key == (0, 0)
 
 
+def test_route_rank_is_derived_from_the_selection_fields():
+    route = _route("10.1.0.0/16", (64500, 64501), "192.0.2.9", "rs/smo")
+    assert route.rank == (2, int(_ip("192.0.2.9")), "rs/smo")
+    assert "rank" not in repr(route)
+    # equality and hashing ignore the rank: a route ranked otherwise with
+    # the same fields is still the same route
+    twin = _route("10.1.0.0/16", (64500, 64501), "192.0.2.9", "rs/smo")
+    object.__setattr__(twin, "rank", (0, 0, ""))
+    assert twin == route and hash(twin) == hash(route)
+    for field, value, rank in (
+            ("next_hop", _ip("192.0.2.3"), (2, int(_ip("192.0.2.3")), "rs/smo")),
+            ("as_path", (64502,), (1, int(_ip("192.0.2.9")), "rs/smo")),
+            ("learned_from", "bgp/64500", (2, int(_ip("192.0.2.9")), "bgp/64500"))):
+        moved = dataclasses.replace(route, **{field: value})
+        assert moved.rank == rank
+        assert moved.key == route.key
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=6, unique=True),
+       hop=st.integers(0, 2**32 - 1), length=st.integers(0, 32),
+       learned=st.sampled_from(["bgp/64500", "bgp/7", "rs/mallaig", "rs/a", "upstream"]))
+def test_selection_key_is_the_field_order(path, hop, length, learned):
+    prefix = ipaddress.IPv4Network((hop, length), strict=False)
+    route = BgpRoute(prefix, tuple(path), ipaddress.IPv4Address(hop), learned)
+    assert selection_key(route) == (len(route.as_path), int(route.next_hop),
+                                    route.learned_from)
+
+
 def _best(routes):
-    return min(routes, key=selection_key)
+    return min(routes, key=field_order)
 
 
 def test_best_path_prefers_short_then_next_hop_then_source():
