@@ -74,8 +74,7 @@ Attachment = Union[PortRef, PwRef]
 
 
 # Attachments and their trace labels are interned, one object per member
-# port and per PE in the process, so the bridges rebuilt on every link
-# event allocate none.
+# port and per PE in the process, so rebuilt bridges allocate none.
 @lru_cache(maxsize=None)
 def _port_attachment(asn: int) -> Tuple[PortRef, str]:
     return PortRef(asn), "port/%d" % asn
@@ -122,10 +121,12 @@ class BridgeState:
         """Pseudo-wires in remote-PE order."""
         return tuple(_wire_attachment(pe)[0] for pe in sorted(self.pws))
 
-    def clone(self) -> "BridgeState":
-        """Copy with its own MAC table, sharing everything else."""
+    def clone(self, macs: bool = True) -> "BridgeState":
+        """Copy with its own MAC table, sharing everything else.  The copy
+        starts with this bridge's learned MACs, or none when ``macs`` is
+        false."""
         twin = copy.copy(self)  # the instance dict carries the derived values
-        twin.mac_table = dict(self.mac_table)
+        twin.mac_table = dict(self.mac_table) if macs else {}
         return twin
 
     def lookup(self, mac: str, round_no: int) -> Optional[MacEntry]:
@@ -240,8 +241,7 @@ def format_trace(rows: Iterable[TraceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class DropRecord:
+class DropRecord(NamedTuple):
     round_no: int
     port_asn: Optional[int]
     reason: DropReason
@@ -258,6 +258,10 @@ class InjectResult:
     emissions: int = 0
 
 
+# A pseudo-wire direction (ingress, egress) -> its path MTU and links.
+Transport = Dict[Tuple[str, str], Tuple[int, List[Link]]]
+
+
 class Fabric:
     """All bridges plus the transport glue between them.
 
@@ -267,10 +271,12 @@ class Fabric:
     convergence that built the bridges: each node's tree's own first-hop
     map, keyed by node and then by destination.  A pseudo-wire direction's
     links and its path MTU, the smallest MTU among them, are walked from
-    it the first time a frame crosses that direction and kept for this
-    fabric's lifetime; reconvergence builds a new fabric, so no path
-    outlives its table.  A frame is gated on the path MTU; the links are
-    scanned only on a drop.
+    it the first time a frame crosses that direction and kept in
+    ``_transport``, the walked transport of that table.  It is a cache of
+    the table and goes wherever the table goes: a fabric built on a table
+    some earlier fabric carried is given that fabric's walked transport,
+    and a new table starts with none, so no path outlives its table.  A
+    frame is gated on the path MTU; the links are scanned only on a drop.
     """
 
     def __init__(
@@ -280,6 +286,7 @@ class Fabric:
         labels: LabelTable,
         trace: Optional[List[TraceRow]] = None,
         drops: Optional[List[DropRecord]] = None,
+        transport: Optional[Transport] = None,
     ):
         self.topo = topo
         self.bridges = bridges
@@ -288,7 +295,7 @@ class Fabric:
         self.drops: List[DropRecord] = drops if drops is not None else []
         self.ports: Dict[int, MemberPort] = {
             asn: port for bridge in bridges.values() for asn, port in bridge.ports.items()}
-        self._transport: Dict[Tuple[str, str], Tuple[int, List[Link]]] = {}
+        self._transport: Transport = transport if transport is not None else {}
         self._log = self.trace.append  # None on a probe clone
         # No frame needs more crossings than the mesh has wire directions.
         self._max_crossings = len(bridges) * (len(bridges) - 1)
@@ -308,6 +315,17 @@ class Fabric:
         probe.bridges = {pe: b.clone() for pe, b in self.bridges.items()}
         probe.trace, probe.drops, probe._log = [], [], None
         return probe
+
+    def relinked(self, topo: Topology, labels: LabelTable, transport: Transport) -> "Fabric":
+        """This fabric's wiring over another underlay: every bridge copied
+        with an empty MAC table, sharing its ports, wires and their
+        derived targets, carried over the next hops of ``labels``, whose
+        walked transport is ``transport``.  The trace and drop log go
+        on."""
+        fabric = copy.copy(self)
+        fabric.topo, fabric.labels, fabric._transport = topo, labels, transport
+        fabric.bridges = {pe: b.clone(macs=False) for pe, b in self.bridges.items()}
+        return fabric
 
     def _path(self, here: BridgeState, remote: str) -> Tuple[int, List[Link]]:
         """Path MTU and links of the wire direction from ``here`` to

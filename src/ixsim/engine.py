@@ -27,10 +27,17 @@ The next-hop table is the trees' own first-hop maps, so a repaired tree
 brings its node's next hops with it.  The pseudo-wire mesh is built once,
 since its labels come from the adverts alone; when some repaired tree
 reaches a different set of nodes, a partition or a heal, the wires that
-stand are chosen from it again by next hops.  Link events rebuild the
-fabric as converge() does, so learned MACs and walked LSPs are reset on
-every event that reconverges.  Frame injection exercises only the data
-plane.
+stand are chosen from it again by next hops.  The run keeps one record,
+the link-dependent state from before the last link event.  Trees are
+canonical, so when an event leaves the same links down as that record,
+as the up of a flap does, the record is that state exactly and comes
+back as it was, walked transport included, with no repair.  An event
+that flips no link keeps every table.  Every link event resets learned
+MACs: the bridges are copied with empty MAC tables, and rebuilt only
+when the standing wires change.  The walked transport is a cache of its
+next-hop table and lives as long as the table, so LSPs are walked again
+only after an event that repairs.  Frame injection exercises only the
+data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, replace
-from typing import Collection, Dict, List, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from ixsim.dataplane import (
     DEFAULT_PROBATION_ROUNDS,
@@ -48,6 +55,7 @@ from ixsim.dataplane import (
     DropReason,
     EthernetFrame,
     Fabric,
+    Transport,
     format_trace,
     promote_port,
 )
@@ -80,6 +88,7 @@ from ixsim.underlay import (
     rerun_stale_spf,
 )
 from ixsim.vpls_signal import (
+    Pseudowire,
     VplsAdvert,
     build_session_graph,
     derive_pseudowires,
@@ -99,6 +108,19 @@ class _L3State:
 
     ribs: Dict[int, MemberRib] = field(default_factory=dict)
     upstream: List[BgpRoute] = field(default_factory=list)
+
+
+class _Underlay(NamedTuple):
+    """The link-dependent state for one set of down links (indices into
+    the topology): the trees, the next-hop table they give with the
+    transport walked over it, and the wires that stand."""
+
+    down: FrozenSet[int]
+    trees: Dict[str, SpfTree]
+    labels: LabelTable
+    pseudowires: Tuple[Pseudowire, ...]
+    missing_transport: Tuple[Tuple[str, str], ...]
+    transport: Transport
 
 
 class Simulation:
@@ -123,6 +145,9 @@ class Simulation:
         self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
         self.fabric = Fabric(self.topo, {}, labels)  # bridges come with converge()
         self.l3 = _L3State()
+        self._down = frozenset(i for i, link in enumerate(self.topo.links)
+                               if link.state is LinkState.DOWN)
+        self._before = self._underlay()  # what the last link event replaced
 
     # -- configuration views -------------------------------------------------
 
@@ -153,33 +178,62 @@ class Simulation:
         The underlay and signalling stand from construction and from each
         link event, so a topology change must come as a link event.
         Returns 1 when the member RIBs changed and 0 when they did not."""
-        self._rebuild_fabric(self.fabric.labels)
+        self._rebuild_fabric(self.fabric.labels, self.fabric._transport)
         sweep = self._exchange_routes()
         changed = int(ribs_differ(self.l3.ribs, sweep.ribs))
         self.l3 = sweep
         self.rounds_total += changed
         return changed
 
+    def _underlay(self) -> _Underlay:
+        """The link-dependent state the run holds now."""
+        return _Underlay(self._down, self.trees, self.fabric.labels,
+                         self.pseudowires, self.missing_transport,
+                         self.fabric._transport)
+
     def _relink(self, flapped: Collection[int]) -> None:
         """Bring the link-dependent layers up to date after the ``flapped``
-        links (indices into ``self.topo``) changed state: repair the trees
-        they change, take each repaired tree's first hops as its node's
-        next hops, choose the standing wires from the mesh again if a
-        reachable set changed, and rebuild the fabric."""
-        fresh = rerun_stale_spf(self.topo, self.trees, flapped)
-        labels = {**self.fabric.labels,
-                  **{name: tree.first_hop for name, tree in fresh.items()}}
-        if any(tree.dist.keys() != self.trees[name].dist.keys()
-               for name, tree in fresh.items()):
-            self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
-        self.trees = {**self.trees, **fresh}
-        self._rebuild_fabric(labels)
+        links (indices into ``self.topo``) changed state.  When no link
+        flipped, every table stands.  When the down links are again those
+        of the state kept from before the last link event, that state comes
+        back as it was; trees are canonical, so it is what a repair would
+        rebuild.  Otherwise repair the trees the flip changes, take each
+        repaired tree's first hops as its node's next hops, choose the
+        standing wires from the mesh again if a reachable set changed, and
+        keep the state from before this event.  The bridges are copied
+        with empty MAC tables when the standing wires are the same and
+        rebuilt when they are not."""
+        if not flapped:
+            self.fabric = self.fabric.relinked(
+                self.topo, self.fabric.labels, self.fabric._transport)
+            return
+        now = self._underlay()
+        down = self._down.symmetric_difference(flapped)
+        if self._before.down == down:
+            after = self._before
+        else:
+            fresh = rerun_stale_spf(self.topo, self.trees, flapped)
+            labels = {**self.fabric.labels,
+                      **{name: tree.first_hop for name, tree in fresh.items()}}
+            wires, missing = self.pseudowires, self.missing_transport
+            if any(tree.dist.keys() != self.trees[name].dist.keys()
+                   for name, tree in fresh.items()):
+                wires, missing = derive_pseudowires(self.mesh, labels)
+            after = _Underlay(down, {**self.trees, **fresh}, labels, wires, missing, {})
+        self._before = now
+        self._down, self.trees = after.down, after.trees
+        self.pseudowires, self.missing_transport = after.pseudowires, after.missing_transport
+        if after.pseudowires != now.pseudowires:
+            self._rebuild_fabric(after.labels, after.transport)
+        else:
+            self.fabric = self.fabric.relinked(self.topo, after.labels, after.transport)
 
-    def _rebuild_fabric(self, labels: LabelTable) -> None:
+    def _rebuild_fabric(self, labels: LabelTable, transport: Transport) -> None:
         """Fresh bridges wired to the current ports and pseudo-wire mesh,
-        carried over the next hops of ``labels``; no bridge is rewired after
-        this (see BridgeState).  Learned MACs and resolved transport do not
-        survive reconvergence; the logs and trace numbering do."""
+        carried over the next hops of ``labels``, whose walked transport
+        is ``transport``; no bridge is rewired after this (see
+        BridgeState).  Learned MACs do not survive reconvergence; the logs
+        and trace numbering do."""
         bridges = {}
         for name in self.topo.node_names():
             bridges[name] = BridgeState(pe=name)
@@ -188,8 +242,8 @@ class Simulation:
         for pw in self.pseudowires:
             bridges[pw.pe_a].pws[pw.pe_b] = pw
             bridges[pw.pe_b].pws[pw.pe_a] = pw
-        self.fabric = Fabric(self.topo, bridges, labels,
-                             trace=self.fabric.trace, drops=self.fabric.drops)
+        self.fabric = Fabric(self.topo, bridges, labels, trace=self.fabric.trace,
+                             drops=self.fabric.drops, transport=transport)
 
     def _exchange_routes(self) -> _L3State:
         """One synchronous sweep of every active session.  Each active

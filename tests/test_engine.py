@@ -14,12 +14,13 @@ from hypothesis import strategies as st
 
 import ixsim.engine
 from helpers import WHIX, converged, load_generator, load_whix, make_exchange, random_exchange
-from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType, Fabric
+from ixsim.dataplane import BROADCAST_MAC, DropReason, EtherType, EthernetFrame, Fabric
 from ixsim.engine import DOT_LAYERS, Simulation, UnknownEntityError, export_dot
 from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind, parse_scenario
-from ixsim.underlay import FIRST_FREE_LABEL, compute_all_spf
+from ixsim.underlay import FIRST_FREE_LABEL, allocate_labels, compute_all_spf, resolve_lsp
+from ixsim.vpls_signal import derive_pseudowires
 from oracles import reference_exchange_routes, reference_rib_dump, union_find_components
 
 
@@ -531,6 +532,43 @@ def test_flaps_match_a_fresh_convergence(seed, route_server):
             assert min(pw.label_a_to_b, pw.label_b_to_a) >= FIRST_FREE_LABEL + len(sim.topo.nodes)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_restored_and_repaired_underlays_match_a_rerun(seed):
+    """Random link events over few links, so that link states recur, flaps
+    overlap, some events flip nothing and partitions happen: after every
+    event the trees, the standing wires and every walked transport path
+    are what a rerun from scratch gives, and no bridge holds a learned
+    MAC.  Between events each port floods once, so most wire directions
+    have walked transport for the next event to keep or drop."""
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 5))
+    pairs = sorted({link.endpoints for link in sim.topo.links})
+    tid = 0
+    for at in range(1, 20):
+        kind = rng.choice([EventKind.LINK_DOWN, EventKind.LINK_UP])
+        sim.apply_event(Event(at, kind, rng.choice(pairs)))
+        trees = compute_all_spf(sim.topo)
+        assert sim.trees.keys() == trees.keys()
+        for name, tree in trees.items():
+            kept = sim.trees[name]
+            assert (kept.dist, kept.parent, kept.first_hop) == \
+                (tree.dist, tree.parent, tree.first_hop)
+        table = allocate_labels(trees)
+        assert sim.fabric.labels == table
+        assert (sim.pseudowires, sim.missing_transport) == derive_pseudowires(sim.mesh, table)
+        for (src, dst), (mtu, links) in sim.fabric._transport.items():
+            walked = [sim.topo.links[i] for i in resolve_lsp(table, src, dst)]
+            assert links == walked
+            assert mtu == min(link.mtu for link in walked)
+        assert not any(b.mac_table for b in sim.fabric.bridges.values())
+        for asn, port in sorted(sim.ports.items()):
+            tid += 1
+            frame = EthernetFrame(port.nominated_mac, BROADCAST_MAC, EtherType.ARP, 64,
+                                  "t%d" % tid)
+            sim.fabric.inject(asn, frame, at)
+
+
 # SHA-256 of the trace of whix plus the events below, recorded before link
 # events reconverged incrementally, when every link event rebuilt the
 # whole underlay.
@@ -561,10 +599,11 @@ def test_no_op_link_events_keep_the_tables_and_reset_the_fabric():
         assert sim.topo == topo
         assert any(b.mac_table for b in fabric.bridges.values())
         assert sim.fabric is not fabric
-        assert sim.fabric.labels == fabric.labels
+        assert sim.fabric.labels is fabric.labels
         assert (sim.pseudowires, sim.missing_transport) == wires
         assert not any(b.mac_table for b in sim.fabric.bridges.values())
-        assert sim.fabric._transport == {}
+        assert fabric._transport  # the frame before walked some transport
+        assert sim.fabric._transport is fabric._transport  # it moves with its table
     digest = hashlib.sha256(sim.trace_dump().encode("utf-8")).hexdigest()
     assert digest == NO_OP_TRACE_DIGEST
 
@@ -573,10 +612,10 @@ BUILT_ONCE = ("compute_all_spf", "allocate_labels", "build_session_graph",
               "originate_adverts", "propagate", "derive_pseudowires")
 
 
-def _count_calls(monkeypatch):
-    """Count the engine's calls of each BUILT_ONCE name."""
+def _count_calls(monkeypatch, names=BUILT_ONCE):
+    """Count the engine's calls of each of ``names``."""
     calls = Counter()
-    for name in BUILT_ONCE:
+    for name in names:
         def counted(*args, _fn=getattr(ixsim.engine, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -587,21 +626,56 @@ def _count_calls(monkeypatch):
 def test_labels_and_signalling_are_built_once(monkeypatch):
     """On a benchmark-shaped run, one leaf flap among core flaps, SPF,
     labels and signalling run once for the whole run, and the pseudo-wire
-    mesh is derived again only when a link event splits or joins the
-    underlay."""
+    mesh is derived again only when a link event splits the underlay: the
+    heal right after it brings back the very wires and trees from before
+    the split."""
     calls = _count_calls(monkeypatch)
     scenario = parse_scenario(load_generator().generate("link_churn", 1))
     sim = Simulation(scenario)
     sim.converge()
     assert calls == Counter(dict.fromkeys(BUILT_ONCE, 1))
-    rederived = 0
+    splits = heals = 0
     for event in scenario.events:
-        parts = union_find_components(sim.topo)
+        parts = len(union_find_components(sim.topo))
+        before = sim.pseudowires, sim.trees
         sim.apply_event(event)
-        rederived += union_find_components(sim.topo) != parts
-        assert calls["derive_pseudowires"] == 1 + rederived
-    assert rederived == 2  # the leaf link's down and up
+        now = len(union_find_components(sim.topo))
+        if now > parts:
+            splits += 1
+            unsplit = before
+        elif now < parts:
+            heals += 1
+            assert sim.pseudowires is unsplit[0]
+            assert sim.trees is unsplit[1]
+        assert calls["derive_pseudowires"] == 1 + splits
+    assert (splits, heals) == (1, 1)  # the leaf link's down and up
     assert all(calls[name] == 1 for name in BUILT_ONCE if name != "derive_pseudowires")
+
+
+def test_restoring_link_events_repair_nothing(monkeypatch):
+    """Every link-up on the benchmark-shaped run restores the underlay from
+    before its link-down, so it calls neither ``rerun_stale_spf`` nor
+    ``derive_pseudowires``; only the downs repair.  The restored state is
+    the one held before the down, walked transport included, and every
+    bridge forgets what it learned."""
+    calls = _count_calls(monkeypatch, ("rerun_stale_spf", "derive_pseudowires"))
+    scenario = parse_scenario(load_generator().generate("link_churn", 1))
+    sim = Simulation(scenario)
+    sim.converge()
+    downs = 0
+    for event in scenario.events:
+        held = sim._underlay()
+        made = Counter(calls)
+        sim.apply_event(event)
+        if event.kind is EventKind.LINK_DOWN:
+            downs += 1
+            assert calls["rerun_stale_spf"] == made["rerun_stale_spf"] + 1
+            unflapped = held
+        elif event.kind is EventKind.LINK_UP:
+            assert calls == made
+            assert all(now is then for now, then in zip(sim._underlay(), unflapped))
+            assert not any(b.mac_table for b in sim.fabric.bridges.values())
+    assert downs == 5 and calls["rerun_stale_spf"] == downs
 
 
 # SHA-256 of the trace ``run --trace`` writes for whix with applecross

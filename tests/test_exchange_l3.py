@@ -272,6 +272,22 @@ def test_upstream_announcements_prepend_and_filter():
     ]
 
 
+def test_upstream_announcements_skip_paths_through_the_transit_member():
+    """Given a RIB other than the transit member's own, whose add() would
+    refuse such a route, a route whose AS path already holds the transit
+    ASN is not re-announced toward the upstream."""
+    transit = MemberAs(64511, "upstream-haver", is_transit=True)
+    rib = MemberRib(64496)
+    rib.add(_route("10.177.1.0/24", (64601, 64511), "192.0.2.11", "bgp/64601"))
+    rib.add(_route("10.177.2.0/24", (64602,), "192.0.2.12", "bgp/64602"))
+    member_prefixes = [_net("10.177.1.0/24"), _net("10.177.2.0/24")]
+    assert rib.best_at((int(_net("10.177.1.0/24").network_address), 24)) is not None
+    out = upstream_announcements(transit, rib, member_prefixes)
+    assert [(str(r.prefix), r.as_path) for r in out] == [
+        ("10.177.2.0/24", (64511, 64602)),
+    ]
+
+
 def test_arp_resolves_active_owner():
     fabric = hand_fabric([("a", "b", 1)], [(64601, "a", 1), (64602, "b", 2)],
                          reflectors={"a"})
