@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when the scenario is invalid (an event that
 names what the run would not find included), 2 when the file cannot be read
-or parsed.  Diagnostics go to stderr; requested artefacts go to stdout
-unless a path flag redirects them.
+or parsed or an output path cannot be written.  Diagnostics go to stderr;
+requested artefacts go to stdout unless a path flag redirects them.
 """
 
 from __future__ import annotations
@@ -48,8 +48,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> Scenario:
     try:
         return load_scenario(path)
+    except (OSError, UnicodeDecodeError) as err:  # only OSError has strerror
+        raise ParseError(0, "cannot read %s: %s" % (path, getattr(err, "strerror", err)))
+
+
+def _write(path: str, text: str) -> bool:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as err:
-        raise ParseError(0, "cannot read %s: %s" % (path, err.strerror))
+        print("cannot write %s: %s" % (path, err.strerror), file=sys.stderr)
+        return False
+    return True
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -67,14 +77,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             sys.stdout.write(sim.rib_dump())
             return EXIT_OK
         report = sim.report().to_text()
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                handle.write(report)
-        else:
+        if not args.report:
             sys.stdout.write(report)
-        if args.trace:
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                handle.write(sim.trace_dump())
+        elif not _write(args.report, report):
+            return EXIT_PARSE
+        if args.trace and not _write(args.trace, sim.trace_dump()):
+            return EXIT_PARSE
         return EXIT_OK
     except ScenarioValidationError as err:
         print("invalid scenario: %s" % err, file=sys.stderr)

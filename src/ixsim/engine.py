@@ -19,25 +19,25 @@ each route once.
 
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
-since no RIB depends on a link, and repairs only the shortest-path trees
-the flipped links change, each only where the flip moves it (see
-underlay).  A repaired tree is a new object with its own maps, so the
-next hops of the fabric built before the event never change under it.
-The next-hop table is the trees' own first-hop maps, so a repaired tree
+since no RIB depends on a link, and touches only the shortest-path trees
+the flipped links change: a down repairs each below the links it lost,
+and an up either restores the state from before its down (below) or
+reruns each tree it changes (see underlay).  A new tree has its own maps,
+so the next hops of the fabric built before the event never change under
+it.  The next-hop table is the trees' own first-hop maps, so a new tree
 brings its node's next hops with it.  The pseudo-wire mesh is built once,
-since its labels come from the adverts alone; when some repaired tree
-reaches a different set of nodes, a partition or a heal, the wires that
-stand are chosen from it again by next hops.  The run keeps one record,
-the link-dependent state from before the last link event.  Trees are
-canonical, so when an event leaves the same links down as that record,
-as the up of a flap does, the record is that state exactly and comes
-back as it was, walked transport included, with no repair.  An event
-that flips no link keeps every table.  Every link event resets learned
-MACs: the bridges are copied with empty MAC tables, and rebuilt only
-when the standing wires change.  The walked transport is a cache of its
-next-hop table and lives as long as the table, so LSPs are walked again
-only after an event that repairs.  Frame injection exercises only the
-data plane.
+since its labels come from the adverts alone; when some new tree reaches
+a different set of nodes, a partition or a heal, the wires that stand are
+chosen from it again by next hops.  The run keeps one record, the
+link-dependent state from before the last link event.  Trees are
+canonical, so when an event leaves the same links down as that record, as
+the up of a flap does, the record is that state exactly and comes back as
+it was, walked transport included.  An event that flips no link keeps
+every table.  Every link event resets learned MACs: the bridges are
+copied with empty MAC tables, and rebuilt only when the standing wires
+change.  The walked transport is a cache of its next-hop table and lives
+as long as the table, so LSPs are walked again only after an event that
+builds trees.  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -196,9 +196,9 @@ class Simulation:
         links (indices into ``self.topo``) changed state.  When no link
         flipped, every table stands.  When the down links are again those
         of the state kept from before the last link event, that state comes
-        back as it was; trees are canonical, so it is what a repair would
-        rebuild.  Otherwise repair the trees the flip changes, take each
-        repaired tree's first hops as its node's next hops, choose the
+        back as it was; trees are canonical, so it is what a rerun would
+        build.  Otherwise repair or rerun the trees the flip changes, take
+        each new tree's first hops as its node's next hops, choose the
         standing wires from the mesh again if a reachable set changed, and
         keep the state from before this event.  The bridges are copied
         with empty MAC tables when the standing wires are the same and

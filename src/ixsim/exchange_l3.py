@@ -25,6 +25,7 @@ for all of its takers.
 from __future__ import annotations
 
 import ipaddress
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -70,7 +71,9 @@ class BgpRoute:
     learned_from: str
     # The prefix as (network as int, length): what RIBs are keyed by.
     key: Tuple[int, int] = field(init=False, repr=False, compare=False)
-    # Where the route sorts in selection: see ``selection_key``.
+    # Where the route sorts in selection, computed once: shortest AS path,
+    # then lowest next hop, then lowest learned-from identifier.  A RIB holds
+    # one route per learned-from identifier and prefix, so the order is total.
     rank: Tuple[int, int, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -102,14 +105,6 @@ class RouteServer:
     host_pe: str
     service_asn: int
     client_sessions: Tuple[int, ...]
-
-
-def selection_key(route: BgpRoute) -> Tuple[int, int, str]:
-    """Selection order: shortest AS path, then lowest next hop, then lowest
-    learned-from identifier.  A RIB holds one route per learned-from
-    identifier and prefix, so the order is total there.  It is the route's
-    ``rank``, computed once when the route is made."""
-    return route.rank
 
 
 class ServerTable:
@@ -196,7 +191,7 @@ class MemberRib:
         best = None
         routes = self.own.get(key)
         if routes:
-            best = min(routes.values(), key=selection_key)
+            best = min(routes.values(), key=operator.attrgetter("rank"))
         for offers, withheld, table in self._views:
             entry = offers.get(key)
             if entry is None:

@@ -14,20 +14,18 @@ cost is at least 1 and all nodes share the tie-break, the chain is the
 ingress's own shortest path.  No transport label is modelled: the fabric forwards on next hops,
 and only the VPLS label blocks (see vpls_signal) carry numbers.
 
-A link event repairs only the trees it changes, and each of those only
-where it changes (dynamic SPF: Ramalingam and Reps, J. Algorithms 21,
-1996; Narváez, Siu and Tzeng, IEEE/ACM ToN 2000).  The tie-break makes a
-tree canonical: a node's parent is the smallest (name, link) among its
-optimal predecessors.  So a down link changes a tree exactly when it is
-some node's parent link, and an up link exactly when it offers an
-endpoint a shorter path, an equal one that wins the tie-break, or its
-first path.  Every other tree is kept as it is.  A down link moves only
-the subtree below it: those nodes are seeded from their up neighbours
-outside the subtree and settled again, and nodes no seed reaches drop
-out, which is how a partition shows.  An up link starts a Dijkstra at its
-endpoints that goes on only through nodes whose distance falls; nodes
-that gain a parent at the same distance pass only a new first hop on to
-their subtrees, and first hops are then read off the parents again.
+A link event touches only the trees it changes (dynamic SPF: Ramalingam
+and Reps, J. Algorithms 21, 1996; Narváez, Siu and Tzeng, IEEE/ACM ToN
+2000).  The tie-break makes a tree canonical: a node's parent is the
+smallest (name, link) among its optimal predecessors.  So a down link
+changes a tree exactly when it is some node's parent link, and an up link
+exactly when it offers an endpoint a shorter path, an equal one that wins
+the tie-break, or its first path.  Every other tree is kept as it is.  A
+down link repairs only the subtree below it: those nodes are seeded from
+their up neighbours outside the subtree and settled again, and nodes no
+seed reaches drop out, which is how a partition shows.  An up link either
+restores the state from before its down, which the engine keeps (see
+engine), or reruns each tree it changes.
 """
 
 from __future__ import annotations
@@ -53,8 +51,8 @@ class SpfTree:
     reachable node other than the source, the neighbour and link its
     shortest path arrives by, and ``first_hop`` the neighbour and link the
     source sends on to reach it.  Later hops are each later node's own
-    first hop.  A tree never changes once built; a repair builds new
-    dicts."""
+    first hop.  A tree never changes once built; a repair or a rerun
+    builds new dicts."""
 
     dist: Dict[str, int]
     first_hop: Dict[str, Tuple[str, int]]
@@ -166,36 +164,16 @@ def _cut(adj: Adjacency, source: str, tree: SpfTree, down: Collection[int]) -> S
     return SpfTree(dist, first, parent)
 
 
-def _join(adj: Adjacency, source: str, tree: SpfTree, ends: Iterable[str]) -> SpfTree:
-    """``tree`` after links with the endpoints ``ends`` came up.  The
-    endpoints ``tree`` reaches are settled again at their old distances,
-    which relaxes the new links, and the search goes on only through
-    nodes whose distance falls.  Every other node keeps its distance, and
-    its parent unless a settled node wins the tie-break; first hops are
-    then read off the parents in distance order, which passes a new one
-    down each moved subtree."""
-    best = dict(tree.dist)
-    parent = dict(tree.parent)
-    first = dict(tree.first_hop)
-    heap = [(best[end], end) for end in ends if end in best]
-    heapq.heapify(heap)
-    _settle(adj, source, heap, best, {}, parent, first)
-    order = sorted(best, key=best.__getitem__)  # parents first: every cost is at least 1
-    for node in order[1:]:
-        here, link = parent[node]
-        first[node] = (node, link) if here == source else first[here]
-    return SpfTree({node: best[node] for node in order}, first, parent)
-
-
 def rerun_stale_spf(
     topo: Topology,
     trees: Dict[str, SpfTree],
     flapped: Collection[int],
 ) -> Dict[str, SpfTree]:
     """New trees over ``topo`` for the members of ``trees`` that the
-    ``flapped`` links change, each repaired from its old tree.  ``trees``
-    is the set from before the flip, and the ``flapped`` links all went
-    down or all came up; every tree left out equals its rerun."""
+    ``flapped`` links change.  ``trees`` is the set from before the flip,
+    and the ``flapped`` links all went down or all came up.  A down
+    repairs each such tree below the links it lost; an up reruns it.
+    Every tree left out equals its rerun."""
     states = {topo.links[i].state for i in flapped}
     if len(states) > 1:
         raise ValueError("flapped links must all go down or all come up")
@@ -206,8 +184,7 @@ def rerun_stale_spf(
     if states == {LinkState.DOWN}:
         down = set(flapped)
         return {name: _cut(adj, name, trees[name], down) for name in stale}
-    ends = {end for i in flapped for end in topo.links[i].endpoints}
-    return {name: _join(adj, name, trees[name], ends) for name in stale}
+    return {name: _spf(adj, name) for name in stale}
 
 
 # Each node's own next hops, keyed by destination: the first-hop map of the

@@ -10,9 +10,11 @@ than one table per server, transit routes built again for every taker
 rather than once per policy, upstream announcements read off ``chosen()``
 rather than at the member prefixes, a RIB dump that selects over the
 merged candidates by their fields and formats line by line rather than
-once per distinct route, and frame forwarding that derives every port
+once per distinct route, frame forwarding that derives every port
 lookup, flood target, local MAC set and wire path again on each hop
-rather than once per fabric, bridge or wire direction.
+rather than once per fabric, bridge or wire direction, and reachability
+read off RIBs, port states and underlay components rather than off
+frames.
 """
 
 from __future__ import annotations
@@ -243,6 +245,66 @@ def reference_reachability(
             matrix[key] = (hop_port is not None
                            and hop_port.member_asn in sent.deliveries)
     return matrix
+
+
+def closed_form_reachability(sim: Simulation) -> Dict[Tuple[int, str], bool]:
+    """Every reachability cell of ``sim`` in closed form, with no frame
+    sent.  Cell (member, prefix) is true exactly when all of these hold:
+
+    - the member's port is active;
+    - its RIB covers the prefix: the longest candidate prefix holding it,
+      and there the route first in ``field_order``;
+    - the lowest-ASN port holding that route's next hop exists, is not
+      the member's own, and is active;
+    - the two ports sit on one PE, or their PEs are in one component
+      over the up links.
+
+    Nothing else can fail a probe: probes are at most 126 bytes on a wire
+    while validation keeps every MTU at 1600 or more, and they carry the
+    nominated MACs.
+    """
+    members = sorted(sim.members.values(), key=lambda m: m.asn)
+    targets = [(pfx, m.asn) for m in members for pfx in m.announced_prefixes]
+    targets += [(pfx, 0) for pfx in sim.scenario.external_prefixes]
+    matrix: Dict[Tuple[int, str], bool] = {}
+    for m in members:
+        port = sim.ports.get(m.asn)
+        rib = sim.l3.ribs.get(m.asn)
+        active = port is not None and rib is not None and port.state is PortState.ACTIVE
+        candidates = list(rib.candidates.values()) if active else []
+        for pfx, owner in targets:
+            if owner == m.asn:
+                continue
+            route = _covering_by_scan(candidates, pfx)
+            matrix[(m.asn, str(pfx))] = route is not None and _reaches_next_hop(sim, port, route)
+    return matrix
+
+
+def _covering_by_scan(candidates: Sequence[Dict[str, BgpRoute]],
+                      pfx: ipaddress.IPv4Network) -> Optional[BgpRoute]:
+    """The route selected for ``pfx`` among ``candidates``, one dict of
+    routes per prefix: at the longest prefix holding ``pfx``, the route
+    first in ``field_order``."""
+    best: Optional[BgpRoute] = None
+    for routes in candidates:
+        route = min(routes.values(), key=field_order)
+        if pfx.subnet_of(route.prefix) and (
+                best is None or route.prefix.prefixlen > best.prefix.prefixlen):
+            best = route
+    return best
+
+
+def _reaches_next_hop(sim: Simulation, port: MemberPort, route: BgpRoute) -> bool:
+    """Whether the active ``port`` reaches the lowest-ASN port holding
+    ``route``'s next hop: it exists, is another member's, is active, and
+    sits on ``port``'s PE or in its underlay component."""
+    owners = sorted(asn for asn, p in sim.ports.items() if p.exchange_ip == route.next_hop)
+    if not owners or owners[0] == port.member_asn:
+        return False
+    hop = sim.ports[owners[0]]
+    return hop.state is PortState.ACTIVE and (
+        hop.attach_pe == port.attach_pe
+        or same_component(sim.topo, hop.attach_pe, port.attach_pe))
 
 
 def reference_prefix_overlaps(members: Iterable[MemberAs]) -> List[Violation]:

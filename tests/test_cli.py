@@ -48,6 +48,35 @@ def test_missing_file_is_a_parse_failure(tmp_path, capsys):
         "parse error: cannot read %s: Is a directory\n" % tmp_path)
 
 
+def _ixsim(*args):
+    """Run the command line in a fresh interpreter: (exit code, stderr)."""
+    done = subprocess.run([sys.executable, "-m", "ixsim.cli", *args],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
+def _assert_one_line_diagnostic(err, start):
+    assert err.startswith(start) and err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
+def test_scenario_that_is_not_utf8_is_a_parse_failure(tmp_path):
+    path = tmp_path / "whix.scn"
+    path.write_bytes(WHIX.read_bytes() + b"# caf\xe9\n")
+    code, err = _ixsim("check", str(path))
+    assert code == EXIT_PARSE
+    _assert_one_line_diagnostic(err, "parse error: cannot read %s: " % path)
+
+
+@pytest.mark.parametrize("flag", ["--report", "--trace"])
+def test_unwritable_output_path_exits_two(tmp_path, flag):
+    target = tmp_path / "missing" / "out.txt"
+    code, err = _ixsim("run", GOOD, flag, str(target))
+    assert code == EXIT_PARSE
+    _assert_one_line_diagnostic(err, "cannot write %s: No such file or directory" % target)
+
+
 def test_syntax_error_reports_line_and_exits_two(tmp_path, capsys):
     path = write(tmp_path, """\
         node a loopback 172.16.0.1 rr

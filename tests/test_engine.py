@@ -652,14 +652,15 @@ def test_labels_and_signalling_are_built_once(monkeypatch):
     assert all(calls[name] == 1 for name in BUILT_ONCE if name != "derive_pseudowires")
 
 
-def test_restoring_link_events_repair_nothing(monkeypatch):
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_restoring_link_events_repair_nothing(monkeypatch, seed):
     """Every link-up on the benchmark-shaped run restores the underlay from
     before its link-down, so it calls neither ``rerun_stale_spf`` nor
     ``derive_pseudowires``; only the downs repair.  The restored state is
     the one held before the down, walked transport included, and every
     bridge forgets what it learned."""
     calls = _count_calls(monkeypatch, ("rerun_stale_spf", "derive_pseudowires"))
-    scenario = parse_scenario(load_generator().generate("link_churn", 1))
+    scenario = parse_scenario(load_generator().generate("link_churn", seed))
     sim = Simulation(scenario)
     sim.converge()
     downs = 0
@@ -676,6 +677,35 @@ def test_restoring_link_events_repair_nothing(monkeypatch):
             assert all(now is then for now, then in zip(sim._underlay(), unflapped))
             assert not any(b.mac_table for b in sim.fabric.bridges.values())
     assert downs == 5 and calls["rerun_stale_spf"] == downs
+
+
+def test_an_up_that_restores_nothing_reruns_the_trees_it_changes(monkeypatch):
+    """Whix cut at mallaig-datacentre, then at smo-kyle, then healed at
+    mallaig-datacentre.  The heal leaves smo-kyle down, not the links the
+    kept record has down, so it cannot restore: it reruns every tree it
+    changes, which is all of them, since datacentre rejoins.  The run ends
+    where a run cut at smo-kyle alone ends."""
+    ups = []
+
+    def spied(topo, trees, flapped, _rerun=ixsim.engine.rerun_stale_spf):
+        fresh = _rerun(topo, trees, flapped)
+        if all(topo.links[i].state is LinkState.UP for i in flapped):
+            ups.append(fresh)
+        return fresh
+
+    monkeypatch.setattr(ixsim.engine, "rerun_stale_spf", spied)
+    text = WHIX.read_text(encoding="utf-8")
+    sim = Simulation(parse_scenario(text + "event 50 link-down mallaig datacentre\n"
+                                    "event 51 link-down smo kyle\n"
+                                    "event 52 link-up mallaig datacentre\n"))
+    sim.run()
+    assert len(ups) == 1 and sorted(ups[0]) == sim.topo.node_names()
+    assert sim.trees == compute_all_spf(sim.topo)
+    alone = Simulation(parse_scenario(text + "event 51 link-down smo kyle\n"))
+    alone.run()
+    assert sim.trees == alone.trees and sim.pseudowires == alone.pseudowires
+    assert sim.report().to_text() == alone.report().to_text()
+    assert export_dot(sim, "vpls") == export_dot(alone, "vpls")
 
 
 # SHA-256 of the trace ``run --trace`` writes for whix with applecross

@@ -25,13 +25,13 @@ from ixsim.exchange_l3 import (
     external_origin_asn,
     reachability_matrix,
     rs_redistribute,
-    selection_key,
     transit_deliveries,
     upstream_announcements,
 )
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST
 from ixsim.model import LinkState, MemberAs, PortState, Topology
-from oracles import field_order, reference_reachability
+from ixsim.scenario import Event, EventKind
+from oracles import closed_form_reachability, field_order, reference_reachability
 
 
 def _net(text):
@@ -90,11 +90,10 @@ def test_route_rank_is_derived_from_the_selection_fields():
 @given(path=st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=6, unique=True),
        hop=st.integers(0, 2**32 - 1), length=st.integers(0, 32),
        learned=st.sampled_from(["bgp/64500", "bgp/7", "rs/mallaig", "rs/a", "upstream"]))
-def test_selection_key_is_the_field_order(path, hop, length, learned):
+def test_rank_is_the_field_order(path, hop, length, learned):
     prefix = ipaddress.IPv4Network((hop, length), strict=False)
     route = BgpRoute(prefix, tuple(path), ipaddress.IPv4Address(hop), learned)
-    assert selection_key(route) == (len(route.as_path), int(route.next_hop),
-                                    route.learned_from)
+    assert route.rank == field_order(route)
 
 
 def _best(routes):
@@ -425,6 +424,23 @@ def test_matrix_matches_the_per_cell_reference(seed):
     _both_probers(sim.members.values(), sim.ports, sim.l3.ribs,
                   sim.scenario.external_prefixes, sim.fabric,
                   round_no=rng.choice([0, 400]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_matrix_matches_the_closed_form(seed):
+    """Every cell against ``closed_form_reachability``, which sends no
+    frame and so cannot share a fault with the probes: single and split
+    route servers, transit, bilateral sessions and quarantine, after up
+    to four link events, which can leave several links down at once."""
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 7), route_server=rng.random() < 0.8,
+                          externals=rng.randint(0, 3), bilateral=rng.randint(0, 3),
+                          quarantined=rng.randint(0, 2), split_clients=rng.random() < 0.5)
+    for at in range(1, rng.randint(0, 4) + 1):
+        kind = rng.choice((EventKind.LINK_DOWN, EventKind.LINK_UP))
+        sim.apply_event(Event(at, kind, rng.choice(sim.topo.links).endpoints))
+    assert sim.reachability() == closed_form_reachability(sim)
 
 
 def _hand_matrix(placements, changes):
