@@ -201,8 +201,10 @@ def bridge_forward(
 
 
 def transmit(size: int, links: Iterable[Link]) -> Optional[Link]:
-    """MTU gate for a frame of ``size`` bytes, tunnel headers included.
-    Returns the first link that cannot carry it, or None when it fits."""
+    """MTU gate for a frame of ``size`` bytes, tunnel headers included, on
+    the links of one LSP in path order.  Returns the first link that cannot
+    carry it, which drops the frame and is named in its drop record, or
+    None when every link carries it."""
     for link in links:
         if size > link.mtu:
             return link
@@ -258,10 +260,6 @@ class InjectResult:
     emissions: int = 0
 
 
-# A pseudo-wire direction (ingress, egress) -> its path MTU and links.
-Transport = Dict[Tuple[str, str], Tuple[int, List[Link]]]
-
-
 class Fabric:
     """All bridges plus the transport glue between them.
 
@@ -269,14 +267,12 @@ class Fabric:
     run's history stays complete.  ``ports`` indexes every bridge's member
     ports by ASN.  ``labels`` is the underlay's next-hop table from the
     convergence that built the bridges: each node's tree's own first-hop
-    map, keyed by node and then by destination.  A pseudo-wire direction's
-    links and its path MTU, the smallest MTU among them, are walked from
-    it the first time a frame crosses that direction and kept in
-    ``_transport``, the walked transport of that table.  It is a cache of
-    the table and goes wherever the table goes: a fabric built on a table
-    some earlier fabric carried is given that fabric's walked transport,
-    and a new table starts with none, so no path outlives its table.  A
-    frame is gated on the path MTU; the links are scanned only on a drop.
+    map, keyed by node and then by destination.  No LSP is narrower than
+    the narrowest link of the topology, ``_floor``, so a frame that fits
+    that link crosses every wire without a walk.  Only a larger frame
+    walks the LSP of each wire it is emitted on, hop by hop from
+    ``labels``, and ``transmit`` decides on those links whether it drops.
+    Nothing walked is kept, so no path outlives its table.
     """
 
     def __init__(
@@ -286,7 +282,6 @@ class Fabric:
         labels: LabelTable,
         trace: Optional[List[TraceRow]] = None,
         drops: Optional[List[DropRecord]] = None,
-        transport: Optional[Transport] = None,
     ):
         self.topo = topo
         self.bridges = bridges
@@ -295,7 +290,8 @@ class Fabric:
         self.drops: List[DropRecord] = drops if drops is not None else []
         self.ports: Dict[int, MemberPort] = {
             asn: port for bridge in bridges.values() for asn, port in bridge.ports.items()}
-        self._transport: Transport = transport if transport is not None else {}
+        # Without links there are no wires to cross.
+        self._floor = min((link.mtu for link in topo.links), default=0)
         self._log = self.trace.append  # None on a probe clone
         # No frame needs more crossings than the mesh has wire directions.
         self._max_crossings = len(bridges) * (len(bridges) - 1)
@@ -308,35 +304,24 @@ class Fabric:
     def clone(self) -> "Fabric":
         """Copy for probe traffic, with its own MAC tables and drop log, so
         probing never alters the real history.  It shares the topology,
-        next-hop table, port index and walked transport, and each bridge's
-        wiring.  It records drops but no trace rows: nothing reads a
-        probe's rows, so its ``trace`` stays empty."""
+        next-hop table and port index, and each bridge's wiring.  It
+        records drops but no trace rows: nothing reads a probe's rows, so
+        its ``trace`` stays empty."""
         probe = copy.copy(self)
         probe.bridges = {pe: b.clone() for pe, b in self.bridges.items()}
         probe.trace, probe.drops, probe._log = [], [], None
         return probe
 
-    def relinked(self, topo: Topology, labels: LabelTable, transport: Transport) -> "Fabric":
+    def relinked(self, topo: Topology, labels: LabelTable) -> "Fabric":
         """This fabric's wiring over another underlay: every bridge copied
         with an empty MAC table, sharing its ports, wires and their
-        derived targets, carried over the next hops of ``labels``, whose
-        walked transport is ``transport``.  The trace and drop log go
-        on."""
+        derived targets, carried over the next hops of ``labels``.  Link
+        MTUs never change, so the floor stands.  The trace and drop log
+        go on."""
         fabric = copy.copy(self)
-        fabric.topo, fabric.labels, fabric._transport = topo, labels, transport
+        fabric.topo, fabric.labels = topo, labels
         fabric.bridges = {pe: b.clone(macs=False) for pe, b in self.bridges.items()}
         return fabric
-
-    def _path(self, here: BridgeState, remote: str) -> Tuple[int, List[Link]]:
-        """Path MTU and links of the wire direction from ``here`` to
-        ``remote``."""
-        key = (here.pe, remote)
-        path = self._transport.get(key)
-        if path is None:
-            links = [self.topo.links[i]
-                     for i in here.pws[remote].transport_from(here.pe, self.labels)]
-            path = self._transport[key] = (min(link.mtu for link in links), links)
-        return path
 
     def inject(self, asn: int, frame: EthernetFrame, round_no: int = 0) -> InjectResult:
         """Offer a frame at a member port and propagate it everywhere it goes.
@@ -347,7 +332,7 @@ class Fabric:
         more, so the walk is bounded instead: a frame that crosses more
         wires than the mesh has directions, P·(P−1), raises RuntimeError
         naming its trace id.  A frame has the same encapsulated size on
-        every wire, so it is computed once.
+        every wire, so it is computed and held against the floor once.
         """
         port = self.ports[asn]
         pe = port.attach_pe
@@ -367,6 +352,7 @@ class Fabric:
         deliveries = result.deliveries
         src_unicast = is_unicast(frame.src_mac)
         size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
+        walks = size > self._floor  # only then can some LSP be too narrow
         emitted = crossed = 0
         limit = self._max_crossings
         # Appended to while it is iterated: breadth-first, as a FIFO queue.
@@ -387,15 +373,16 @@ class Fabric:
                 if log:
                     label = _wire_attachment(remote)[1]
                     log(TraceRow(round_no, tid, here.pe, label, "emit"))
-                mtu, links = self._path(here, remote)
-                if size > mtu:
-                    if log:
-                        log(TraceRow(round_no, tid, here.pe, label,
-                                     "drop:" + DropReason.MTU_EXCEEDED.value))
-                    self.drops.append(DropRecord(
-                        round_no, None, DropReason.MTU_EXCEEDED, tid,
-                        offending_link=transmit(size, links)))
-                    continue
+                if walks:
+                    path = here.pws[remote].transport_from(here.pe, self.labels)
+                    bad = transmit(size, (self.topo.links[i] for i in path))
+                    if bad is not None:
+                        if log:
+                            log(TraceRow(round_no, tid, here.pe, label,
+                                         "drop:" + DropReason.MTU_EXCEEDED.value))
+                        self.drops.append(DropRecord(
+                            round_no, None, DropReason.MTU_EXCEEDED, tid, offending_link=bad))
+                        continue
                 crossed += 1
                 if crossed > limit:
                     raise RuntimeError("frame %r crossed more than %d pseudo-wires"

@@ -32,12 +32,12 @@ chosen from it again by next hops.  The run keeps one record, the
 link-dependent state from before the last link event.  Trees are
 canonical, so when an event leaves the same links down as that record, as
 the up of a flap does, the record is that state exactly and comes back as
-it was, walked transport included.  An event that flips no link keeps
-every table.  Every link event resets learned MACs: the bridges are
-copied with empty MAC tables, and rebuilt only when the standing wires
-change.  The walked transport is a cache of its next-hop table and lives
-as long as the table, so LSPs are walked again only after an event that
-builds trees.  Frame injection exercises only the data plane.
+it was.  An event that flips no link keeps every table.  Every link event
+resets learned MACs: the bridges are copied with empty MAC tables, and
+rebuilt only when the standing wires change.  The fabric keeps no walked
+LSP, so no path outlives its table: a frame walks a wire's LSP from the
+current next hops only when it is larger than the topology's narrowest
+link (see dataplane).  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -55,7 +55,6 @@ from ixsim.dataplane import (
     DropReason,
     EthernetFrame,
     Fabric,
-    Transport,
     format_trace,
     promote_port,
 )
@@ -112,15 +111,14 @@ class _L3State:
 
 class _Underlay(NamedTuple):
     """The link-dependent state for one set of down links (indices into
-    the topology): the trees, the next-hop table they give with the
-    transport walked over it, and the wires that stand."""
+    the topology): the trees, the next-hop table they give, and the wires
+    that stand."""
 
     down: FrozenSet[int]
     trees: Dict[str, SpfTree]
     labels: LabelTable
     pseudowires: Tuple[Pseudowire, ...]
     missing_transport: Tuple[Tuple[str, str], ...]
-    transport: Transport
 
 
 class Simulation:
@@ -178,7 +176,7 @@ class Simulation:
         The underlay and signalling stand from construction and from each
         link event, so a topology change must come as a link event.
         Returns 1 when the member RIBs changed and 0 when they did not."""
-        self._rebuild_fabric(self.fabric.labels, self.fabric._transport)
+        self._rebuild_fabric(self.fabric.labels)
         sweep = self._exchange_routes()
         changed = int(ribs_differ(self.l3.ribs, sweep.ribs))
         self.l3 = sweep
@@ -188,8 +186,7 @@ class Simulation:
     def _underlay(self) -> _Underlay:
         """The link-dependent state the run holds now."""
         return _Underlay(self._down, self.trees, self.fabric.labels,
-                         self.pseudowires, self.missing_transport,
-                         self.fabric._transport)
+                         self.pseudowires, self.missing_transport)
 
     def _relink(self, flapped: Collection[int]) -> None:
         """Bring the link-dependent layers up to date after the ``flapped``
@@ -204,8 +201,7 @@ class Simulation:
         with empty MAC tables when the standing wires are the same and
         rebuilt when they are not."""
         if not flapped:
-            self.fabric = self.fabric.relinked(
-                self.topo, self.fabric.labels, self.fabric._transport)
+            self.fabric = self.fabric.relinked(self.topo, self.fabric.labels)
             return
         now = self._underlay()
         down = self._down.symmetric_difference(flapped)
@@ -219,21 +215,20 @@ class Simulation:
             if any(tree.dist.keys() != self.trees[name].dist.keys()
                    for name, tree in fresh.items()):
                 wires, missing = derive_pseudowires(self.mesh, labels)
-            after = _Underlay(down, {**self.trees, **fresh}, labels, wires, missing, {})
+            after = _Underlay(down, {**self.trees, **fresh}, labels, wires, missing)
         self._before = now
         self._down, self.trees = after.down, after.trees
         self.pseudowires, self.missing_transport = after.pseudowires, after.missing_transport
         if after.pseudowires != now.pseudowires:
-            self._rebuild_fabric(after.labels, after.transport)
+            self._rebuild_fabric(after.labels)
         else:
-            self.fabric = self.fabric.relinked(self.topo, after.labels, after.transport)
+            self.fabric = self.fabric.relinked(self.topo, after.labels)
 
-    def _rebuild_fabric(self, labels: LabelTable, transport: Transport) -> None:
+    def _rebuild_fabric(self, labels: LabelTable) -> None:
         """Fresh bridges wired to the current ports and pseudo-wire mesh,
-        carried over the next hops of ``labels``, whose walked transport
-        is ``transport``; no bridge is rewired after this (see
-        BridgeState).  Learned MACs do not survive reconvergence; the logs
-        and trace numbering do."""
+        carried over the next hops of ``labels``; no bridge is rewired
+        after this (see BridgeState).  Learned MACs do not survive
+        reconvergence; the logs and trace numbering do."""
         bridges = {}
         for name in self.topo.node_names():
             bridges[name] = BridgeState(pe=name)
@@ -243,7 +238,7 @@ class Simulation:
             bridges[pw.pe_a].pws[pw.pe_b] = pw
             bridges[pw.pe_b].pws[pw.pe_a] = pw
         self.fabric = Fabric(self.topo, bridges, labels, trace=self.fabric.trace,
-                             drops=self.fabric.drops, transport=transport)
+                             drops=self.fabric.drops)
 
     def _exchange_routes(self) -> _L3State:
         """One synchronous sweep of every active session.  Each active

@@ -167,8 +167,8 @@ def derive_pseudowires(
     Pairs without a next hop in each direction (underlay partition) come
     back in the second element as MISSING_TRANSPORT diagnostics instead of
     wires.  A next hop at the ingress is exactly what ``resolve_lsp`` needs,
-    so every wire's transport resolves; the fabric walks it only when a
-    frame first crosses the wire.
+    so every wire's transport resolves; the fabric walks it only for a
+    frame larger than the topology's narrowest link.
     """
     wires: list[Pseudowire] = []
     missing: list[Tuple[str, str]] = []

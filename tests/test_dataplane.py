@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from helpers import hand_fabric as tiny_fabric
 from helpers import converged, make_port, make_topology, random_exchange
-from ixsim import dataplane
+from ixsim import dataplane, vpls_signal
 from ixsim.dataplane import (
     BROADCAST_MAC,
     DEFAULT_MAC_AGING_ROUNDS,
@@ -263,6 +263,40 @@ def test_boundary_payload_fits_the_default_mtu():
     result = fabric.inject(63001, _frame(_mac(1), _mac(99), EtherType.IPV4, 1574, "t1"))
     assert result.deliveries == [63002]
     assert not fabric.drops
+
+
+def test_only_frames_above_the_narrowest_link_walk_their_lsp(monkeypatch):
+    """A frame whose wire size fits the topology's narrowest link crosses
+    every wire without walking an LSP.  One byte more walks the LSP of each
+    wire it is emitted on, crosses where every link is wide enough, and
+    drops elsewhere, naming the first link on the path that is too small."""
+    walks = []
+
+    def counted(table, src, dst, _resolve=vpls_signal.resolve_lsp):
+        walks.append((src, dst))
+        return _resolve(table, src, dst)
+
+    monkeypatch.setattr(vpls_signal, "resolve_lsp", counted)
+    fabric = tiny_fabric(
+        [("a", "b", 1, 1700), ("b", "c", 1, 1600), ("c", "e", 1, 1600), ("a", "d", 1, 9000)],
+        [(63001, "a", 1), (63002, "b", 2), (63003, "c", 3), (63004, "d", 4), (63005, "e", 5)],
+        reflectors={"a"})
+    narrow = fabric.topo.links[fabric.topo.links_between("b", "c")[0]]
+    fits = 1600 - ETHERNET_OVERHEAD - MPLS_OVERHEAD
+
+    result = fabric.inject(63001, _frame(_mac(1), BROADCAST_MAC, EtherType.ARP, fits, "t1"))
+    assert walks == []
+    assert result.deliveries == [63002, 63003, 63004, 63005]
+    assert result.pw_traversals == 4
+    assert fabric.drops == []
+
+    result = fabric.inject(63001, _frame(_mac(1), BROADCAST_MAC, EtherType.ARP, fits + 1, "t2"))
+    assert walks == [("a", "b"), ("a", "c"), ("a", "d"), ("a", "e")]
+    assert result.deliveries == [63002, 63004]
+    assert result.pw_traversals == 2
+    assert [(d.reason, d.offending_link) for d in fabric.drops] == [
+        (DropReason.MTU_EXCEEDED, narrow)] * 2
+    assert [r.via for r in fabric.trace if r.action == "drop:MTU_EXCEEDED"] == ["pw/c", "pw/e"]
 
 
 def test_trace_sequence_for_a_flooded_unicast():
