@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
@@ -234,6 +234,9 @@ class TraceRow(NamedTuple):
     action: str
 
 
+# A row built in C from a tuple of its fields; TraceRow's own __new__ is Python.
+_row = partial(tuple.__new__, TraceRow)
+
 TRACE_HEADER = "round,trace_id,pe,via,action"
 
 
@@ -342,11 +345,11 @@ class Fabric:
         reason = ingress_filter(port, frame)
         if reason is not None:
             if log:
-                log(TraceRow(round_no, tid, pe, via, "drop:" + reason.value))
+                log(_row((round_no, tid, pe, via, "drop:" + reason.value)))
             self.drops.append(DropRecord(round_no, asn, reason, tid))
             return InjectResult(accepted=False, drop_reason=reason)
         if log:
-            log(TraceRow(round_no, tid, pe, via, "accept"))
+            log(_row((round_no, tid, pe, via, "accept")))
 
         result = InjectResult(accepted=True, drop_reason=None)
         deliveries = result.deliveries
@@ -365,21 +368,21 @@ class Fabric:
                     # Local hand-off: no tunnel, no modelled access link.
                     if log:
                         label = _port_attachment(via.asn)[1]
-                        log(TraceRow(round_no, tid, here.pe, label, "emit"))
-                        log(TraceRow(round_no, tid, here.pe, label, "deliver"))
+                        log(_row((round_no, tid, here.pe, label, "emit")))
+                        log(_row((round_no, tid, here.pe, label, "deliver")))
                     deliveries.append(via.asn)
                     continue
                 remote = via.remote_pe
                 if log:
                     label = _wire_attachment(remote)[1]
-                    log(TraceRow(round_no, tid, here.pe, label, "emit"))
+                    log(_row((round_no, tid, here.pe, label, "emit")))
                 if walks:
                     path = here.pws[remote].transport_from(here.pe, self.labels)
                     bad = transmit(size, (self.topo.links[i] for i in path))
                     if bad is not None:
                         if log:
-                            log(TraceRow(round_no, tid, here.pe, label,
-                                         "drop:" + DropReason.MTU_EXCEEDED.value))
+                            log(_row((round_no, tid, here.pe, label,
+                                       "drop:" + DropReason.MTU_EXCEEDED.value)))
                         self.drops.append(DropRecord(
                             round_no, None, DropReason.MTU_EXCEEDED, tid, offending_link=bad))
                         continue
@@ -389,7 +392,7 @@ class Fabric:
                                        % (tid, limit))
                 back, back_label = _wire_attachment(here.pe)
                 if log:
-                    log(TraceRow(round_no, tid, remote, back_label, "receive"))
+                    log(_row((round_no, tid, remote, back_label, "receive")))
                 queue.append((self.bridges[remote], back))
         result.emissions, result.pw_traversals = emitted, crossed
         return result

@@ -8,14 +8,14 @@ Every label block starts at FIRST_FREE_LABEL + P, leaving 16 up to
 never reads (see vpls_signal), and route reflection is complete by
 construction, so no block, session or advert depends on what the
 underlay reaches.  converge() rebuilds the fabric and runs one sweep of
-member route exchange.  Route servers only reflect what members announce,
-so that sweep reads configuration alone and is already final.  Each route
-server collects its clients' routes into one table that every client's
-RIB views (see exchange_l3), so a sweep, its comparison with the last one
-and the RIB dump all work per server table, not per member and route.
-Bilateral and transit routes are shared the same way: one object per
-sender and prefix, whichever RIBs receive it, so the RIB dump renders
-each route once.
+member route exchange; route servers only reflect what members announce,
+so it reads configuration alone and is final.  Each route server collects
+its clients' routes into one table that every client's RIB views (see
+exchange_l3), so a sweep, its comparison with the last one and the RIB
+dump work per server table, not per member and route.  Bilateral and
+transit routes are one object per sender and prefix, whichever RIBs
+receive it, so the dump renders each once.  A sweep builds RIBs only; the
+report reads the transit members' upstream announcements off them.
 
 Events mutate configuration and re-converge.  A port promotion or a
 withdrawal reruns converge().  A link event keeps the route exchange,
@@ -65,6 +65,7 @@ from ixsim.exchange_l3 import (
     PeeringSession,
     RouteServer,
     reachability_matrix,
+    rib_line,
     ribs_differ,
     rs_redistribute,
     transit_deliveries,
@@ -106,7 +107,6 @@ class _L3State:
     """Outcome of one full route-exchange sweep."""
 
     ribs: Dict[int, MemberRib] = field(default_factory=dict)
-    upstream: List[BgpRoute] = field(default_factory=list)
 
 
 class _Underlay(NamedTuple):
@@ -279,14 +279,6 @@ class Simulation:
                     member, self.ports[asn].exchange_ip, sessions,
                     self.scenario.external_prefixes):
                 ribs[to_asn].add(route)
-
-        member_prefixes = [p for m in self.members.values()
-                           for p in m.announced_prefixes]
-        for asn in sorted(self.members):
-            member = self.members[asn]
-            if member.is_transit and self._port_active(asn):
-                state.upstream.extend(upstream_announcements(
-                    member, ribs[asn], member_prefixes))
         return state
 
     # -- events ----------------------------------------------------------
@@ -364,6 +356,14 @@ class Simulation:
             round_no=self.current_round,
         )
 
+    def upstream(self) -> List[BgpRoute]:
+        """What each active transit member re-announces toward its upstream,
+        from the last sweep's RIBs; only the report reads it."""
+        prefixes = [p for m in self.members.values() for p in m.announced_prefixes]
+        return [route for asn, rib in sorted(self.l3.ribs.items())
+                if self.members[asn].is_transit and self._port_active(asn)
+                for route in upstream_announcements(self.members[asn], rib, prefixes)]
+
     def report(self) -> "Report":
         sessions = self.active_sessions()
         member_count = len(self.members)
@@ -389,7 +389,7 @@ class Simulation:
             drops=drops,
             frame_trace_rows=len(self.fabric.trace),
             reachability=self.reachability(),
-            upstream=tuple(self.l3.upstream),
+            upstream=tuple(self.upstream()),
         )
 
     def rib_dump(self) -> str:
@@ -398,21 +398,19 @@ class Simulation:
         those tables' last offers at each prefix, so that line is selected
         and formatted once per group of members; a member patches a copy
         of it only at its own candidates and the keys a server withholds
-        from it.  Each distinct route is rendered once, keyed by id(): the
-        RIBs hold every route until this returns, and a bilateral or
-        transit route is one object per sender and prefix, however many
-        RIBs hold it.  Heads "<asn>|" are prefix-free, so members taken in
-        head order, each with its lines sorted, emit the lines in final
-        order; a group's texts are kept in text order, so each member's
-        sort mostly confirms it, and a member's lines are one join."""
+        from it.  Each distinct route is rendered once, keyed by id(), from
+        its integer key and next hop (``rib_line``): the RIBs hold every
+        route until this returns, and a bilateral or transit route is one
+        object per sender and prefix.  Heads "<asn>|" are prefix-free, so
+        members taken in head order, each with its lines sorted, emit the
+        lines in final order; a group's texts are kept in text order, so
+        each member's sort mostly confirms it; a member's lines are one join."""
         rendered: Dict[int, str] = {}
 
         def render(route: BgpRoute) -> str:
             text = rendered.get(id(route))
             if text is None:
-                text = rendered[id(route)] = "%s|%s|%s|%s" % (
-                    route.prefix, " ".join(str(n) for n in route.as_path),
-                    route.next_hop, route.learned_from)
+                text = rendered[id(route)] = rib_line(route)
             return text
 
         groups: Dict[Tuple[int, ...], Dict[Tuple[int, int], str]] = {}

@@ -14,12 +14,12 @@ of a table is its own loop rejection (never a route whose AS path holds
 its ASN), the only per-client work; selection, lookups and sweep
 comparison run over the tables.  Keys stay integers: a RIB keys its
 prefixes by ``(network as int, length)`` and looks up supernets with
-integer masks, and a route's selection rank is computed once, when the
-route is made, so comparing two routes never converts an address.
-``ipaddress`` objects appear only at the edges, in the routes themselves
-and in what ``chosen()`` returns.  A route is one object wherever it is
-delivered: a transit route is built once per transit member and policy
-for all of its takers.
+integer masks.  A route is built in one step, its key and selection rank
+with it, so comparing two routes never converts an address, and its RIB
+text is written from those integers (``rib_line``).  ``ipaddress``
+objects appear only in the routes themselves and in what ``chosen()``
+returns.  A route is one object wherever it is delivered: a transit
+route is built once per transit member and policy for all its takers.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from ixsim.dataplane import (
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST, MemberAs, MemberPort, PortState
 
 DEFAULT_ROUTE = ipaddress.IPv4Network("0.0.0.0/0")
+_set = object.__setattr__  # how a frozen route's fields are set as it is made
 
 # Netmask of each prefix length as an integer, /0 to /32.
 _MASKS = tuple((0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF for n in range(33))
@@ -57,7 +58,7 @@ class TransitPolicy(Enum):
     FULL_TABLE = "full"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BgpRoute:
     """One path to one prefix as delivered to a member.
 
@@ -76,15 +77,28 @@ class BgpRoute:
     # one route per learned-from identifier and prefix, so the order is total.
     rank: Tuple[int, int, str] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.as_path:
+    def __init__(self, prefix, as_path, next_hop, learned_from):
+        if not as_path:
             raise ValueError("empty AS path")
-        if len(set(self.as_path)) != len(self.as_path):
-            raise ValueError("AS path repeats an ASN: %r" % (self.as_path,))
-        object.__setattr__(self, "key", (int(self.prefix.network_address),
-                                         self.prefix.prefixlen))
-        object.__setattr__(self, "rank", (len(self.as_path), int(self.next_hop),
-                                          self.learned_from))
+        if len(set(as_path)) != len(as_path):
+            raise ValueError("AS path repeats an ASN: %r" % (as_path,))
+        _set(self, "prefix", prefix)
+        _set(self, "as_path", as_path)
+        _set(self, "next_hop", next_hop)
+        _set(self, "learned_from", learned_from)
+        _set(self, "key", (int(prefix.network_address), prefix.prefixlen))
+        _set(self, "rank", (len(as_path), int(next_hop), learned_from))
+
+
+def rib_line(route: BgpRoute) -> str:
+    """The route's RIB dump text after the member's head, its addresses
+    written as dotted quads from ``key`` and the ranked next hop."""
+    net, length = route.key
+    hop = route.rank[1]
+    return "%d.%d.%d.%d/%d|%s|%d.%d.%d.%d|%s" % (
+        net >> 24, net >> 16 & 255, net >> 8 & 255, net & 255, length,
+        " ".join(map(str, route.as_path)),
+        hop >> 24, hop >> 16 & 255, hop >> 8 & 255, hop & 255, route.learned_from)
 
 
 @dataclass(frozen=True)

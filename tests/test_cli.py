@@ -167,19 +167,25 @@ def test_identity_the_fabric_cannot_use_is_invalid(tmp_path, capsys, old, new, v
         assert violation in err
 
 
-def test_reachability_is_probed_only_for_the_report(monkeypatch):
-    calls = []
-    probe = ixsim.engine.reachability_matrix
+def test_reachability_and_upstream_are_made_only_for_the_report(monkeypatch):
+    """``ribs`` probes nothing and announces nothing upstream; ``run``
+    probes once and asks each active transit member, whix's one, once."""
+    calls = {"reachability_matrix": 0, "upstream_announcements": 0}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return probe(*args, **kwargs)
+    def counted(name):
+        real = getattr(ixsim.engine, name)
 
-    monkeypatch.setattr(ixsim.engine, "reachability_matrix", counted)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(ixsim.engine, name, counted(name))
     assert main(["ribs", GOOD]) == EXIT_OK
-    assert len(calls) == 0
+    assert calls == {"reachability_matrix": 0, "upstream_announcements": 0}
     assert main(["run", GOOD]) == EXIT_OK
-    assert len(calls) == 1
+    assert calls == {"reachability_matrix": 1, "upstream_announcements": 1}
 
 
 def test_runtime_event_against_missing_entity_fails(tmp_path, capsys):
@@ -449,11 +455,13 @@ def test_whix_outputs_after_link_events_match_committed_digests(tmp_path, capsys
 
 
 # SHA-256 of report() on generated rungs, recorded before reachability
-# probing moved to one ARP flood per source member.
+# probing moved to one ARP flood per source member; route_scale's, with
+# 149 upstream lines, before upstream announcements moved into report().
 GENERATED_REPORT_DIGESTS = {
     ("probe_mesh", 1): "8a9be30073d50ff2930cc1ae5b972d223a32523dd3809906bc5c9f8ece6dad70",
     ("probe_mesh", 2): "2044987d96f955e871f31733d4369080dd63bf636d152d385a593f60defef8aa",
     ("link_churn", 1): "1914db2bdbb5c8f1b8bf2fc958bc7a4cb9edf25ab0a06afe4400d962b39916fb",
+    ("route_scale", 1): "9d745ca8c7398848e4d627bd437842f3819d51770737c289833736102e5a9274",
 }
 
 

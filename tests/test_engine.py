@@ -156,8 +156,8 @@ def test_link_events_flip_every_parallel_link():
 
 
 def test_flap_moves_frames_onto_the_new_path():
-    """A wire's transport is walked when a frame first crosses it, and no
-    walked path outlives the convergence whose bindings it came from."""
+    """A frame larger than the narrowest link walks each wire's transport
+    from the current next hops, so no path outlives a link event."""
     scn = make_exchange(
         [("a", "c", 1), ("a", "b", 1), ("b", "c", 1, 50)],
         [(64496, "a"), (64497, "c")],
@@ -395,7 +395,7 @@ def _assert_matches_the_copying_exchange(sim, ribs, upstream, rng):
         assert rib.chosen() == flat.chosen()
         for target in targets:
             assert rib.covering(target) == flat.covering(target)
-    assert sim.l3.upstream == upstream
+    assert sim.upstream() == upstream
     assert sim.rib_dump() == reference_rib_dump(ribs) == reference_rib_dump(sim.l3.ribs)
 
 
@@ -668,8 +668,8 @@ def test_restoring_link_events_repair_nothing(monkeypatch, seed):
     """Every link-up on the benchmark-shaped run restores the underlay from
     before its link-down, so it calls neither ``rerun_stale_spf`` nor
     ``derive_pseudowires``; only the downs repair.  The restored state is
-    the one held before the down, walked transport included, and every
-    bridge forgets what it learned."""
+    the one held before the down, and every bridge forgets what it
+    learned."""
     calls = _count_calls(monkeypatch, ("rerun_stale_spf", "derive_pseudowires"))
     scenario = parse_scenario(load_generator().generate("link_churn", seed))
     sim = Simulation(scenario)

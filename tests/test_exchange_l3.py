@@ -7,7 +7,7 @@ import ipaddress
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import hand_fabric, random_exchange
@@ -24,6 +24,7 @@ from ixsim.exchange_l3 import (
     arp_resolve,
     external_origin_asn,
     reachability_matrix,
+    rib_line,
     rs_redistribute,
     transit_deliveries,
     upstream_announcements,
@@ -66,6 +67,9 @@ def test_route_key_is_derived_from_the_prefix():
     assert moved.key == (int(_ip("10.2.3.0")), 24)
     assert moved != route
     assert BgpRoute(DEFAULT_ROUTE, (64500,), _ip("192.0.2.1"), "rs/x").key == (0, 0)
+    for name in ("prefix", "key", "rank"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(route, name, getattr(moved, name))
 
 
 def test_route_rank_is_derived_from_the_selection_fields():
@@ -94,6 +98,23 @@ def test_rank_is_the_field_order(path, hop, length, learned):
     prefix = ipaddress.IPv4Network((hop, length), strict=False)
     route = BgpRoute(prefix, tuple(path), ipaddress.IPv4Address(hop), learned)
     assert route.rank == field_order(route)
+
+
+@settings(max_examples=200, deadline=None)
+@given(network=st.integers(0, 2**32 - 1), length=st.integers(0, 32),
+       hop=st.integers(0, 2**32 - 1),
+       path=st.lists(st.integers(1, 2**32 - 1), min_size=1, max_size=4, unique=True),
+       learned=st.sampled_from(["bgp/64500", "rs/mallaig", "upstream"]))
+@example(network=0, length=0, hop=2**32 - 1, path=[64500], learned="rs/mallaig")
+@example(network=2**32 - 1, length=32, hop=0, path=[7, 64500], learned="bgp/64500")
+def test_rib_line_is_the_ipaddress_text(network, length, hop, path, learned):
+    """The integer rendering agrees with ``ipaddress`` for any network and
+    next hop, 0.0.0.0/0 and 255.255.255.255 included."""
+    prefix = ipaddress.IPv4Network((network, length), strict=False)
+    next_hop = ipaddress.IPv4Address(hop)
+    route = BgpRoute(prefix, tuple(path), next_hop, learned)
+    assert rib_line(route) == "%s|%s|%s|%s" % (
+        prefix, " ".join(str(n) for n in path), next_hop, learned)
 
 
 def _best(routes):
