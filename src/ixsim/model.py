@@ -204,15 +204,15 @@ class ValidationReport:
         return iter(self.violations)
 
 
-def _dup_groups(items: Iterable[tuple[str, str]]) -> Iterator[tuple[str, list[str]]]:
-    """Yield (value, [owners...]) for every value claimed more than once."""
-    seen: dict[str, list[str]] = {}
+def _dup_groups(items: Iterable[tuple[object, object]]) -> Iterator[tuple[str, list[str]]]:
+    """Yield (value, [owners...]) as text, owners in text order, for every
+    value claimed more than once."""
+    seen: dict[object, list[object]] = {}
     for value, owner in items:
         seen.setdefault(value, []).append(owner)
-    for value in sorted(seen):
-        owners = sorted(seen[value])
+    for value, owners in seen.items():
         if len(owners) > 1:
-            yield value, owners
+            yield str(value), sorted(map(str, owners))
 
 
 def prefix_overlaps(members: Iterable[MemberAs]) -> list[Violation]:
@@ -223,27 +223,24 @@ def prefix_overlaps(members: Iterable[MemberAs]) -> list[Violation]:
     is reported in that order.  Two prefixes overlap only when one contains
     the other, so a sweep in address order, shortest prefix first at each
     address, keeps the prefixes containing the current one on a stack.
+    Entries are written as text only once the sweep has found a pair.
     """
-    announced = sorted(
-        ((p, m.asn) for m in members for p in m.announced_prefixes),
-        key=lambda e: (str(e[0]), e[1]))
-    spans = sorted(
-        (int(p.network_address), p.prefixlen, int(p.broadcast_address), i)
-        for i, (p, _) in enumerate(announced))
+    announced = [(p, m.asn) for m in members for p in m.announced_prefixes]
+    spans = sorted((int(p.network_address), p.prefixlen, k)
+                   for k, (p, _) in enumerate(announced))
     pairs = []
-    open_spans: list[tuple[int, int]] = []  # (last address, index), nested
-    for first, _, last, i in spans:
+    open_spans: list[tuple[int, int]] = []  # (last address, entry), nested
+    for first, length, k in spans:
         while open_spans and open_spans[-1][0] < first:
             open_spans.pop()
-        asn = announced[i][1]
-        for _, j in open_spans:
-            if announced[j][1] != asn:
-                pairs.append((j, i) if j < i else (i, j))
-        open_spans.append((last, i))
-    pairs.sort()
-    return [Violation("PREFIX_OVERLAP", str(announced[i][0]),
-                      "%d %d %s" % (announced[i][1], announced[j][1], announced[j][0]))
-            for i, j in pairs]
+        asn = announced[k][1]
+        pairs.extend((j, k) for _, j in open_spans if announced[j][1] != asn)
+        open_spans.append((first | (0xFFFFFFFF >> length), k))
+    if not pairs:
+        return []
+    keys = [(str(p), asn, k) for k, (p, asn) in enumerate(announced)]  # k orders repeats
+    return [Violation("PREFIX_OVERLAP", a[0], "%d %d %s" % (a[1], b[1], b[0]))
+            for a, b in sorted(sorted((keys[j], keys[k])) for j, k in pairs)]
 
 
 def validate_topology(
@@ -261,9 +258,9 @@ def validate_topology(
     members = list(members)
     found: list[Violation] = []
 
-    for name, owners in _dup_groups((n.name, str(n.loopback)) for n in topo.nodes):
+    for name, owners in _dup_groups((n.name, n.loopback) for n in topo.nodes):
         found.append(Violation("DUP_NODE", name, " ".join(owners)))
-    for addr, owners in _dup_groups((str(n.loopback), n.name) for n in topo.nodes):
+    for addr, owners in _dup_groups((n.loopback, n.name) for n in topo.nodes):
         found.append(Violation("DUP_LOOPBACK", addr, " ".join(owners)))
     if len(topo.nodes) >= 2 and not topo.reflector_names():
         found.append(Violation("NO_REFLECTOR", "topology"))
@@ -288,7 +285,7 @@ def validate_topology(
             found.append(Violation("PRIVATE_ASN", str(m.asn), m.name))
         if DOC_ASN32_FIRST <= m.asn <= DOC_ASN32_LAST:
             found.append(Violation("RESERVED_ASN", str(m.asn), m.name))
-    for asn, owners in _dup_groups((str(m.asn), m.name) for m in members):
+    for asn, owners in _dup_groups((m.asn, m.name) for m in members):
         found.append(Violation("DUP_ASN", asn, " ".join(owners)))
     found.extend(prefix_overlaps(members))
 
@@ -296,9 +293,9 @@ def validate_topology(
     not_hosts = ()  # network and broadcast address; a /31 (RFC 3021) or /32 has none
     if exchange_prefix is not None and exchange_prefix.prefixlen < 31:
         not_hosts = (exchange_prefix.network_address, exchange_prefix.broadcast_address)
-    for mac, owners in _dup_groups((p.nominated_mac, str(p.member_asn)) for p in ports):
+    for mac, owners in _dup_groups((p.nominated_mac, p.member_asn) for p in ports):
         found.append(Violation("DUP_MAC", mac, " ".join(owners)))
-    for ip, owners in _dup_groups((str(p.exchange_ip), str(p.member_asn)) for p in ports):
+    for ip, owners in _dup_groups((p.exchange_ip, p.member_asn) for p in ports):
         found.append(Violation("DUP_EXCHANGE_IP", ip, " ".join(owners)))
     for port in ports:
         if port.attach_pe not in names:

@@ -18,20 +18,23 @@ whitespace):
     event <round> promote <asn>
     event <round> withdraw <asn> <prefix>
 
-Entities must be declared before they are referenced.  Cost and MTU may be
-omitted on links: cost defaults by link type (leased 1, radio 10) and MTU
-to the fabric minimum of 1600.  BGP keeps one session per peer pair, so a
-bilateral pair repeated in either order, a second transit session for the
-same member and upstream, and a transit session from a member to itself
-are rejected on the later line.  A repeated ``session rs`` line is not: the
-client joins the server's client set, so the repeat changes nothing.
+Numbers are ASCII decimal, addresses dotted quads without leading zeros and
+prefixes ``<ipv4>/<len>``; a netmask or hostmask after the ``/`` is read as
+``ipaddress`` reads it.  Entities must be declared before they are
+referenced.  Cost and MTU may be omitted on links: cost defaults by link
+type (leased 1, radio 10) and MTU to the fabric minimum of 1600.  BGP keeps
+one session per peer pair, so a bilateral pair repeated in either order, a
+second transit session for the same member and upstream, and a transit
+session from a member to itself are rejected on the later line.  A repeated
+``session rs`` line is not: the client joins the server's client set, so
+the repeat changes nothing.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -55,6 +58,8 @@ from ixsim.model import (
 )
 
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
+# A dotted quad as ipaddress reads one: ASCII digits, no leading zeros, <= 255.
+_QUAD_RE = re.compile(r"\.".join([r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"] * 4))
 
 
 class ParseError(Exception):
@@ -114,7 +119,7 @@ class _Builder:
         self.nodes: List[PeNode] = []
         self.named: Dict[str, PeNode] = {}  # first of each name; repeats are DUP_NODE
         self.links: List[Link] = []
-        self.members: Dict[int, MemberAs] = {}  # announcing nothing yet
+        self.members: Dict[int, Tuple[str, bool]] = {}  # to (name, is_transit)
         self.ports: Dict[int, MemberPort] = {}
         self.announced: Dict[int, List[ipaddress.IPv4Network]] = {}
         self.sessions: Dict[tuple, PeeringSession] = {}  # by (a, b, kind)
@@ -134,22 +139,33 @@ def _want(tokens: List[str], count: int, line: int, what: str) -> None:
 
 
 def _int(token: str, line: int, what: str) -> int:
+    digits = token[1:] if token[:1] == "-" else token
     try:
-        return int(token)
-    except ValueError:
-        _fail(line, "bad %s %r" % (what, token))
+        if digits.isascii() and digits.isdigit():
+            return int(token)
+    except ValueError:  # more digits than int() converts
+        pass
+    _fail(line, "bad %s %r" % (what, token))
+
+
+def _packed(token: str) -> bytes:
+    match = _QUAD_RE.fullmatch(token)
+    if match is None:
+        raise ValueError(token)
+    return bytes(map(int, match.groups()))
 
 
 def _ipv4(token: str, line: int) -> ipaddress.IPv4Address:
     try:
-        return ipaddress.IPv4Address(token)
+        return ipaddress.IPv4Address(_packed(token))
     except ValueError:
         _fail(line, "bad IPv4 address %r" % token)
 
 
 def _network(token: str, line: int) -> ipaddress.IPv4Network:
+    address, slash, mask = token.partition("/")
     try:
-        return ipaddress.IPv4Network(token)
+        return ipaddress.IPv4Network((_packed(address), mask if slash else 32))
     except ValueError:
         _fail(line, "bad prefix %r" % token)
 
@@ -246,7 +262,7 @@ def _parse_member(b: _Builder, tokens: List[str], line: int) -> None:
              for flag in tokens[9:]]
     if asn in b.members:
         _fail(line, "member %d declared twice" % asn)
-    b.members[asn] = MemberAs(asn, tokens[2], is_transit="transit" in flags)
+    b.members[asn] = (tokens[2], "transit" in flags)
     b.ports[asn] = MemberPort(asn, pe, mac, ip, state=(
         PortState.QUARANTINE if "quarantine" in flags else PortState.ACTIVE))
     b.announced[asn] = []
@@ -276,7 +292,7 @@ def _parse_session(b: _Builder, tokens: List[str], line: int) -> None:
     if kind == "bilateral":
         session = PeeringSession(min(asn, other), max(asn, other), PeerKind.BILATERAL)
     else:
-        if not b.members[other].is_transit:
+        if not b.members[other][1]:
             _fail(line, "member %d does not provide transit" % other)
         session = PeeringSession(asn, other, PeerKind.TRANSIT, _choice(
             tokens[4], _POLICIES, line, "transit policy must be default or full, got %r"))
@@ -390,7 +406,7 @@ def parse_scenario(text: str) -> Scenario:
             _choice(tokens[0], _STATEMENTS, lineno, "unknown statement %r")(b, tokens, lineno)
 
     topo = Topology.build(b.nodes, b.links)
-    members = tuple(replace(b.members[asn], announced_prefixes=tuple(b.announced[asn]))
+    members = tuple(MemberAs(asn, *b.members[asn], tuple(b.announced[asn]))
                     for asn in sorted(b.members))
     ports = tuple(b.ports[asn] for asn in sorted(b.ports))
 

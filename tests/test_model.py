@@ -21,6 +21,7 @@ from ixsim.model import (
     MemberAs,
     PeNode,
     Topology,
+    Violation,
     full_mesh_size,
     prefix_overlaps,
     validate_topology,
@@ -50,6 +51,7 @@ def test_duplicate_loopback_flagged():
     ])
     report = validate_topology(topo)
     assert "DUP_LOOPBACK" in report.codes()
+    assert list(report) == [Violation("DUP_LOOPBACK", "172.16.50.1", "a b")]
 
 
 def test_duplicate_node_name_flagged():
@@ -172,29 +174,28 @@ def test_prefix_overlaps_match_the_pairwise_scan(seed):
     assert prefix_overlaps(members) == want
 
 
+def _clashing_ports():
+    """Ports of ASNs 7 and 63001 on one exchange IP and one MAC."""
+    port = make_port(63001, "a", 1)
+    ports = [port, dataclasses.replace(port, member_asn=7)]
+    return ports, [MemberAs(63001, "x"), MemberAs(7, "y")]
+
+
 def test_duplicate_mac_flagged():
     topo = Topology.build([_node("a", "172.16.50.1")])
-    ports = [make_port(63001, "a", 1), make_port(63002, "a", 1)]
-    ports[1] = type(ports[1])(
-        member_asn=63002, attach_pe="a",
-        nominated_mac=ports[0].nominated_mac,
-        exchange_ip=ipaddress.IPv4Address("192.0.2.99"),
-        state=ports[1].state)
-    members = [MemberAs(63001, "x"), MemberAs(63002, "y")]
-    report = validate_topology(topo, ports, members, EXCHANGE)
+    report = validate_topology(topo, *_clashing_ports(), EXCHANGE)
     assert "DUP_MAC" in report.codes()
+    # Owners in text order: "63001" sorts before "7".
+    assert [v for v in report if v.code == "DUP_MAC"] == [
+        Violation("DUP_MAC", "02:00:00:00:00:01", "63001 7")]
 
 
 def test_duplicate_exchange_ip_flagged():
     topo = Topology.build([_node("a", "172.16.50.1")])
-    p1 = make_port(63001, "a", 1)
-    p2 = type(p1)(member_asn=63002, attach_pe="a",
-                  nominated_mac="02:00:00:00:00:42",
-                  exchange_ip=p1.exchange_ip, state=p1.state)
-    report = validate_topology(topo, [p1, p2],
-                               [MemberAs(63001, "x"), MemberAs(63002, "y")],
-                               EXCHANGE)
+    report = validate_topology(topo, *_clashing_ports(), EXCHANGE)
     assert "DUP_EXCHANGE_IP" in report.codes()
+    assert [v for v in report if v.code == "DUP_EXCHANGE_IP"] == [
+        Violation("DUP_EXCHANGE_IP", "192.0.2.11", "63001 7")]
 
 
 def test_exchange_ip_outside_prefix_flagged():

@@ -6,6 +6,8 @@ import ipaddress
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import load_generator, load_whix
 from ixsim.dataplane import BROADCAST_MAC, EtherType
@@ -16,6 +18,8 @@ from ixsim.scenario import (
     EventKind,
     ParseError,
     ScenarioValidationError,
+    _ipv4,
+    _network,
     load_scenario,
     parse_scenario,
 )
@@ -83,6 +87,8 @@ def test_parse_errors_carry_the_line_number():
 @pytest.mark.parametrize("stmt,needle", [
     ("node broken 172.16.0.9", "loopback"),
     ("node broken loopback 999.0.0.1", "IPv4"),
+    ("node broken loopback 172.16.0.09", "IPv4"),
+    ("node broken loopback 172.16.0.\u0669", "IPv4"),
     ("node broken loopback 172.16.0.9 shiny", "flag"),
     ("link mallaig kyle", "type"),
     ("link mallaig kyle type laser", "link type"),
@@ -95,6 +101,12 @@ def test_parse_errors_carry_the_line_number():
     ("member 64498 x port kyle mac 02:00:00:00:00:03 ip 192.0.2.13 vip", "flag"),
     ("announce 99999 10.0.0.0/24", "unknown member"),
     ("announce 64496 10.0.0.0/33", "prefix"),
+    ("announce 64496 10.0.0.1/24", "prefix"),
+    ("announce 64496 10.0.0.0/24/8", "prefix"),
+    ("announce 6_4496 10.0.0.0/24", "bad ASN"),
+    ("announce +64496 10.0.0.0/24", "bad ASN"),
+    ("announce \uff16\uff14\uff14\uff19\uff16 10.0.0.0/24", "bad ASN"),
+    pytest.param("announce %s 10.0.0.0/24" % ("1" * 5000), "bad ASN", id="announce-5000-digits"),
     ("session bilateral 64496 64496", "two members"),
     ("session bilateral 64496 99999", "unknown member"),
     ("session rs 64496 kyle", "route server"),
@@ -112,6 +124,30 @@ def test_rejected_statements(stmt, needle):
     line, err = line_of(BASE + stmt + "\n")
     assert line == 7
     assert needle.lower() in err.message.lower()
+
+
+OCTETS = ["0", "00", "01", "9", "99", "199", "200", "249", "250", "255", "256", "1000", ""]
+MASKS = ["0", "24", "32", "33", "024", "-1", "", "255.255.255.0", "0.0.0.255", "255.0.255.0",
+         "24/5", "\u0662\u0664"]
+ADDRESS_TOKENS = st.text("0123456789./:x-\u0661\uff11\x00\n", max_size=24) | st.builds(
+    lambda octets, mask: ".".join(octets) + ("" if mask is None else "/" + mask),
+    st.lists(st.sampled_from(OCTETS), min_size=4, max_size=4),
+    st.none() | st.sampled_from(MASKS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(token=ADDRESS_TOKENS)
+def test_address_reading_matches_ipaddress(token):
+    for read, reference in ((_ipv4, ipaddress.IPv4Address), (_network, ipaddress.IPv4Network)):
+        try:
+            want = reference(token)
+        except ValueError:
+            want = None
+        try:
+            got = read(token, 1)
+        except ParseError:
+            got = None
+        assert got == want
 
 
 def test_member_flags_set_role_and_state():
