@@ -60,29 +60,15 @@ def is_broadcast(mac: str) -> bool:
     return mac == BROADCAST_MAC
 
 
-class PortRef(NamedTuple):
-    """Attachment identity for a local member port."""
-    asn: int
-
-
-class PwRef(NamedTuple):
-    """Attachment identity for the pseudo-wire toward one remote PE."""
-    remote_pe: str
-
-
-Attachment = Union[PortRef, PwRef]
-
-
-# Attachments and their trace labels are interned, one object per member
-# port and per PE in the process, so rebuilt bridges allocate none.
-@lru_cache(maxsize=None)
-def _port_attachment(asn: int) -> Tuple[PortRef, str]:
-    return PortRef(asn), "port/%d" % asn
+# An attachment is a member port's ASN or, for the pseudo-wire toward a
+# remote PE, that PE's name.
+Attachment = Union[int, str]
 
 
 @lru_cache(maxsize=None)
-def _wire_attachment(pe: str) -> Tuple[PwRef, str]:
-    return PwRef(pe), "pw/%s" % pe
+def _label(via: Attachment) -> str:
+    """The trace's name for an attachment."""
+    return "pw/%s" % via if isinstance(via, str) else "port/%d" % via
 
 
 class MacEntry(NamedTuple):
@@ -92,51 +78,35 @@ class MacEntry(NamedTuple):
 
 @dataclass
 class BridgeState:
-    """Per-PE forwarding state.  Mutated only by the single engine thread.
+    """One PE's bridge wiring: its member ports and its pseudo-wires, keyed
+    by member ASN and remote PE.
 
     A bridge is never rewired once it has forwarded a frame: any change to
     a port or to the pseudo-wire mesh builds new bridges
     (``Simulation._rebuild_fabric``).  Its flood targets and local MACs
     are therefore derived from ``ports`` and ``pws`` once, on first use,
-    and a clone shares them.  Only the MAC table changes.
+    and every fabric built over the bridge shares them.  What it learns is
+    not here but in ``Fabric.macs``.
     """
 
     pe: str
     ports: Dict[int, MemberPort] = field(default_factory=dict)
     pws: Dict[str, Pseudowire] = field(default_factory=dict)
-    mac_table: Dict[str, MacEntry] = field(default_factory=dict)
 
     @cached_property
     def local_macs(self) -> FrozenSet[str]:
         return frozenset(p.nominated_mac for p in self.ports.values())
 
     @cached_property
-    def port_targets(self) -> Tuple[PortRef, ...]:
+    def port_targets(self) -> Tuple[int, ...]:
         """Active local ports in ASN order."""
-        return tuple(_port_attachment(asn)[0] for asn, port in sorted(self.ports.items())
+        return tuple(asn for asn, port in sorted(self.ports.items())
                      if port.state is PortState.ACTIVE)
 
     @cached_property
-    def wire_targets(self) -> Tuple[PwRef, ...]:
+    def wire_targets(self) -> Tuple[str, ...]:
         """Pseudo-wires in remote-PE order."""
-        return tuple(_wire_attachment(pe)[0] for pe in sorted(self.pws))
-
-    def clone(self, macs: bool = True) -> "BridgeState":
-        """Copy with its own MAC table, sharing everything else.  The copy
-        starts with this bridge's learned MACs, or none when ``macs`` is
-        false."""
-        twin = copy.copy(self)  # the instance dict carries the derived values
-        twin.mac_table = dict(self.mac_table) if macs else {}
-        return twin
-
-    def lookup(self, mac: str, round_no: int) -> Optional[MacEntry]:
-        entry = self.mac_table.get(mac)
-        if entry is None:
-            return None
-        if round_no - entry.learned_round >= DEFAULT_MAC_AGING_ROUNDS:
-            del self.mac_table[mac]
-            return None
-        return entry
+        return tuple(sorted(self.pws))
 
 
 def ingress_filter(port: MemberPort, frame: EthernetFrame) -> Optional[DropReason]:
@@ -158,17 +128,21 @@ def ingress_filter(port: MemberPort, frame: EthernetFrame) -> Optional[DropReaso
 
 def bridge_forward(
     bridge: BridgeState,
+    macs: Dict[str, MacEntry],
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int,
     src_unicast: bool,
 ) -> Sequence[Attachment]:
-    """Learn, then return the attachments the frame leaves by.  The caller
-    has already run the ingress policy when the frame came from a local
-    port; pseudo-wire arrivals were filtered once at their ingress PE and
-    are trusted here.  Only a unicast source is learned; ``src_unicast`` is
-    whether the source MAC is unicast, which holds for the whole walk of a
-    frame, so the caller decides it once.
+    """Learn into ``macs``, the bridge's MAC table, then return the
+    attachments the frame leaves by.  The caller has already run the
+    ingress policy when the frame came from a local port; pseudo-wire
+    arrivals were filtered once at their ingress PE and are trusted here.
+    Only a unicast source is learned; ``src_unicast`` is whether the source
+    MAC is unicast, which holds for the whole walk of a frame, so the
+    caller decides it once.  An entry ``DEFAULT_MAC_AGING_ROUNDS`` old is
+    dropped when the destination is looked up, as is one whose port is
+    gone, and the frame floods.
 
     Split horizon: a flood off a pseudo-wire goes to local ports only, and
     the result is then ``bridge.port_targets`` itself, which callers must
@@ -176,22 +150,24 @@ def bridge_forward(
     An entry is rewritten only when its attachment or round changes.
     """
     src = frame.src_mac
-    from_wire = isinstance(arrived_via, PwRef)
+    from_wire = isinstance(arrived_via, str)
     if (src_unicast and not (from_wire and src in bridge.local_macs)
-            and bridge.mac_table.get(src) != (arrived_via, round_no)):
-        bridge.mac_table[src] = MacEntry(arrived_via, round_no)
+            and macs.get(src) != (arrived_via, round_no)):
+        macs[src] = MacEntry(arrived_via, round_no)
 
     dst = frame.dst_mac
     if dst != BROADCAST_MAC:
-        entry = bridge.lookup(dst, round_no)
+        entry = macs.get(dst)
         if entry is not None:
             where = entry.where
-            if where == arrived_via:
+            if round_no - entry.learned_round >= DEFAULT_MAC_AGING_ROUNDS:
+                del macs[dst]  # aged out
+            elif where == arrived_via:
                 return ()  # would hairpin; the destination already saw it
-            if isinstance(where, PortRef) and where.asn not in bridge.ports:
-                del bridge.mac_table[dst]  # port went away; relearn
-            else:
+            elif isinstance(where, str) or where in bridge.ports:
                 return (where,)
+            else:
+                del macs[dst]  # port went away; relearn
 
     if from_wire:
         return bridge.port_targets
@@ -268,7 +244,9 @@ class Fabric:
 
     Owns the frame trace and the drop log; both survive reconvergence so a
     run's history stays complete.  ``ports`` indexes every bridge's member
-    ports by ASN.  ``labels`` is the underlay's next-hop table from the
+    ports by ASN.  ``macs`` is what the bridges learn, one MAC table per
+    PE; the bridges themselves are wiring, shared with every fabric made
+    from this one.  ``labels`` is the underlay's next-hop table from the
     convergence that built the bridges: each node's tree's own first-hop
     map, keyed by node and then by destination.  No LSP is narrower than
     the narrowest link of the topology, ``_floor``, so a frame that fits
@@ -291,6 +269,7 @@ class Fabric:
         self.labels = labels
         self.trace: List[TraceRow] = trace if trace is not None else []
         self.drops: List[DropRecord] = drops if drops is not None else []
+        self.macs: Dict[str, Dict[str, MacEntry]] = {pe: {} for pe in bridges}
         self.ports: Dict[int, MemberPort] = {
             asn: port for bridge in bridges.values() for asn, port in bridge.ports.items()}
         # Without links there are no wires to cross.
@@ -306,24 +285,22 @@ class Fabric:
 
     def clone(self) -> "Fabric":
         """Copy for probe traffic, with its own MAC tables and drop log, so
-        probing never alters the real history.  It shares the topology,
-        next-hop table and port index, and each bridge's wiring.  It
-        records drops but no trace rows: nothing reads a probe's rows, so
-        its ``trace`` stays empty."""
+        probing never alters the real history.  The tables start as copies
+        of this fabric's.  It shares the bridges, topology, next-hop table
+        and port index.  It records drops but no trace rows: nothing reads
+        a probe's rows, so its ``trace`` stays empty."""
         probe = copy.copy(self)
-        probe.bridges = {pe: b.clone() for pe, b in self.bridges.items()}
+        probe.macs = {pe: dict(table) for pe, table in self.macs.items()}
         probe.trace, probe.drops, probe._log = [], [], None
         return probe
 
     def relinked(self, topo: Topology, labels: LabelTable) -> "Fabric":
-        """This fabric's wiring over another underlay: every bridge copied
-        with an empty MAC table, sharing its ports, wires and their
-        derived targets, carried over the next hops of ``labels``.  Link
-        MTUs never change, so the floor stands.  The trace and drop log
-        go on."""
+        """This fabric's bridges over another underlay, with empty MAC
+        tables, carried over the next hops of ``labels``.  Link MTUs never
+        change, so the floor stands.  The trace and drop log go on."""
         fabric = copy.copy(self)
         fabric.topo, fabric.labels = topo, labels
-        fabric.bridges = {pe: b.clone(macs=False) for pe, b in self.bridges.items()}
+        fabric.macs = {pe: {} for pe in self.bridges}
         return fabric
 
     def inject(self, asn: int, frame: EthernetFrame, round_no: int = 0) -> InjectResult:
@@ -341,43 +318,40 @@ class Fabric:
         pe = port.attach_pe
         tid = frame.trace_id
         log = self._log
-        arrival, via = _port_attachment(asn)
         reason = ingress_filter(port, frame)
         if reason is not None:
             if log:
-                log(_row((round_no, tid, pe, via, "drop:" + reason.value)))
+                log(_row((round_no, tid, pe, _label(asn), "drop:" + reason.value)))
             self.drops.append(DropRecord(round_no, asn, reason, tid))
             return InjectResult(accepted=False, drop_reason=reason)
         if log:
-            log(_row((round_no, tid, pe, via, "accept")))
+            log(_row((round_no, tid, pe, _label(asn), "accept")))
 
         result = InjectResult(accepted=True, drop_reason=None)
         deliveries = result.deliveries
+        macs = self.macs
         src_unicast = is_unicast(frame.src_mac)
         size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
         walks = size > self._floor  # only then can some LSP be too narrow
         emitted = crossed = 0
         limit = self._max_crossings
         # Appended to while it is iterated: breadth-first, as a FIFO queue.
-        queue: List[Tuple[BridgeState, Attachment]] = [(self.bridges[pe], arrival)]
+        queue: List[Tuple[BridgeState, Attachment]] = [(self.bridges[pe], asn)]
         for here, arrived in queue:
-            targets = bridge_forward(here, frame, arrived, round_no, src_unicast)
+            targets = bridge_forward(here, macs[here.pe], frame, arrived, round_no, src_unicast)
             emitted += len(targets)
             for via in targets:
-                if isinstance(via, PortRef):
+                if log:
+                    label = _label(via)
+                    log(_row((round_no, tid, here.pe, label, "emit")))
+                if isinstance(via, int):
                     # Local hand-off: no tunnel, no modelled access link.
                     if log:
-                        label = _port_attachment(via.asn)[1]
-                        log(_row((round_no, tid, here.pe, label, "emit")))
                         log(_row((round_no, tid, here.pe, label, "deliver")))
-                    deliveries.append(via.asn)
+                    deliveries.append(via)
                     continue
-                remote = via.remote_pe
-                if log:
-                    label = _wire_attachment(remote)[1]
-                    log(_row((round_no, tid, here.pe, label, "emit")))
                 if walks:
-                    path = here.pws[remote].transport_from(here.pe, self.labels)
+                    path = here.pws[via].transport_from(here.pe, self.labels)
                     bad = transmit(size, (self.topo.links[i] for i in path))
                     if bad is not None:
                         if log:
@@ -390,9 +364,8 @@ class Fabric:
                 if crossed > limit:
                     raise RuntimeError("frame %r crossed more than %d pseudo-wires"
                                        % (tid, limit))
-                back, back_label = _wire_attachment(here.pe)
                 if log:
-                    log(_row((round_no, tid, remote, back_label, "receive")))
-                queue.append((self.bridges[remote], back))
+                    log(_row((round_no, tid, via, _label(here.pe), "receive")))
+                queue.append((self.bridges[via], here.pe))
         result.emissions, result.pw_traversals = emitted, crossed
         return result

@@ -33,11 +33,12 @@ link-dependent state from before the last link event.  Trees are
 canonical, so when an event leaves the same links down as that record, as
 the up of a flap does, the record is that state exactly and comes back as
 it was.  An event that flips no link keeps every table.  Every link event
-resets learned MACs: the bridges are copied with empty MAC tables, and
-rebuilt only when the standing wires change.  The fabric keeps no walked
-LSP, so no path outlives its table: a frame walks a wire's LSP from the
-current next hops only when it is larger than the topology's narrowest
-link (see dataplane).  Frame injection exercises only the data plane.
+resets learned MACs: the fabric keeps its bridges, which are wiring
+only, and starts empty MAC tables; the bridges are rebuilt only when the
+standing wires change.  The fabric keeps no walked LSP, so no path
+outlives its table: a frame walks a wire's LSP from the current next hops
+only when it is larger than the topology's narrowest link (see
+dataplane).  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -197,9 +198,9 @@ class Simulation:
         build.  Otherwise repair or rerun the trees the flip changes, take
         each new tree's first hops as its node's next hops, choose the
         standing wires from the mesh again if a reachable set changed, and
-        keep the state from before this event.  The bridges are copied
-        with empty MAC tables when the standing wires are the same and
-        rebuilt when they are not."""
+        keep the state from before this event.  The fabric keeps its
+        bridges and starts empty MAC tables when the standing wires are
+        the same, and rebuilds the bridges when they are not."""
         if not flapped:
             self.fabric = self.fabric.relinked(self.topo, self.fabric.labels)
             return

@@ -318,8 +318,9 @@ def validate_topology(
     return ValidationReport(tuple(sorted(found)))
 
 
-def full_mesh_size(pe_count: int) -> int:
-    """Number of unordered PE pairs: the pseudo-wire count a full mesh needs."""
-    if pe_count < 0:
-        raise ValueError("pe_count must be non-negative")
-    return pe_count * (pe_count - 1) // 2
+def full_mesh_size(n: int) -> int:
+    """Number of unordered pairs among ``n`` peers: the sessions a full mesh
+    of n members needs, or the pseudo-wires one of n PEs needs."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    return n * (n - 1) // 2

@@ -19,15 +19,16 @@ whitespace):
     event <round> withdraw <asn> <prefix>
 
 Numbers are ASCII decimal, addresses dotted quads without leading zeros and
-prefixes ``<ipv4>/<len>``; a netmask or hostmask after the ``/`` is read as
-``ipaddress`` reads it.  Entities must be declared before they are
-referenced.  Cost and MTU may be omitted on links: cost defaults by link
-type (leased 1, radio 10) and MTU to the fabric minimum of 1600.  BGP keeps
-one session per peer pair, so a bilateral pair repeated in either order, a
-second transit session for the same member and upstream, and a transit
-session from a member to itself are rejected on the later line.  A repeated
-``session rs`` line is not: the client joins the server's client set, so
-the repeat changes nothing.
+prefixes ``<ipv4>/<len>`` with a length from 0 to 32, also without leading
+zeros; a netmask or hostmask after the ``/`` is read as ``ipaddress`` reads
+it.  Entities must be declared before they are referenced.  Cost and MTU
+may be omitted on links: cost defaults by link type (leased 1, radio 10)
+and MTU to the fabric minimum of 1600.  BGP keeps one session per peer
+pair, so a bilateral pair repeated in either order, a second transit
+session for the same member and upstream, and a transit session from a
+member to itself are rejected on the later line.  A repeated ``session rs``
+line is not: the client joins the server's client set, so the repeat
+changes nothing.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ from ixsim.model import (
 _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 # A dotted quad as ipaddress reads one: ASCII digits, no leading zeros, <= 255.
 _QUAD_RE = re.compile(r"\.".join([r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"] * 4))
+# A prefix length: ASCII decimal without leading zeros, at most 32.
+_LENGTH_RE = re.compile(r"3[0-2]|[12]?[0-9]")
 
 
 class ParseError(Exception):
@@ -165,7 +168,13 @@ def _ipv4(token: str, line: int) -> ipaddress.IPv4Address:
 def _network(token: str, line: int) -> ipaddress.IPv4Network:
     address, slash, mask = token.partition("/")
     try:
-        return ipaddress.IPv4Network((_packed(address), mask if slash else 32))
+        if not slash:
+            mask = 32
+        elif _LENGTH_RE.fullmatch(mask):
+            mask = int(mask)
+        elif not _QUAD_RE.fullmatch(mask):  # nor a netmask or hostmask
+            raise ValueError(mask)
+        return ipaddress.IPv4Network((_packed(address), mask))
     except ValueError:
         _fail(line, "bad prefix %r" % token)
 

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ixsim.dataplane import (
     BROADCAST_MAC,
+    DEFAULT_MAC_AGING_ROUNDS,
     ETHERNET_OVERHEAD,
     MPLS_OVERHEAD,
     Attachment,
@@ -38,8 +39,6 @@ from ixsim.dataplane import (
     Fabric,
     InjectResult,
     MacEntry,
-    PortRef,
-    PwRef,
     TraceRow,
     ingress_filter,
 )
@@ -415,37 +414,41 @@ def reference_rib_dump(ribs: Dict[int, MemberRib]) -> str:
 
 def reference_forward(
     bridge: BridgeState,
+    macs: Dict[str, MacEntry],
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int = 0,
 ) -> List[Attachment]:
-    """Learn, then return the attachments the frame leaves by, with the
-    targets sorted and built again on every flood and the local MACs
-    collected again on every wire arrival."""
+    """Learn into ``macs``, then return the attachments the frame leaves
+    by, with the targets sorted and built again on every flood and the
+    local MACs collected again on every wire arrival."""
     src = frame.src_mac
     if is_unicast(src):
-        remote_claims_local = isinstance(arrived_via, PwRef) and src in {
+        remote_claims_local = isinstance(arrived_via, str) and src in {
             p.nominated_mac for p in bridge.ports.values()}
         if not remote_claims_local:
-            bridge.mac_table[src] = MacEntry(arrived_via, round_no)
+            macs[src] = MacEntry(arrived_via, round_no)
 
     if frame.dst_mac != BROADCAST_MAC:
-        entry = bridge.lookup(frame.dst_mac, round_no)
+        entry = macs.get(frame.dst_mac)
+        if entry is not None and round_no - entry.learned_round >= DEFAULT_MAC_AGING_ROUNDS:
+            del macs[frame.dst_mac]  # aged out
+            entry = None
         if entry is not None:
             if entry.where == arrived_via:
                 return []
-            if isinstance(entry.where, PortRef) and entry.where.asn not in bridge.ports:
-                del bridge.mac_table[frame.dst_mac]
+            if isinstance(entry.where, int) and entry.where not in bridge.ports:
+                del macs[frame.dst_mac]
             else:
                 return [entry.where]
 
     targets: List[Attachment] = [
-        PortRef(asn)
+        asn
         for asn, port in sorted(bridge.ports.items())
-        if port.state is PortState.ACTIVE and PortRef(asn) != arrived_via
+        if port.state is PortState.ACTIVE and asn != arrived_via
     ]
-    if not isinstance(arrived_via, PwRef):
-        targets += [PwRef(pe) for pe in sorted(bridge.pws)]
+    if not isinstance(arrived_via, str):
+        targets += sorted(bridge.pws)
     return targets
 
 
@@ -474,21 +477,20 @@ def reference_inject(
     log(port.attach_pe, via, "accept")
 
     result = InjectResult(accepted=True, drop_reason=None)
-    queue = deque([(fabric.bridges[port.attach_pe], PortRef(asn))])
+    queue = deque([(fabric.bridges[port.attach_pe], asn)])
     while queue:
         here, arrived = queue.popleft()
-        for via in reference_forward(here, frame, arrived, round_no):
+        for via in reference_forward(here, fabric.macs[here.pe], frame, arrived, round_no):
             result.emissions += 1
-            label = ("port/%d" % via.asn if isinstance(via, PortRef)
-                     else "pw/%s" % via.remote_pe)
+            label = "port/%d" % via if isinstance(via, int) else "pw/%s" % via
             log(here.pe, label, "emit")
-            if isinstance(via, PortRef):
+            if isinstance(via, int):
                 log(here.pe, label, "deliver")
-                result.deliveries.append(via.asn)
+                result.deliveries.append(via)
                 continue
             # on a wire: Ethernet header and FCS, a transport and a VPLS label
             size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
-            path = here.pws[via.remote_pe].transport_from(here.pe, fabric.labels)
+            path = here.pws[via].transport_from(here.pe, fabric.labels)
             bad = next((link for link in
                         (fabric.topo.links[i] for i in path)
                         if size > link.mtu), None)
@@ -499,6 +501,6 @@ def reference_inject(
                     offending_link=bad))
                 continue
             result.pw_traversals += 1
-            log(via.remote_pe, "pw/%s" % here.pe, "receive")
-            queue.append((fabric.bridges[via.remote_pe], PwRef(here.pe)))
+            log(via, "pw/%s" % here.pe, "receive")
+            queue.append((fabric.bridges[via], here.pe))
     return result

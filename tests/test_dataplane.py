@@ -22,8 +22,6 @@ from ixsim.dataplane import (
     EthernetFrame,
     EtherType,
     MacEntry,
-    PortRef,
-    PwRef,
     TraceRow,
     bridge_forward,
     format_trace,
@@ -82,81 +80,89 @@ def test_ingress_admits_unicast_and_arp_broadcast():
 
 
 def test_flood_goes_to_active_ports_and_all_wires_in_stable_order():
-    bridge = BridgeState(pe="a")
+    bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63005] = make_port(63005, "a", 5)
     bridge.ports[63002] = make_port(63002, "a", 2)
     bridge.ports[63009] = make_port(63009, "a", 9, PortState.QUARANTINE)
     bridge.pws = {"c": None, "b": None}  # placeholders; flood never dereferences
     frame = _frame(_mac(1), _mac(77), trace="t1")
-    targets = bridge_forward(bridge, frame, PortRef(63001), 0, True)
-    assert list(targets) == [PortRef(63002), PortRef(63005), PwRef("b"), PwRef("c")]
+    targets = bridge_forward(bridge, macs, frame, 63001, 0, True)
+    assert list(targets) == [63002, 63005, "b", "c"]
 
 
 def test_split_horizon_keeps_wire_arrivals_off_other_wires():
-    bridge = BridgeState(pe="a")
+    bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None, "c": None}
     frame = _frame(_mac(9), _mac(77))
-    targets = bridge_forward(bridge, frame, PwRef("b"), 0, True)
-    assert list(targets) == [PortRef(63001)]
+    targets = bridge_forward(bridge, macs, frame, "b", 0, True)
+    assert list(targets) == [63001]
 
 
 def test_known_unicast_uses_single_learned_attachment():
-    bridge = BridgeState(pe="a")
+    bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None}
-    bridge.mac_table[_mac(7)] = MacEntry(PwRef("b"), 0)
-    targets = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001), 0, True)
-    assert list(targets) == [PwRef("b")]
+    macs[_mac(7)] = MacEntry("b", 0)
+    targets = bridge_forward(bridge, macs, _frame(_mac(1), _mac(7)), 63001, 0, True)
+    assert list(targets) == ["b"]
 
 
 def test_hairpin_toward_arrival_is_suppressed():
-    bridge = BridgeState(pe="b")
+    bridge, macs = BridgeState(pe="b"), {}
     bridge.ports[63002] = make_port(63002, "b", 2)
     bridge.pws = {"a": None}
-    bridge.mac_table[_mac(1)] = MacEntry(PwRef("a"), 0)
-    targets = bridge_forward(bridge, _frame(_mac(9), _mac(1)), PwRef("a"), 0, True)
+    macs[_mac(1)] = MacEntry("a", 0)
+    targets = bridge_forward(bridge, macs, _frame(_mac(9), _mac(1)), "a", 0, True)
     assert list(targets) == []
 
 
 def test_learning_records_source_and_protects_local_macs():
-    bridge = BridgeState(pe="a")
+    bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
     local_mac = bridge.ports[63001].nominated_mac
-    bridge_forward(bridge, _frame(_mac(9), _mac(77)), PwRef("b"), 0, True)
-    assert bridge.mac_table[_mac(9)].where == PwRef("b")
+    bridge_forward(bridge, macs, _frame(_mac(9), _mac(77)), "b", 0, True)
+    assert macs[_mac(9)].where == "b"
     # a wire arrival claiming a locally nominated MAC must not poison the table
-    targets = bridge_forward(bridge, _frame(local_mac, _mac(77)), PwRef("b"), 0, True)
-    assert local_mac not in bridge.mac_table
-    assert list(targets) == [PortRef(63001)]
+    targets = bridge_forward(bridge, macs, _frame(local_mac, _mac(77)), "b", 0, True)
+    assert local_mac not in macs
+    assert list(targets) == [63001]
 
 
 def test_broadcast_never_consults_the_mac_table():
-    bridge = BridgeState(pe="a")
+    bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.mac_table[BROADCAST_MAC] = MacEntry(PortRef(63001), 0)  # nonsense entry
+    macs[BROADCAST_MAC] = MacEntry(63001, 0)  # nonsense entry
     frame = _frame(_mac(9), BROADCAST_MAC, EtherType.ARP)
-    targets = bridge_forward(bridge, frame, PwRef("b"), 0, True)
-    assert list(targets) == [PortRef(63001)]
+    targets = bridge_forward(bridge, macs, frame, "b", 0, True)
+    assert list(targets) == [63001]
 
 
 def test_entry_for_departed_port_is_dropped_and_relearned():
-    bridge = BridgeState(pe="a")
+    bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
     bridge.pws = {"b": None}
-    bridge.mac_table[_mac(7)] = MacEntry(PortRef(64000), 0)  # port no longer present
-    targets = bridge_forward(bridge, _frame(_mac(1), _mac(7)), PortRef(63001), 0, True)
-    assert _mac(7) not in bridge.mac_table
+    macs[_mac(7)] = MacEntry(64000, 0)  # port no longer present
+    targets = bridge_forward(bridge, macs, _frame(_mac(1), _mac(7)), 63001, 0, True)
+    assert _mac(7) not in macs
     # falls back to flooding; the arrival port itself is never a target
-    assert list(targets) == [PwRef("b")]
+    assert list(targets) == ["b"]
 
 
 def test_mac_entries_age_out():
+    """An entry DEFAULT_MAC_AGING_ROUNDS old is dropped and the frame
+    floods; one round younger, the frame goes where it points."""
     bridge = BridgeState(pe="a")
-    bridge.mac_table[_mac(7)] = MacEntry(PwRef("b"), learned_round=0)
-    assert bridge.lookup(_mac(7), DEFAULT_MAC_AGING_ROUNDS - 1) is not None
-    assert bridge.lookup(_mac(7), DEFAULT_MAC_AGING_ROUNDS) is None
-    assert _mac(7) not in bridge.mac_table
+    bridge.ports[63001] = make_port(63001, "a", 1)
+    bridge.pws = {"b": None, "c": None}
+    frame = _frame(_mac(1), _mac(7))
+    macs = {_mac(7): MacEntry("b", learned_round=0)}
+    targets = bridge_forward(bridge, macs, frame, 63001, DEFAULT_MAC_AGING_ROUNDS - 1, True)
+    assert list(targets) == ["b"]
+    assert macs[_mac(7)] == MacEntry("b", 0)
+    targets = bridge_forward(bridge, macs, frame, 63001, DEFAULT_MAC_AGING_ROUNDS, True)
+    assert list(targets) == ["b", "c"]
+    assert _mac(7) not in macs
 
 
 def test_transmit_flags_first_undersized_link():
@@ -326,9 +332,9 @@ def test_a_forwarding_loop_fails_instead_of_walking_forever(monkeypatch):
     fabric = _triangle()
     forward = dataplane.bridge_forward
 
-    def flood_wire_arrivals_onto_wires(bridge, frame, arrived_via, round_no, src_unicast):
-        targets = list(forward(bridge, frame, arrived_via, round_no, src_unicast))
-        if isinstance(arrived_via, PwRef):
+    def flood_wire_arrivals_onto_wires(bridge, macs, frame, arrived_via, round_no, src_unicast):
+        targets = list(forward(bridge, macs, frame, arrived_via, round_no, src_unicast))
+        if isinstance(arrived_via, str):
             targets += [via for via in bridge.wire_targets if via != arrived_via]
         return targets
 
@@ -359,8 +365,31 @@ def test_clone_isolates_probe_traffic():
     probe = fabric.clone()
     probe.inject(63001, _frame(_mac(1), BROADCAST_MAC, EtherType.ARP, 64, "p1"))
     assert fabric.trace == [] and fabric.drops == []
-    assert fabric.bridges["b"].mac_table == {}
-    assert _mac(1) in probe.bridges["b"].mac_table
+    assert fabric.macs["b"] == {}
+    assert _mac(1) in probe.macs["b"]
+
+
+def test_clone_and_relinked_share_the_bridges_and_own_their_mac_tables():
+    fabric = tiny_fabric(
+        [("a", "b", 1)],
+        [(63001, "a", 1), (63002, "b", 2)],
+        reflectors={"a"})
+    fabric.inject(63002, _frame(_mac(2), BROADCAST_MAC, EtherType.ARP, 64, "t1"))
+    learned = {pe: dict(table) for pe, table in fabric.macs.items()}
+    assert all(learned.values())
+    probe = fabric.clone()
+    relinked = fabric.relinked(fabric.topo, fabric.labels)
+    for other in (probe, relinked):
+        assert other.bridges.keys() == fabric.bridges.keys()
+        assert all(other.bridges[pe] is bridge for pe, bridge in fabric.bridges.items())
+        assert all(other.macs[pe] is not table for pe, table in fabric.macs.items())
+    assert probe.macs == learned
+    assert relinked.macs == {"a": {}, "b": {}}
+    for other in (probe, relinked):
+        other.inject(63001, _frame(_mac(1), BROADCAST_MAC, EtherType.ARP, 64, "p1"))
+        assert _mac(1) in other.macs["b"]
+    assert fabric.macs == learned
+    assert _mac(2) not in relinked.macs["a"]
 
 
 def test_port_lookups():
@@ -444,7 +473,6 @@ def test_inject_matches_the_uncached_reference(seed, steps):
         assert probe.inject(asn, frame, round_no) == want
         assert fabric.trace == reference.trace and probe.trace == []
         assert fabric.drops == reference.drops == probe.drops
-        tables = {pe: b.mac_table for pe, b in reference.bridges.items()}
-        assert {pe: b.mac_table for pe, b in fabric.bridges.items()} == tables
-        assert {pe: b.mac_table for pe, b in probe.bridges.items()} == tables
+        assert fabric.macs == reference.macs
+        assert probe.macs == reference.macs
         last = asn

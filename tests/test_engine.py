@@ -303,7 +303,7 @@ def test_report_probes_on_a_clone_that_keeps_drops_but_no_trace_rows(monkeypatch
                               (asn, BROADCAST_MAC, EtherType.ARP, 28)))
     fabric = sim.fabric
     trace, drops = list(fabric.trace), list(fabric.drops)
-    tables = {pe: dict(b.mac_table) for pe, b in fabric.bridges.items()}
+    tables = {pe: dict(table) for pe, table in fabric.macs.items()}
     assert trace and drops and any(tables.values())
 
     clones = []
@@ -324,7 +324,7 @@ def test_report_probes_on_a_clone_that_keeps_drops_but_no_trace_rows(monkeypatch
     assert report.frame_trace_rows == len(trace)
     assert sim.fabric is fabric
     assert fabric.trace == trace and fabric.drops == drops
-    assert {pe: b.mac_table for pe, b in fabric.bridges.items()} == tables
+    assert fabric.macs == tables
 
 
 def test_report_text_is_sorted_and_complete(whix_run):
@@ -568,7 +568,7 @@ def test_restored_and_repaired_underlays_match_a_rerun(seed):
         table = allocate_labels(trees)
         assert sim.fabric.labels == table
         assert (sim.pseudowires, sim.missing_transport) == derive_pseudowires(sim.mesh, table)
-        assert not any(b.mac_table for b in sim.fabric.bridges.values())
+        assert not any(sim.fabric.macs.values())
         fabric, reference = sim.fabric.clone(), sim.fabric.clone()
         for asn, port in sorted(sim.ports.items()):
             frame = EthernetFrame(port.nominated_mac, BROADCAST_MAC, EtherType.ARP, 1580,
@@ -610,11 +610,11 @@ def test_no_op_link_events_keep_the_tables_and_reset_the_fabric():
         if event.at_round not in (6, 8):
             continue
         assert sim.topo == topo
-        assert any(b.mac_table for b in fabric.bridges.values())
+        assert any(fabric.macs.values())
         assert sim.fabric is not fabric
         assert sim.fabric.labels is fabric.labels
         assert (sim.pseudowires, sim.missing_transport) == wires
-        assert not any(b.mac_table for b in sim.fabric.bridges.values())
+        assert not any(sim.fabric.macs.values())
     digest = hashlib.sha256(sim.trace_dump().encode("utf-8")).hexdigest()
     assert digest == NO_OP_TRACE_DIGEST
 
@@ -686,7 +686,7 @@ def test_restoring_link_events_repair_nothing(monkeypatch, seed):
         elif event.kind is EventKind.LINK_UP:
             assert calls == made
             assert all(now is then for now, then in zip(sim._underlay(), unflapped))
-            assert not any(b.mac_table for b in sim.fabric.bridges.values())
+            assert not any(sim.fabric.macs.values())
     assert downs == 5 and calls["rerun_stale_spf"] == downs
 
 
@@ -744,8 +744,8 @@ def test_promotion_and_withdrawal_rebuild_only_the_fabric(monkeypatch):
         sim.apply_event(event)
         if event.kind in (EventKind.PORT_PROMOTE_CHECK, EventKind.MEMBER_WITHDRAW):
             assert sim.fabric is not fabric
-            assert any(b.mac_table for b in fabric.bridges.values())
-            assert not any(b.mac_table for b in sim.fabric.bridges.values())
+            assert any(fabric.macs.values())
+            assert not any(sim.fabric.macs.values())
     assert calls == built
     assert sim.ports[64505].state is PortState.ACTIVE
     assert sim.rounds_total == 3  # the first sweep, the promotion and the withdrawal

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ipaddress
+import re
 import textwrap
 
 import pytest
@@ -103,6 +104,9 @@ def test_parse_errors_carry_the_line_number():
     ("announce 64496 10.0.0.0/33", "prefix"),
     ("announce 64496 10.0.0.1/24", "prefix"),
     ("announce 64496 10.0.0.0/24/8", "prefix"),
+    ("announce 64496 10.0.0.0/024", "prefix"),
+    ("announce 64496 10.0.0.0/+24", "prefix"),
+    ("announce 64496 10.0.0.0/\uff12\uff14", "prefix"),
     ("announce 6_4496 10.0.0.0/24", "bad ASN"),
     ("announce +64496 10.0.0.0/24", "bad ASN"),
     ("announce \uff16\uff14\uff14\uff19\uff16 10.0.0.0/24", "bad ASN"),
@@ -138,10 +142,15 @@ ADDRESS_TOKENS = st.text("0123456789./:x-\u0661\uff11\x00\n", max_size=24) | st.
 @settings(max_examples=400, deadline=None)
 @given(token=ADDRESS_TOKENS)
 def test_address_reading_matches_ipaddress(token):
+    """The parser reads what ``ipaddress`` reads, except a prefix length
+    with a leading zero: that is left out of the comparison and must be
+    rejected."""
     for read, reference in ((_ipv4, ipaddress.IPv4Address), (_network, ipaddress.IPv4Network)):
         try:
             want = reference(token)
         except ValueError:
+            want = None
+        if read is _network and re.fullmatch("0[0-9]+", token.partition("/")[2]):
             want = None
         try:
             got = read(token, 1)
