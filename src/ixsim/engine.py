@@ -2,12 +2,13 @@
 
 One Simulation owns all mutable run state.  It builds the underlay and the
 signalling once, when it is made: shortest-path trees, the next-hop table,
-the signalling session graph, membership adverts and the pseudo-wire mesh.
-Every label block starts at FIRST_FREE_LABEL + P, leaving 16 up to
+the signalling session graph as PE name pairs, each PE's VE id (1..P in
+name order) and the pseudo-wire mesh.  A wire's label toward a receiver is
+FIRST_FREE_LABEL + P + ve(sender) - 1, from the block that leaves 16 up to
 16 + P - 1 for one transport label per loopback (RFC 8402) that the fabric
 never reads (see vpls_signal), and route reflection is complete by
-construction, so no block, session or advert depends on what the
-underlay reaches.  converge() rebuilds the fabric and runs one sweep of
+construction, so no label, session or VE id depends on what the underlay
+reaches.  converge() rebuilds the fabric and runs one sweep of
 member route exchange; route servers only reflect what members announce,
 so it reads configuration alone and is final.  Each route server collects
 its clients' routes into one table that every client's RIB views (see
@@ -26,7 +27,7 @@ reruns each tree it changes (see underlay).  A new tree has its own maps,
 so the next hops of the fabric built before the event never change under
 it.  The next-hop table is the trees' own first-hop maps, so a new tree
 brings its node's next hops with it.  The pseudo-wire mesh is built once,
-since its labels come from the adverts alone; when some new tree reaches
+since its labels come from the VE ids alone; when some new tree reaches
 a different set of nodes, a partition or a heal, the wires that stand are
 chosen from it again by next hops.  The run keeps one record, the
 link-dependent state from before the last link event.  Trees are
@@ -90,7 +91,6 @@ from ixsim.underlay import (
 )
 from ixsim.vpls_signal import (
     Pseudowire,
-    VplsAdvert,
     build_session_graph,
     derive_pseudowires,
     originate_adverts,
@@ -137,10 +137,9 @@ class Simulation:
 
         self.trees: Dict[str, SpfTree] = compute_all_spf(self.topo)
         labels = allocate_labels(self.trees)
-        self.ibgp_sessions: Set = build_session_graph(self.topo)
-        self.adverts: Dict[str, VplsAdvert] = propagate(
-            originate_adverts(self.topo.node_names()), self.ibgp_sessions)
-        self.mesh = pseudowire_mesh(self.adverts)  # every pair; labels never change
+        self.ibgp_sessions: Set[Tuple[str, str]] = build_session_graph(self.topo)
+        adverts = propagate(originate_adverts(self.topo.node_names()), self.ibgp_sessions)
+        self.mesh = pseudowire_mesh(adverts)  # every pair; labels never change
         self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
         self.fabric = Fabric(self.topo, {}, labels)  # bridges come with converge()
         self.l3 = _L3State()

@@ -18,10 +18,11 @@ whitespace):
     event <round> promote <asn>
     event <round> withdraw <asn> <prefix>
 
-Numbers are ASCII decimal, addresses dotted quads without leading zeros and
-prefixes ``<ipv4>/<len>`` with a length from 0 to 32, also without leading
-zeros; a netmask or hostmask after the ``/`` is read as ``ipaddress`` reads
-it.  Entities must be declared before they are referenced.  Cost and MTU
+A node name is ASCII letters, digits, ``.``, ``_`` and ``-``, so that every
+output can carry it.  Numbers are ASCII decimal, addresses dotted quads
+without leading zeros and prefixes ``<ipv4>/<len>`` with a length from 0 to
+32, also without leading zeros; a netmask or hostmask after the ``/`` is
+read as ``ipaddress`` reads it.  Entities must be declared before they are referenced.  Cost and MTU
 may be omitted on links: cost defaults by link type (leased 1, radio 10)
 and MTU to the fabric minimum of 1600.  BGP keeps one session per peer
 pair, so a bilateral pair repeated in either order, a second transit
@@ -63,6 +64,9 @@ _MAC_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
 _QUAD_RE = re.compile(r"\.".join([r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"] * 4))
 # A prefix length: ASCII decimal without leading zeros, at most 32.
 _LENGTH_RE = re.compile(r"3[0-2]|[12]?[0-9]")
+# A node name every output can carry: quoted in Graphviz, a CSV trace field
+# and part of a ``|``-separated RIB line.
+_NAME_RE = re.compile(r"[A-Za-z0-9._-]+")
 
 
 class ParseError(Exception):
@@ -223,6 +227,8 @@ _EVENT_FORMS = {  # kind token -> (kind, tokens on the line)
 def _parse_node(b: _Builder, tokens: List[str], line: int) -> None:
     if len(tokens) < 4 or tokens[2] != "loopback":
         _fail(line, "node expects: node <name> loopback <ipv4> [rr] [rs]")
+    if not _NAME_RE.fullmatch(tokens[1]):
+        _fail(line, "bad node name %r" % tokens[1])
     loopback = _ipv4(tokens[3], line)
     flags = [_choice(flag, ("rr", "rs"), line, "unknown node flag %r") for flag in tokens[4:]]
     node = PeNode(tokens[1], loopback, is_route_reflector="rr" in flags,

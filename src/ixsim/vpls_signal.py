@@ -2,25 +2,26 @@
 
 Membership travels over an internal BGP session graph kept small by route
 reflection (RFC 4456): every other PE holds one session to each reflector
-instead of a session to every peer.  Each participant advertises a VE id
-plus a contiguous label block (RFC 4761 style), from which any other
-participant can compute the demultiplexor label for its pseudo-wire without
-a dedicated exchange.
+instead of a session to every peer.  A session is the pair of its PE names.
+Each participant advertises a VE id plus a contiguous label block (RFC 4761
+style), from which any other participant can compute the demultiplexor
+label for its pseudo-wire without a dedicated exchange.
 
 The session graph always meshes the reflectors and peers every client with
 every reflector, so reflection is complete by construction: every PE learns
 every other PE's advert.  Signalling therefore depends only on node names
-and reflector flags (for the session graph): every block starts at
-FIRST_FREE_LABEL + P, whatever the underlay reaches.  That leaves
-FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 for one transport label per
-loopback, as a prefix SID would take (RFC 8402); the fabric forwards on
-next hops and never reads such a label, so none is modelled.
+and reflector flags (for the session graph).  VE ids run 1..P in name
+order and every block holds P labels from FIRST_FREE_LABEL + P, whatever
+the underlay reaches, so an advert is its VE id alone and a wire from
+sender a to receiver b carries FIRST_FREE_LABEL + P + ve(a) - 1.  That
+leaves FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 for one transport
+label per loopback, as a prefix SID would take (RFC 8402); the fabric
+forwards on next hops and never reads such a label, so none is modelled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Set, Tuple
 
@@ -32,76 +33,27 @@ class NoReflectorError(Exception):
     """Two or more PEs but nothing to reflect between them."""
 
 
-class IbgpKind(Enum):
-    RR_CLIENT = "rr_client"
-    RR_TO_RR = "rr_to_rr"
-
-
-@dataclass(frozen=True)
-class IbgpSession:
-    """One internal BGP session.  For RR_CLIENT sessions ``a`` is the client
-    and ``b`` the reflector; reflector-to-reflector pairs are name-ordered."""
-
-    a: str
-    b: str
-    kind: IbgpKind = IbgpKind.RR_CLIENT
-
-
-def build_session_graph(topo: Topology) -> Set[IbgpSession]:
-    """Sessions implied by the reflector flags: R*(P-R) + R*(R-1)/2 total."""
+def build_session_graph(topo: Topology) -> Set[Tuple[str, str]]:
+    """Sessions implied by the reflector flags, R*(P-R) + R*(R-1)/2 PE name
+    pairs: ``(client, reflector)`` for each client and reflector, and each
+    pair of reflectors in name order."""
     names = topo.node_names()
     reflectors = topo.reflector_names()
     if len(names) >= 2 and not reflectors:
         raise NoReflectorError("no route reflector flagged")
-    sessions: Set[IbgpSession] = set()
-    for client in names:
-        if client in reflectors:
-            continue
-        for rr in reflectors:
-            sessions.add(IbgpSession(client, rr, IbgpKind.RR_CLIENT))
-    for left, right in combinations(reflectors, 2):
-        sessions.add(IbgpSession(left, right, IbgpKind.RR_TO_RR))
+    sessions = {(client, rr) for client in names if client not in reflectors
+                for rr in reflectors}
+    sessions.update(combinations(reflectors, 2))
     return sessions
 
 
-@dataclass(frozen=True, order=True)
-class VplsAdvert:
-    """One participant's membership advertisement.
-
-    A peer with VE id v expects traffic from this PE to arrive carrying
-    label ``label_base + v - block_offset``; a single block therefore
-    covers the whole mesh.
-    """
-
-    origin_pe: str
-    ve_id: int
-    label_base: int
-    block_offset: int
-    block_size: int
-
-    def label_for(self, sender_ve_id: int) -> int:
-        if not self.block_offset <= sender_ve_id < self.block_offset + self.block_size:
-            raise ValueError("VE id %d outside advertised block" % sender_ve_id)
-        return self.label_base + sender_ve_id - self.block_offset
+def originate_adverts(pes: Iterable[str]) -> Dict[str, int]:
+    """Each PE's VE id, 1..P in name order: the whole of its advert, since
+    every block starts at FIRST_FREE_LABEL + P and holds P labels."""
+    return {pe: ve_id for ve_id, pe in enumerate(sorted(set(pes)), start=1)}
 
 
-def originate_adverts(pes: Iterable[str]) -> Dict[str, VplsAdvert]:
-    """Assign VE ids 1..P in name order and give each PE a block of P labels.
-
-    Each block starts at FIRST_FREE_LABEL + P, above the range one
-    transport label per loopback would take.
-    """
-    ordered = sorted(set(pes))
-    count = len(ordered)
-    base = FIRST_FREE_LABEL + count
-    return {pe: VplsAdvert(pe, ve_id, base, 1, count)
-            for ve_id, pe in enumerate(ordered, start=1)}
-
-
-def propagate(
-    adverts: Dict[str, VplsAdvert],
-    sessions: Set[IbgpSession],
-) -> Dict[str, VplsAdvert]:
+def propagate(adverts: Dict[str, int], sessions: Set[Tuple[str, str]]) -> Dict[str, int]:
     """The adverts every PE holds once reflection settles: all of them.
 
     ``build_session_graph`` gives every client a session to every reflector
@@ -142,19 +94,18 @@ class Pseudowire:
         return resolve_lsp(table, pe, self.other(pe))
 
 
-def pseudowire_mesh(adverts: Dict[str, VplsAdvert]) -> Tuple[Pseudowire, ...]:
+def pseudowire_mesh(adverts: Dict[str, int]) -> Tuple[Pseudowire, ...]:
     """One pseudo-wire per unordered pair of participants, in name order.
 
-    A wire's labels come from the two adverts alone, and the adverts never
-    change once originated, so a run builds its mesh once; partitions and
-    heals only choose which of these wires stand (``derive_pseudowires``).
+    The receiver expects label FIRST_FREE_LABEL + P + ve(sender) - 1 from
+    its block.  A wire's labels come from the two VE ids alone, and those
+    never change once originated, so a run builds its mesh once;
+    partitions and heals only choose which of these wires stand
+    (``derive_pseudowires``).
     """
-    wires: list[Pseudowire] = []
-    for a, b in combinations(sorted(adverts), 2):
-        ad_a, ad_b = adverts[a], adverts[b]
-        wires.append(Pseudowire(
-            a, b, ad_b.label_for(ad_a.ve_id), ad_a.label_for(ad_b.ve_id)))
-    return tuple(wires)
+    base = FIRST_FREE_LABEL + len(adverts) - 1
+    return tuple(Pseudowire(a, b, base + adverts[a], base + adverts[b])
+                 for a, b in combinations(sorted(adverts), 2))
 
 
 def derive_pseudowires(

@@ -63,7 +63,6 @@ from ixsim.model import (
     Violation,
     is_unicast,
 )
-from ixsim.vpls_signal import IbgpKind, IbgpSession, VplsAdvert
 
 
 def up_edges(topo: Topology) -> list[tuple[str, str, int]]:
@@ -139,54 +138,57 @@ def expected_ibgp_sessions(node_names, reflector_names) -> set[tuple[str, str]]:
 
 
 def reference_propagate(
-    adverts: Dict[str, VplsAdvert],
-    sessions: Set[IbgpSession],
-) -> Dict[str, Set[VplsAdvert]]:
-    """Run reflection to a fixpoint and return each PE's received set.
+    names: Iterable[str],
+    sessions: Set[Tuple[str, str]],
+    reflectors: Iterable[str],
+) -> Dict[str, Set[str]]:
+    """Run reflection to a fixpoint and return the origin PEs of the adverts
+    each PE received.
 
-    Standard reflection rules: a reflector passes client-learned state to
-    everyone, and peer-learned state to its clients only.  Clients originate
-    and receive but never relay.
+    A session is a pair of PE names; it is a client session, ``(client,
+    reflector)``, when its first PE is not a reflector, and a session
+    between reflectors otherwise.  Standard reflection rules: a reflector
+    passes client-learned state to everyone, and peer-learned state to its
+    clients only.  Clients originate and receive but never relay.
     """
-    originated = {pe: adverts[pe] for pe in adverts}
-    client_learned: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
-    peer_learned: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
-    received: Dict[str, Set[VplsAdvert]] = {pe: set() for pe in adverts}
+    names = list(names)
+    reflectors = set(reflectors)
+    client_learned: Dict[str, Set[str]] = {pe: set() for pe in names}
+    peer_learned: Dict[str, Set[str]] = {pe: set() for pe in names}
+    received: Dict[str, Set[str]] = {pe: set() for pe in names}
 
-    ordered = sorted(sessions, key=lambda s: (s.a, s.b, s.kind.value))
+    ordered = sorted(sessions)
     changed = True
     while changed:
         changed = False
-        for s in ordered:
-            if s.kind is IbgpKind.RR_CLIENT:
-                client, rr = s.a, s.b
-                if originated[client] not in client_learned[rr]:
-                    client_learned[rr].add(originated[client])
+        for a, b in ordered:
+            if a not in reflectors:
+                client, rr = a, b
+                if client not in client_learned[rr]:
+                    client_learned[rr].add(client)
                     changed = True
-                down = {originated[rr]} | client_learned[rr] | peer_learned[rr]
-                down.discard(originated[client])
+                down = {rr} | client_learned[rr] | peer_learned[rr]
+                down.discard(client)
                 if not down <= received[client]:
                     received[client] |= down
                     changed = True
             else:
-                for left, right in ((s.a, s.b), (s.b, s.a)):
-                    out = {originated[left]} | client_learned[left]
-                    out.discard(originated[right])
+                for left, right in ((a, b), (b, a)):
+                    out = {left} | client_learned[left]
+                    out.discard(right)
                     if not out <= peer_learned[right]:
                         peer_learned[right] |= out
                         changed = True
 
-    for rr in adverts:
-        extra = (client_learned[rr] | peer_learned[rr]) - {originated[rr]}
-        received[rr] |= extra
+    for rr in names:
+        received[rr] |= (client_learned[rr] | peer_learned[rr]) - {rr}
     return received
 
 
-def mutually_visible_pairs(received: Dict[str, Set[VplsAdvert]]) -> set[tuple[str, str]]:
+def mutually_visible_pairs(received: Dict[str, Set[str]]) -> set[tuple[str, str]]:
     """Unordered PE pairs in which each side received the other's advert."""
-    origins = {pe: {ad.origin_pe for ad in got} for pe, got in received.items()}
-    return {(a, b) for a in origins for b in origins
-            if a < b and b in origins[a] and a in origins[b]}
+    return {(a, b) for a in received for b in received
+            if a < b and b in received[a] and a in received[b]}
 
 
 def reference_reachability(

@@ -91,6 +91,9 @@ def test_parse_errors_carry_the_line_number():
     ("node broken loopback 172.16.0.09", "IPv4"),
     ("node broken loopback 172.16.0.\u0669", "IPv4"),
     ("node broken loopback 172.16.0.9 shiny", "flag"),
+    ('node ky"le loopback 172.16.0.9', "bad node name"),
+    ("node ky,le loopback 172.16.0.9", "bad node name"),
+    ("node s|mo loopback 172.16.0.9", "bad node name"),
     ("link mallaig kyle", "type"),
     ("link mallaig kyle type laser", "link type"),
     ("link mallaig kyle type radio cost", "value"),

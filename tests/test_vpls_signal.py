@@ -12,10 +12,7 @@ from helpers import make_topology, random_connected_topology
 from ixsim.model import LinkState
 from ixsim.underlay import FIRST_FREE_LABEL, allocate_labels, compute_all_spf, resolve_lsp
 from ixsim.vpls_signal import (
-    IbgpKind,
-    IbgpSession,
     NoReflectorError,
-    VplsAdvert,
     build_session_graph,
     derive_pseudowires,
     originate_adverts,
@@ -41,17 +38,13 @@ def test_two_reflectors_eight_nodes_gives_thirteen_sessions():
     topo = make_topology([], extra_nodes=names, reflectors={"pe1", "pe2"})
     sessions = build_session_graph(topo)
     assert len(sessions) == 13
-    as_pairs = {(s.a, s.b) for s in sessions}
-    assert as_pairs == expected_ibgp_sessions(names, ["pe1", "pe2"])
+    assert sessions == expected_ibgp_sessions(names, ["pe1", "pe2"])
 
 
 def test_client_sessions_know_their_reflector_side():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"b"})
     sessions = build_session_graph(topo)
-    assert sessions == {
-        IbgpSession("a", "b", IbgpKind.RR_CLIENT),
-        IbgpSession("c", "b", IbgpKind.RR_CLIENT),
-    }
+    assert sessions == {("a", "b"), ("c", "b")}
 
 
 def test_missing_reflector_raises():
@@ -78,35 +71,45 @@ def test_session_count_formula(p, data):
         return
     sessions = build_session_graph(topo)
     assert len(sessions) == r * (p - r) + r * (r - 1) // 2
-    assert {(s.a, s.b) for s in sessions} == expected_ibgp_sessions(names, reflectors)
+    assert sessions == expected_ibgp_sessions(names, reflectors)
 
 
 def test_ve_ids_follow_name_order():
-    adverts = originate_adverts(["kyle", "arisaig", "smo"])
-    assert adverts["arisaig"].ve_id == 1
-    assert adverts["kyle"].ve_id == 2
-    assert adverts["smo"].ve_id == 3
-    for ad in adverts.values():
-        assert ad.block_offset == 1
-        assert ad.block_size == 3
+    assert originate_adverts(["kyle", "arisaig", "smo"]) == {
+        "arisaig": 1, "kyle": 2, "smo": 3}
 
 
 def test_label_blocks_continue_after_transport_labels():
-    # c is cut off, yet every node's block still starts above the P labels
+    # c is cut off, yet every wire's labels still lie above the P labels
     # one transport label per loopback would take
     topo = make_topology([("a", "b", 1)], extra_nodes=["c"], reflectors={"a"})
-    adverts = originate_adverts(topo.node_names())
-    assert all(ad.label_base == FIRST_FREE_LABEL + 3 for ad in adverts.values())
+    mesh = pseudowire_mesh(originate_adverts(topo.node_names()))
+    assert {(w.pe_a, w.pe_b): (w.label_a_to_b, w.label_b_to_a) for w in mesh} == {
+        ("a", "b"): (19, 20), ("a", "c"): (19, 21), ("b", "c"): (20, 21)}
 
 
-def test_label_for_covers_exactly_the_block():
-    ad = VplsAdvert("pe", ve_id=2, label_base=24, block_offset=1, block_size=8)
-    assert ad.label_for(1) == 24
-    assert ad.label_for(8) == 31
-    with pytest.raises(ValueError):
-        ad.label_for(0)
-    with pytest.raises(ValueError):
-        ad.label_for(9)
+@settings(max_examples=60, deadline=None)
+@given(names=st.lists(st.text("abcxyz019._-", min_size=1, max_size=6),
+                      min_size=1, max_size=25, unique=True))
+def test_wire_labels_follow_the_sender_rank(names):
+    """A wire a<b carries FIRST_FREE_LABEL + P + rank(a) - 1 toward b and
+    FIRST_FREE_LABEL + P + rank(b) - 1 toward a, ranks 1-based in name
+    order; so each receiver expects P-1 distinct labels from its P-1
+    senders, all in [16+P, 16+2P-1]."""
+    p = len(names)
+    rank = {name: i for i, name in enumerate(sorted(names), start=1)}
+    mesh = pseudowire_mesh(originate_adverts(names))
+    assert [(w.pe_a, w.pe_b) for w in mesh] == [
+        (a, b) for a in sorted(names) for b in sorted(names) if a < b]
+    expected = {name: [] for name in names}
+    for w in mesh:
+        assert w.label_a_to_b == FIRST_FREE_LABEL + p + rank[w.pe_a] - 1
+        assert w.label_b_to_a == FIRST_FREE_LABEL + p + rank[w.pe_b] - 1
+        expected[w.pe_b].append(w.label_a_to_b)
+        expected[w.pe_a].append(w.label_b_to_a)
+    for labels in expected.values():
+        assert len(set(labels)) == len(labels) == p - 1
+        assert all(16 + p <= label <= 16 + 2 * p - 1 for label in labels)
 
 
 def test_everyone_receives_everyone_else():
@@ -114,10 +117,10 @@ def test_everyone_receives_everyone_else():
                          reflectors={"a", "c"})
     adverts = originate_adverts(topo.node_names())
     held = propagate(adverts, build_session_graph(topo))
-    assert held == adverts
-    received = reference_propagate(adverts, build_session_graph(topo))
-    for pe in topo.node_names():
-        assert received[pe] == {ad for other, ad in held.items() if other != pe}
+    assert held == {"a": 1, "b": 2, "c": 3, "d": 4}
+    received = reference_propagate("abcd", build_session_graph(topo), {"a", "c"})
+    for pe in "abcd":
+        assert received[pe] == set("abcd") - {pe}
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,29 +134,22 @@ def test_closed_form_matches_reflection_fixpoint(p, data):
     topo = make_topology([(a, b) for a, b in zip(names, names[1:])],
                          extra_nodes=names, reflectors=reflectors)
     table = allocate_labels(compute_all_spf(topo))
-    adverts = originate_adverts(names)
     sessions = build_session_graph(topo)
-    received = reference_propagate(adverts, sessions)
+    received = reference_propagate(names, sessions, reflectors)
     for pe in names:
-        assert received[pe] == {ad for other, ad in adverts.items() if other != pe}
-    wires, missing = derive_pseudowires(pseudowire_mesh(propagate(adverts, sessions)), table)
+        assert received[pe] == set(names) - {pe}
+    adverts = propagate(originate_adverts(names), sessions)
+    wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
     assert missing == ()
     assert {(w.pe_a, w.pe_b) for w in wires} == mutually_visible_pairs(received)
 
 
 def test_reflectors_do_not_relay_peer_learned_state():
     # r1 - r2 - r3 in a line (no full reflector mesh), one client at r1
-    adverts = originate_adverts(["c", "r1", "r2", "r3"])
-    sessions = {
-        IbgpSession("c", "r1", IbgpKind.RR_CLIENT),
-        IbgpSession("r1", "r2", IbgpKind.RR_TO_RR),
-        IbgpSession("r2", "r3", IbgpKind.RR_TO_RR),
-    }
-    received = reference_propagate(adverts, sessions)
-    assert received["c"] == {adverts["r1"], adverts["r2"]}
-    assert received["r1"] == {adverts["c"], adverts["r2"]}
-    assert received["r2"] == {adverts["c"], adverts["r1"], adverts["r3"]}
-    assert received["r3"] == {adverts["r2"]}
+    sessions = {("c", "r1"), ("r1", "r2"), ("r2", "r3")}
+    received = reference_propagate(["c", "r1", "r2", "r3"], sessions, {"r1", "r2", "r3"})
+    assert received == {"c": {"r1", "r2"}, "r1": {"c", "r2"},
+                        "r2": {"c", "r1", "r3"}, "r3": {"r2"}}
 
 
 @settings(max_examples=25, deadline=None)
@@ -178,7 +174,7 @@ def test_partitioned_mesh_reports_missing_transport():
          ("f", "g", 1), ("g", "h", 1)],
         reflectors={"a"})
     table, adverts = _full_mesh_state(topo)
-    received = reference_propagate(adverts, build_session_graph(topo))
+    received = reference_propagate(topo.node_names(), build_session_graph(topo), {"a"})
     for pe in topo.node_names():
         assert len(received[pe]) == 7
     wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
@@ -221,9 +217,8 @@ def test_directional_labels_come_from_the_receiving_block():
     wires, _ = derive_pseudowires(pseudowire_mesh(adverts), table)
     by_pair = {(w.pe_a, w.pe_b): w for w in wires}
     ab = by_pair[("a", "b")]
-    # traffic a->b arrives with b's block label for sender VE 1
-    assert ab.label_a_to_b == adverts["b"].label_for(adverts["a"].ve_id)
-    assert ab.label_b_to_a == adverts["a"].label_for(adverts["b"].ve_id)
+    # traffic a->b arrives with b's block label for sender VE 1: 16 + 3 + 1 - 1
+    assert (ab.label_a_to_b, ab.label_b_to_a) == (19, 20)
     assert ab.other("a") == "b" and ab.other("b") == "a"
     assert ab.transport_from("a", table) == resolve_lsp(table, "a", "b")
     assert ab.transport_from("b", table) == resolve_lsp(table, "b", "a")
