@@ -1,9 +1,12 @@
 """The emulated LAN itself: frames, port policy, learning bridges, transport.
 
 Each PE runs a bridge whose attachments are its local member ports plus one
-pseudo-wire to every other participating PE.  Because the wire mesh is full,
-flooding needs no spanning tree: a flood arriving over a pseudo-wire goes to
-local ports only (split horizon), so it crosses each wire at most once.
+pseudo-wire to every other participating PE.  A port is named by its
+member's ASN and a wire by its remote PE; a wire holds no path of its own,
+and a frame on it rides the LSP from its PE to the remote PE that the
+underlay's next hops give.  Because the wire mesh is full, flooding needs
+no spanning tree: a flood arriving over a pseudo-wire goes to local ports
+only (split horizon), so it crosses each wire at most once.
 Split horizon covers floods only: a known-unicast frame arriving over a wire
 goes where its destination was learned, which can be one more wire.  What
 ends every walk is ``Fabric.inject``'s bound on wire crossings.
@@ -17,9 +20,9 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from ixsim import vpls_signal
 from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
 from ixsim.underlay import LabelTable
-from ixsim.vpls_signal import Pseudowire
 
 BROADCAST_MAC = "ff:ff:ff:ff:ff:ff"
 
@@ -78,20 +81,21 @@ class MacEntry(NamedTuple):
 
 @dataclass
 class BridgeState:
-    """One PE's bridge wiring: its member ports and its pseudo-wires, keyed
-    by member ASN and remote PE.
+    """One PE's bridge wiring: its member ports keyed by member ASN, and
+    ``wires``, the remote PEs it has a standing pseudo-wire to, in name
+    order.  A wire is named by its remote PE and holds nothing else.
 
     A bridge is never rewired once it has forwarded a frame: any change to
     a port or to the pseudo-wire mesh builds new bridges
-    (``Simulation._rebuild_fabric``).  Its flood targets and local MACs
-    are therefore derived from ``ports`` and ``pws`` once, on first use,
-    and every fabric built over the bridge shares them.  What it learns is
-    not here but in ``Fabric.macs``.
+    (``Simulation._rebuild_fabric``).  Its port targets and local MACs
+    are therefore derived from ``ports`` once, on first use, and every
+    fabric built over the bridge shares them.  What it learns is not here
+    but in ``Fabric.macs``.
     """
 
     pe: str
     ports: Dict[int, MemberPort] = field(default_factory=dict)
-    pws: Dict[str, Pseudowire] = field(default_factory=dict)
+    wires: Tuple[str, ...] = ()
 
     @cached_property
     def local_macs(self) -> FrozenSet[str]:
@@ -102,11 +106,6 @@ class BridgeState:
         """Active local ports in ASN order."""
         return tuple(asn for asn, port in sorted(self.ports.items())
                      if port.state is PortState.ACTIVE)
-
-    @cached_property
-    def wire_targets(self) -> Tuple[str, ...]:
-        """Pseudo-wires in remote-PE order."""
-        return tuple(sorted(self.pws))
 
 
 def ingress_filter(port: MemberPort, frame: EthernetFrame) -> Optional[DropReason]:
@@ -172,7 +171,7 @@ def bridge_forward(
     if from_wire:
         return bridge.port_targets
     out: List[Attachment] = [via for via in bridge.port_targets if via != arrived_via]
-    out += bridge.wire_targets
+    out += bridge.wires
     return out
 
 
@@ -252,8 +251,10 @@ class Fabric:
     the narrowest link of the topology, ``_floor``, so a frame that fits
     that link crosses every wire without a walk.  Only a larger frame
     walks the LSP of each wire it is emitted on, hop by hop from
-    ``labels``, and ``transmit`` decides on those links whether it drops.
-    Nothing walked is kept, so no path outlives its table.
+    ``labels``, from the emitting PE to the wire's remote PE
+    (``vpls_signal.resolve_lsp``), and ``transmit`` decides on those
+    links whether it drops.  Nothing walked is kept, so no path outlives
+    its table.
     """
 
     def __init__(
@@ -351,7 +352,7 @@ class Fabric:
                     deliveries.append(via)
                     continue
                 if walks:
-                    path = here.pws[via].transport_from(here.pe, self.labels)
+                    path = vpls_signal.resolve_lsp(self.labels, here.pe, via)
                     bad = transmit(size, (self.topo.links[i] for i in path))
                     if bad is not None:
                         if log:

@@ -26,20 +26,22 @@ and an up either restores the state from before its down (below) or
 reruns each tree it changes (see underlay).  A new tree has its own maps,
 so the next hops of the fabric built before the event never change under
 it.  The next-hop table is the trees' own first-hop maps, so a new tree
-brings its node's next hops with it.  The pseudo-wire mesh is built once,
-since its labels come from the VE ids alone; when some new tree reaches
-a different set of nodes, a partition or a heal, the wires that stand are
-chosen from it again by next hops.  The run keeps one record, the
-link-dependent state from before the last link event.  Trees are
-canonical, so when an event leaves the same links down as that record, as
-the up of a flap does, the record is that state exactly and comes back as
-it was.  An event that flips no link keeps every table.  Every link event
-resets learned MACs: the fabric keeps its bridges, which are wiring
-only, and starts empty MAC tables; the bridges are rebuilt only when the
-standing wires change.  The fabric keeps no walked LSP, so no path
-outlives its table: a frame walks a wire's LSP from the current next hops
-only when it is larger than the topology's narrowest link (see
-dataplane).  Frame injection exercises only the data plane.
+brings its node's next hops with it.  A pseudo-wire is the pair of its PE
+names; the mesh, every pair in name order, is built once, since the
+labels come from the VE ids alone and the vpls graph export writes them
+from those.  When some new tree reaches a different set of nodes, a
+partition or a heal, the wires that stand are chosen from the mesh again
+by next hops, and each bridge lists their remote PEs.  The run keeps one
+record, the link-dependent state from before the last link event.  Trees
+are canonical, so when an event leaves the same links down as that
+record, as the up of a flap does, the record is that state exactly and
+comes back as it was.  An event that flips no link keeps every table.
+Every link event resets learned MACs: the fabric keeps its bridges,
+which are wiring only, and starts empty MAC tables; the bridges are
+rebuilt only when the standing wires change.  The fabric keeps no walked
+LSP, so no path outlives its table: a frame walks a wire's LSP from the
+current next hops only when it is larger than the topology's narrowest
+link (see dataplane).  Frame injection exercises only the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -90,12 +92,12 @@ from ixsim.underlay import (
     rerun_stale_spf,
 )
 from ixsim.vpls_signal import (
-    Pseudowire,
     build_session_graph,
     derive_pseudowires,
     originate_adverts,
     propagate,
     pseudowire_mesh,
+    wire_labels,
 )
 
 
@@ -118,7 +120,7 @@ class _Underlay(NamedTuple):
     down: FrozenSet[int]
     trees: Dict[str, SpfTree]
     labels: LabelTable
-    pseudowires: Tuple[Pseudowire, ...]
+    pseudowires: Tuple[Tuple[str, str], ...]
     missing_transport: Tuple[Tuple[str, str], ...]
 
 
@@ -138,8 +140,8 @@ class Simulation:
         self.trees: Dict[str, SpfTree] = compute_all_spf(self.topo)
         labels = allocate_labels(self.trees)
         self.ibgp_sessions: Set[Tuple[str, str]] = build_session_graph(self.topo)
-        adverts = propagate(originate_adverts(self.topo.node_names()), self.ibgp_sessions)
-        self.mesh = pseudowire_mesh(adverts)  # every pair; labels never change
+        self.ve_ids = propagate(originate_adverts(self.topo.node_names()), self.ibgp_sessions)
+        self.mesh = pseudowire_mesh(self.ve_ids)  # every pair; labels never change
         self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
         self.fabric = Fabric(self.topo, {}, labels)  # bridges come with converge()
         self.l3 = _L3State()
@@ -152,22 +154,21 @@ class Simulation:
     def announced(self, asn: int) -> Tuple[ipaddress.IPv4Network, ...]:
         return self.members[asn].announced_prefixes
 
+    def active_asns(self) -> Set[int]:
+        """Members whose ports are active."""
+        return {asn for asn, port in self.ports.items() if port.state is PortState.ACTIVE}
+
     def active_sessions(self) -> List[PeeringSession]:
         """Configured sessions whose two members have active ports."""
-        return [s for s in self.scenario.sessions
-                if self._port_active(s.a) and self._port_active(s.b)]
-
-    def _port_active(self, asn: int) -> bool:
-        port = self.ports.get(asn)
-        return port is not None and port.state is PortState.ACTIVE
+        active = self.active_asns()
+        return [s for s in self.scenario.sessions if s.a in active and s.b in active]
 
     def active_servers(self) -> List[RouteServer]:
         """Route servers with quarantined clients filtered out."""
-        out = []
-        for server in self.scenario.route_servers:
-            clients = tuple(c for c in server.client_sessions if self._port_active(c))
-            out.append(replace(server, client_sessions=clients))
-        return out
+        active = self.active_asns()
+        return [replace(server, client_sessions=tuple(
+                    c for c in server.client_sessions if c in active))
+                for server in self.scenario.route_servers]
 
     # -- convergence ---------------------------------------------------------
 
@@ -229,14 +230,15 @@ class Simulation:
         carried over the next hops of ``labels``; no bridge is rewired
         after this (see BridgeState).  Learned MACs do not survive
         reconvergence; the logs and trace numbering do."""
-        bridges = {}
-        for name in self.topo.node_names():
-            bridges[name] = BridgeState(pe=name)
+        # The standing pairs come in name order, so each PE's remotes do too.
+        remotes: Dict[str, List[str]] = {name: [] for name in self.topo.node_names()}
+        for a, b in self.pseudowires:
+            remotes[a].append(b)
+            remotes[b].append(a)
+        bridges = {name: BridgeState(name, {}, tuple(wires))
+                   for name, wires in remotes.items()}
         for port in self.ports.values():
             bridges[port.attach_pe].ports[port.member_asn] = port
-        for pw in self.pseudowires:
-            bridges[pw.pe_a].pws[pw.pe_b] = pw
-            bridges[pw.pe_b].pws[pw.pe_a] = pw
         self.fabric = Fabric(self.topo, bridges, labels, trace=self.fabric.trace,
                              drops=self.fabric.drops)
 
@@ -247,16 +249,16 @@ class Simulation:
         to the receiving RIB.  A bilateral sender's route to a prefix is
         one object, shared by every RIB it is added to."""
         sessions = self.active_sessions()
-        tables = []
+        views = {asn: [] for asn in self.members}  # member -> server tables it views
         for server in self.active_servers():
             learned = "rs/%s" % server.host_pe
-            tables.append(rs_redistribute(server, (
+            table = rs_redistribute(server, (
                 BgpRoute(pfx, (client,), self.ports[client].exchange_ip, learned)
                 for client in sorted(server.client_sessions)
-                for pfx in self.announced(client))))
-        state = _L3State(ribs={
-            asn: MemberRib(asn, [t for t in tables if asn in t.clients])
-            for asn in self.members})
+                for pfx in self.announced(client)))
+            for asn in table.clients:
+                views[asn].append(table)
+        state = _L3State(ribs={asn: MemberRib(asn, tables) for asn, tables in views.items()})
         ribs = state.ribs
 
         sent: Dict[int, List[BgpRoute]] = {}  # bilateral sender -> its routes
@@ -271,9 +273,10 @@ class Simulation:
                 for route in routes:
                     ribs[right].add(route)
 
+        active = self.active_asns()
         for asn in sorted(self.members):
             member = self.members[asn]
-            if not member.is_transit or not self._port_active(asn):
+            if not member.is_transit or asn not in active:
                 continue
             for to_asn, route in transit_deliveries(
                     member, self.ports[asn].exchange_ip, sessions,
@@ -360,8 +363,9 @@ class Simulation:
         """What each active transit member re-announces toward its upstream,
         from the last sweep's RIBs; only the report reads it."""
         prefixes = [p for m in self.members.values() for p in m.announced_prefixes]
+        active = self.active_asns()
         return [route for asn, rib in sorted(self.l3.ribs.items())
-                if self.members[asn].is_transit and self._port_active(asn)
+                if self.members[asn].is_transit and asn in active
                 for route in upstream_announcements(self.members[asn], rib, prefixes)]
 
     def report(self) -> "Report":
@@ -516,9 +520,9 @@ def export_dot(sim: Simulation, layer: str) -> str:
     elif layer == "vpls":
         for name in sim.topo.node_names():
             lines.append("  \"%s\";" % name)
-        for pw in sorted(sim.pseudowires, key=lambda w: (w.pe_a, w.pe_b)):
+        for a, b in sorted(sim.pseudowires):
             lines.append("  \"%s\" -- \"%s\" [label=\"%d/%d\"];"
-                         % (pw.pe_a, pw.pe_b, pw.label_a_to_b, pw.label_b_to_a))
+                         % ((a, b) + wire_labels(sim.ve_ids, a, b)))
     else:
         for asn in sorted(sim.members):
             lines.append("  \"AS%d\";" % asn)

@@ -39,7 +39,6 @@ from ixsim.dataplane import (
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST, MemberAs, MemberPort, PortState
 
 DEFAULT_ROUTE = ipaddress.IPv4Network("0.0.0.0/0")
-_set = object.__setattr__  # how a frozen route's fields are set as it is made
 
 # Netmask of each prefix length as an integer, /0 to /32.
 _MASKS = tuple((0xFFFFFFFF << (32 - n)) & 0xFFFFFFFF for n in range(33))
@@ -82,12 +81,13 @@ class BgpRoute:
             raise ValueError("empty AS path")
         if len(set(as_path)) != len(as_path):
             raise ValueError("AS path repeats an ASN: %r" % (as_path,))
-        _set(self, "prefix", prefix)
-        _set(self, "as_path", as_path)
-        _set(self, "next_hop", next_hop)
-        _set(self, "learned_from", learned_from)
-        _set(self, "key", (int(prefix.network_address), prefix.prefixlen))
-        _set(self, "rank", (len(as_path), int(next_hop), learned_from))
+        fields = self.__dict__  # as frozen, setattr would refuse them
+        fields["prefix"] = prefix
+        fields["as_path"] = as_path
+        fields["next_hop"] = next_hop
+        fields["learned_from"] = learned_from
+        fields["key"] = (int(prefix.network_address), prefix.prefixlen)
+        fields["rank"] = (len(as_path), int(next_hop), learned_from)
 
 
 def rib_line(route: BgpRoute) -> str:
@@ -181,7 +181,6 @@ class MemberRib:
         # an offer, and the table; elsewhere the last offer is the pick.
         self._views = tuple((t.offers, t.withheld.get(member_asn, frozenset()), t)
                             for t in self.views)
-        self._view_lengths = set().union(*(t.lengths for t in self.views))
         self._lengths: List[int] = []  # prefix lengths held, longest first
         self._indexed = -1  # len(own) when _lengths was taken
 
@@ -239,8 +238,10 @@ class MemberRib:
         else:
             address, target_len = int(target.network_address), target.prefixlen
         if self._indexed != len(self.own):  # own prefixes are never removed
-            self._lengths = sorted(self._view_lengths.union(n for _, n in self.own),
-                                   reverse=True)
+            lengths = {n for _, n in self.own}
+            for table in self.views:
+                lengths |= table.lengths
+            self._lengths = sorted(lengths, reverse=True)
             self._indexed = len(self.own)
         for length in self._lengths:
             if length <= target_len:

@@ -13,19 +13,23 @@ every other PE's advert.  Signalling therefore depends only on node names
 and reflector flags (for the session graph).  VE ids run 1..P in name
 order and every block holds P labels from FIRST_FREE_LABEL + P, whatever
 the underlay reaches, so an advert is its VE id alone and a wire from
-sender a to receiver b carries FIRST_FREE_LABEL + P + ve(a) - 1.  That
-leaves FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 for one transport
-label per loopback, as a prefix SID would take (RFC 8402); the fabric
-forwards on next hops and never reads such a label, so none is modelled.
+sender a to receiver b carries FIRST_FREE_LABEL + P + ve(a) - 1.  A wire
+is therefore the pair of its PE names, in name order: its labels follow
+from the VE ids (``wire_labels``), and its transport in each direction is
+the LSP the sender's next hops stitch, walked by the fabric through this
+module's ``resolve_lsp`` when a frame needs it.  That leaves
+FIRST_FREE_LABEL up to FIRST_FREE_LABEL + P - 1 for one transport label
+per loopback, as a prefix SID would take (RFC 8402); the fabric forwards
+on next hops and never reads such a label, so none is modelled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from ixsim.model import Topology
+# The fabric walks each wire's LSP through this module's resolve_lsp.
 from ixsim.underlay import FIRST_FREE_LABEL, LabelTable, resolve_lsp
 
 
@@ -67,66 +71,43 @@ def propagate(adverts: Dict[str, int], sessions: Set[Tuple[str, str]]) -> Dict[s
     return adverts
 
 
-@dataclass(frozen=True)
-class Pseudowire:
-    """A point-to-point emulated circuit between two participating PEs.
+def pseudowire_mesh(adverts: Dict[str, int]) -> Tuple[Tuple[str, str], ...]:
+    """One pseudo-wire per unordered pair of participants, as the pair of
+    their names, in name order.
 
-    Labels are directional: ``label_a_to_b`` is what pe_b expects on frames
-    from pe_a, taken from pe_b's advertised block.  The wire holds no
-    transport path; each direction rides the LSP its sender's next hops
-    stitch in the underlay table of the same convergence.
-    """
-
-    pe_a: str
-    pe_b: str
-    label_a_to_b: int
-    label_b_to_a: int
-
-    def other(self, pe: str) -> str:
-        if pe == self.pe_a:
-            return self.pe_b
-        if pe == self.pe_b:
-            return self.pe_a
-        raise ValueError("%s is not an endpoint of this pseudo-wire" % pe)
-
-    def transport_from(self, pe: str, table: LabelTable) -> Optional[Tuple[int, ...]]:
-        """Link indices of the direction leaving ``pe``, None when partitioned."""
-        return resolve_lsp(table, pe, self.other(pe))
-
-
-def pseudowire_mesh(adverts: Dict[str, int]) -> Tuple[Pseudowire, ...]:
-    """One pseudo-wire per unordered pair of participants, in name order.
-
-    The receiver expects label FIRST_FREE_LABEL + P + ve(sender) - 1 from
-    its block.  A wire's labels come from the two VE ids alone, and those
-    never change once originated, so a run builds its mesh once;
+    A wire's labels come from the two VE ids alone (``wire_labels``), and
+    those never change once originated, so a run builds its mesh once;
     partitions and heals only choose which of these wires stand
     (``derive_pseudowires``).
     """
+    return tuple(combinations(sorted(adverts), 2))
+
+
+def wire_labels(adverts: Dict[str, int], pe_a: str, pe_b: str) -> Tuple[int, int]:
+    """The labels of wire ``(pe_a, pe_b)``: what pe_b expects on frames
+    from pe_a, then what pe_a expects from pe_b.  A receiver expects
+    FIRST_FREE_LABEL + P + ve(sender) - 1 from its block."""
     base = FIRST_FREE_LABEL + len(adverts) - 1
-    return tuple(Pseudowire(a, b, base + adverts[a], base + adverts[b])
-                 for a, b in combinations(sorted(adverts), 2))
+    return base + adverts[pe_a], base + adverts[pe_b]
 
 
 def derive_pseudowires(
-    mesh: Tuple[Pseudowire, ...],
+    mesh: Tuple[Tuple[str, str], ...],
     table: LabelTable,
-) -> Tuple[Tuple[Pseudowire, ...], Tuple[Tuple[str, str], ...]]:
-    """The wires of ``mesh`` whose two PEs have a next hop for each other
+) -> Tuple[Tuple[Tuple[str, str], ...], Tuple[Tuple[str, str], ...]]:
+    """The wires of ``mesh`` whose two PEs have next hops for each other
     in ``table``.
 
-    Pairs without a next hop in each direction (underlay partition) come
-    back in the second element as MISSING_TRANSPORT diagnostics instead of
-    wires.  A next hop at the ingress is exactly what ``resolve_lsp`` needs,
-    so every wire's transport resolves; the fabric walks it only for a
-    frame larger than the topology's narrowest link.
+    Pairs without them (underlay partition) come back in the second
+    element as MISSING_TRANSPORT diagnostics instead of wires.  Links are
+    undirected, so pe_b is reachable from pe_a exactly when pe_a is from
+    pe_b, and one next hop decides the pair.  A next hop at the ingress is
+    exactly what ``resolve_lsp`` needs, so both directions of every wire
+    resolve; the fabric walks one only for a frame larger than the
+    topology's narrowest link.
     """
-    wires: list[Pseudowire] = []
+    wires: list[Tuple[str, str]] = []
     missing: list[Tuple[str, str]] = []
-    for wire in mesh:
-        a, b = wire.pe_a, wire.pe_b
-        if b in table[a] and a in table[b]:
-            wires.append(wire)
-        else:
-            missing.append((a, b))
+    for pair in mesh:
+        (wires if pair[1] in table[pair[0]] else missing).append(pair)
     return tuple(wires), tuple(missing)

@@ -144,14 +144,16 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
     wires, missing = derive_pseudowires(
         pseudowire_mesh(propagate(adverts, build_session_graph(topo))), table)
     assert missing == ()
-    bridges = {pe: BridgeState(pe=pe) for pe in topo.node_names()}
+    remotes = {pe: set() for pe in topo.node_names()}
+    for a, b in wires:
+        remotes[a].add(b)
+        remotes[b].add(a)
+    bridges = {pe: BridgeState(pe=pe, wires=tuple(sorted(remotes[pe])))
+               for pe in topo.node_names()}
     for p in placements:
         asn, pe, index = p[0], p[1], p[2]
         state = p[3] if len(p) > 3 else PortState.ACTIVE
         bridges[pe].ports[asn] = make_port(asn, pe, index, state)
-    for wire in wires:
-        bridges[wire.pe_a].pws[wire.pe_b] = wire
-        bridges[wire.pe_b].pws[wire.pe_a] = wire
     return Fabric(topo, bridges, table)
 
 

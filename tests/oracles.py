@@ -63,6 +63,7 @@ from ixsim.model import (
     Violation,
     is_unicast,
 )
+from ixsim.underlay import resolve_lsp
 
 
 def up_edges(topo: Topology) -> list[tuple[str, str, int]]:
@@ -368,9 +369,10 @@ def reference_exchange_routes(
                     ribs[to_asn].add(reflected)
 
     externals = sim.scenario.external_prefixes
+    active = sim.active_asns()
     for asn in sorted(sim.members):
         member = sim.members[asn]
-        if not member.is_transit or not sim._port_active(asn):
+        if not member.is_transit or asn not in active:
             continue
         hop, learned = sim.ports[asn].exchange_ip, "bgp/%d" % asn
         for s in sorted(sessions, key=lambda s: (s.a, s.b)):
@@ -386,7 +388,7 @@ def reference_exchange_routes(
     member_prefixes = {p for m in sim.members.values() for p in m.announced_prefixes}
     for asn in sorted(sim.members):
         member = sim.members[asn]
-        if not member.is_transit or not sim._port_active(asn):
+        if not member.is_transit or asn not in active:
             continue
         for prefix, route in sorted(ribs[asn].chosen().items(), key=lambda kv: str(kv[0])):
             if prefix in member_prefixes and asn not in route.as_path:
@@ -450,7 +452,7 @@ def reference_forward(
         if port.state is PortState.ACTIVE and asn != arrived_via
     ]
     if not isinstance(arrived_via, str):
-        targets += sorted(bridge.pws)
+        targets += sorted(bridge.wires)
     return targets
 
 
@@ -492,7 +494,7 @@ def reference_inject(
                 continue
             # on a wire: Ethernet header and FCS, a transport and a VPLS label
             size = frame.payload_size + ETHERNET_OVERHEAD + MPLS_OVERHEAD
-            path = here.pws[via].transport_from(here.pe, fabric.labels)
+            path = resolve_lsp(fabric.labels, here.pe, via)
             bad = next((link for link in
                         (fabric.topo.links[i] for i in path)
                         if size > link.mtu), None)

@@ -84,7 +84,7 @@ def test_flood_goes_to_active_ports_and_all_wires_in_stable_order():
     bridge.ports[63005] = make_port(63005, "a", 5)
     bridge.ports[63002] = make_port(63002, "a", 2)
     bridge.ports[63009] = make_port(63009, "a", 9, PortState.QUARANTINE)
-    bridge.pws = {"c": None, "b": None}  # placeholders; flood never dereferences
+    bridge.wires = ("b", "c")
     frame = _frame(_mac(1), _mac(77), trace="t1")
     targets = bridge_forward(bridge, macs, frame, 63001, 0, True)
     assert list(targets) == [63002, 63005, "b", "c"]
@@ -93,7 +93,7 @@ def test_flood_goes_to_active_ports_and_all_wires_in_stable_order():
 def test_split_horizon_keeps_wire_arrivals_off_other_wires():
     bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.pws = {"b": None, "c": None}
+    bridge.wires = ("b", "c")
     frame = _frame(_mac(9), _mac(77))
     targets = bridge_forward(bridge, macs, frame, "b", 0, True)
     assert list(targets) == [63001]
@@ -102,7 +102,7 @@ def test_split_horizon_keeps_wire_arrivals_off_other_wires():
 def test_known_unicast_uses_single_learned_attachment():
     bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.pws = {"b": None}
+    bridge.wires = ("b",)
     macs[_mac(7)] = MacEntry("b", 0)
     targets = bridge_forward(bridge, macs, _frame(_mac(1), _mac(7)), 63001, 0, True)
     assert list(targets) == ["b"]
@@ -111,7 +111,7 @@ def test_known_unicast_uses_single_learned_attachment():
 def test_hairpin_toward_arrival_is_suppressed():
     bridge, macs = BridgeState(pe="b"), {}
     bridge.ports[63002] = make_port(63002, "b", 2)
-    bridge.pws = {"a": None}
+    bridge.wires = ("a",)
     macs[_mac(1)] = MacEntry("a", 0)
     targets = bridge_forward(bridge, macs, _frame(_mac(9), _mac(1)), "a", 0, True)
     assert list(targets) == []
@@ -141,7 +141,7 @@ def test_broadcast_never_consults_the_mac_table():
 def test_entry_for_departed_port_is_dropped_and_relearned():
     bridge, macs = BridgeState(pe="a"), {}
     bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.pws = {"b": None}
+    bridge.wires = ("b",)
     macs[_mac(7)] = MacEntry(64000, 0)  # port no longer present
     targets = bridge_forward(bridge, macs, _frame(_mac(1), _mac(7)), 63001, 0, True)
     assert _mac(7) not in macs
@@ -154,7 +154,7 @@ def test_mac_entries_age_out():
     floods; one round younger, the frame goes where it points."""
     bridge = BridgeState(pe="a")
     bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.pws = {"b": None, "c": None}
+    bridge.wires = ("b", "c")
     frame = _frame(_mac(1), _mac(7))
     macs = {_mac(7): MacEntry("b", learned_round=0)}
     targets = bridge_forward(bridge, macs, frame, 63001, DEFAULT_MAC_AGING_ROUNDS - 1, True)
@@ -335,7 +335,7 @@ def test_a_forwarding_loop_fails_instead_of_walking_forever(monkeypatch):
     def flood_wire_arrivals_onto_wires(bridge, macs, frame, arrived_via, round_no, src_unicast):
         targets = list(forward(bridge, macs, frame, arrived_via, round_no, src_unicast))
         if isinstance(arrived_via, str):
-            targets += [via for via in bridge.wire_targets if via != arrived_via]
+            targets += [via for via in bridge.wires if via != arrived_via]
         return targets
 
     monkeypatch.setattr(dataplane, "bridge_forward", flood_wire_arrivals_onto_wires)

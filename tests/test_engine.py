@@ -20,7 +20,7 @@ from ixsim.exchange_l3 import PeerKind, PeeringSession
 from ixsim.model import LinkState, PortState
 from ixsim.scenario import Event, EventKind, parse_scenario
 from ixsim.underlay import FIRST_FREE_LABEL, allocate_labels, compute_all_spf
-from ixsim.vpls_signal import derive_pseudowires
+from ixsim.vpls_signal import derive_pseudowires, wire_labels
 from oracles import (
     reference_exchange_routes,
     reference_inject,
@@ -533,8 +533,31 @@ def test_flaps_match_a_fresh_convergence(seed, route_server):
             assert export_dot(sim, layer) == export_dot(fresh, layer)
         assert sim.fabric.labels == {n: t.first_hop for n, t in sim.trees.items()}
         assert all(sim.fabric.labels[n] is t.first_hop for n, t in sim.trees.items())
-        for pw in sim.pseudowires:
-            assert min(pw.label_a_to_b, pw.label_b_to_a) >= FIRST_FREE_LABEL + len(sim.topo.nodes)
+        for a, b in sim.pseudowires:
+            assert min(wire_labels(sim.ve_ids, a, b)) >= FIRST_FREE_LABEL + len(sim.topo.nodes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bridge_wires_are_the_rest_of_each_component(seed):
+    """Random link events on sparse random topologies: after each one,
+    every bridge's wires are the other PEs of its underlay component as
+    union-find groups them, in name order, and the one next-hop check per
+    pair in ``derive_pseudowires`` splits the mesh as checking both
+    directions does."""
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 10))
+    for at in range(1, 13):
+        link = rng.choice(sim.topo.links)
+        kind = rng.choice([EventKind.LINK_DOWN, EventKind.LINK_UP])
+        sim.apply_event(Event(at, kind, (link.a, link.b)))
+        for component in union_find_components(sim.topo):
+            for pe in component:
+                assert sim.fabric.bridges[pe].wires == tuple(n for n in component if n != pe)
+        table = sim.fabric.labels
+        both_ways = [(a, b) for a, b in sim.mesh if b in table[a] and a in table[b]]
+        assert derive_pseudowires(sim.mesh, table) == (
+            tuple(both_ways), tuple(pair for pair in sim.mesh if pair not in both_ways))
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,6 +18,7 @@ from ixsim.vpls_signal import (
     originate_adverts,
     propagate,
     pseudowire_mesh,
+    wire_labels,
 )
 from oracles import (
     count_unordered_pairs,
@@ -83,8 +84,9 @@ def test_label_blocks_continue_after_transport_labels():
     # c is cut off, yet every wire's labels still lie above the P labels
     # one transport label per loopback would take
     topo = make_topology([("a", "b", 1)], extra_nodes=["c"], reflectors={"a"})
-    mesh = pseudowire_mesh(originate_adverts(topo.node_names()))
-    assert {(w.pe_a, w.pe_b): (w.label_a_to_b, w.label_b_to_a) for w in mesh} == {
+    adverts = originate_adverts(topo.node_names())
+    mesh = pseudowire_mesh(adverts)
+    assert {(a, b): wire_labels(adverts, a, b) for a, b in mesh} == {
         ("a", "b"): (19, 20), ("a", "c"): (19, 21), ("b", "c"): (20, 21)}
 
 
@@ -98,15 +100,17 @@ def test_wire_labels_follow_the_sender_rank(names):
     senders, all in [16+P, 16+2P-1]."""
     p = len(names)
     rank = {name: i for i, name in enumerate(sorted(names), start=1)}
-    mesh = pseudowire_mesh(originate_adverts(names))
-    assert [(w.pe_a, w.pe_b) for w in mesh] == [
+    adverts = originate_adverts(names)
+    mesh = pseudowire_mesh(adverts)
+    assert list(mesh) == [
         (a, b) for a in sorted(names) for b in sorted(names) if a < b]
     expected = {name: [] for name in names}
-    for w in mesh:
-        assert w.label_a_to_b == FIRST_FREE_LABEL + p + rank[w.pe_a] - 1
-        assert w.label_b_to_a == FIRST_FREE_LABEL + p + rank[w.pe_b] - 1
-        expected[w.pe_b].append(w.label_a_to_b)
-        expected[w.pe_a].append(w.label_b_to_a)
+    for a, b in mesh:
+        a_to_b, b_to_a = wire_labels(adverts, a, b)
+        assert a_to_b == FIRST_FREE_LABEL + p + rank[a] - 1
+        assert b_to_a == FIRST_FREE_LABEL + p + rank[b] - 1
+        expected[b].append(a_to_b)
+        expected[a].append(b_to_a)
     for labels in expected.values():
         assert len(set(labels)) == len(labels) == p - 1
         assert all(16 + p <= label <= 16 + 2 * p - 1 for label in labels)
@@ -141,7 +145,7 @@ def test_closed_form_matches_reflection_fixpoint(p, data):
     adverts = propagate(originate_adverts(names), sessions)
     wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
     assert missing == ()
-    assert {(w.pe_a, w.pe_b) for w in wires} == mutually_visible_pairs(received)
+    assert set(wires) == mutually_visible_pairs(received)
 
 
 def test_reflectors_do_not_relay_peer_learned_state():
@@ -161,7 +165,7 @@ def test_connected_topology_builds_a_full_mesh(seed, n):
     wires, missing = derive_pseudowires(pseudowire_mesh(adverts), table)
     assert missing == ()
     assert len(wires) == count_unordered_pairs(topo.node_names())
-    assert {(w.pe_a, w.pe_b) for w in wires} == {
+    assert set(wires) == {
         (a, b)
         for a in topo.node_names() for b in topo.node_names() if a < b}
 
@@ -187,9 +191,9 @@ def test_partitioned_mesh_reports_missing_transport():
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 10),
        down_share=st.sampled_from((0.0, 0.3, 0.7)))
 def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
-    """Wires keep labels only, so ``derive_pseudowires`` decides missing
+    """Wires are name pairs only, so ``derive_pseudowires`` decides missing
     transport from the next-hop rows; that must agree with ``resolve_lsp`` in
-    both directions, and each wire's transport must be the LSP itself."""
+    both directions, and every standing wire's LSP must resolve both ways."""
     rng = random.Random(seed)
     topo = random_connected_topology(rng, n)
     for i in range(len(topo.links)):
@@ -202,29 +206,22 @@ def test_missing_pairs_are_exactly_the_unresolvable_ones(seed, n, down_share):
         (a, b) for a in names for b in names if a < b
         and (resolve_lsp(table, a, b) is None or resolve_lsp(table, b, a) is None)}
     assert set(missing) == unresolvable
-    assert {(w.pe_a, w.pe_b) for w in wires} == {
+    assert set(wires) == {
         (a, b) for a in names for b in names if a < b} - unresolvable
-    for wire in wires:
-        for pe in (wire.pe_a, wire.pe_b):
-            path = wire.transport_from(pe, table)
-            assert path is not None
-            assert path == resolve_lsp(table, pe, wire.other(pe))
+    for a, b in wires:
+        assert resolve_lsp(table, a, b) is not None
+        assert resolve_lsp(table, b, a) is not None
 
 
 def test_directional_labels_come_from_the_receiving_block():
     topo = make_topology([("a", "b", 1), ("b", "c", 1)], reflectors={"a"})
     table, adverts = _full_mesh_state(topo)
     wires, _ = derive_pseudowires(pseudowire_mesh(adverts), table)
-    by_pair = {(w.pe_a, w.pe_b): w for w in wires}
-    ab = by_pair[("a", "b")]
+    assert ("a", "b") in wires
     # traffic a->b arrives with b's block label for sender VE 1: 16 + 3 + 1 - 1
-    assert (ab.label_a_to_b, ab.label_b_to_a) == (19, 20)
-    assert ab.other("a") == "b" and ab.other("b") == "a"
-    assert ab.transport_from("a", table) == resolve_lsp(table, "a", "b")
-    assert ab.transport_from("b", table) == resolve_lsp(table, "b", "a")
-    assert ab.transport_from("a", table) == (0,)
-    with pytest.raises(ValueError):
-        ab.other("c")
+    assert wire_labels(adverts, "a", "b") == (19, 20)
+    assert resolve_lsp(table, "a", "b") == (0,)
+    assert resolve_lsp(table, "b", "a") == (0,)
 
 
 def test_propagate_is_idempotent_and_deterministic():
