@@ -86,8 +86,8 @@ class BridgeState:
     order.  A wire is named by its remote PE and holds nothing else.
 
     A bridge is never rewired once it has forwarded a frame: any change to
-    a port or to the pseudo-wire mesh builds new bridges
-    (``Simulation._rebuild_fabric``).  Its port targets and local MACs
+    a port or to the standing wires builds new bridges
+    (``Simulation._bridges``).  Its port targets and local MACs
     are therefore derived from ``ports`` once, on first use, and every
     fabric built over the bridge shares them.  What it learns is not here
     but in ``Fabric.macs``.
@@ -241,20 +241,19 @@ class InjectResult:
 class Fabric:
     """All bridges plus the transport glue between them.
 
-    Owns the frame trace and the drop log; both survive reconvergence so a
-    run's history stays complete.  ``ports`` indexes every bridge's member
-    ports by ASN.  ``macs`` is what the bridges learn, one MAC table per
-    PE; the bridges themselves are wiring, shared with every fabric made
-    from this one.  ``labels`` is the underlay's next-hop table from the
-    convergence that built the bridges: each node's tree's own first-hop
-    map, keyed by node and then by destination.  No LSP is narrower than
-    the narrowest link of the topology, ``_floor``, so a frame that fits
-    that link crosses every wire without a walk.  Only a larger frame
-    walks the LSP of each wire it is emitted on, hop by hop from
-    ``labels``, from the emitting PE to the wire's remote PE
-    (``vpls_signal.resolve_lsp``), and ``transmit`` decides on those
-    links whether it drops.  Nothing walked is kept, so no path outlives
-    its table.
+    A run makes every fabric with this constructor and hands each one the
+    frame trace and drop log of the last, so its history stays complete.
+    ``ports`` indexes every bridge's member ports by ASN.  ``macs`` is what
+    the bridges learn, one MAC table per PE, and starts empty; the bridges
+    themselves are wiring, shared with every fabric made over them.
+    ``labels`` is the underlay's next-hop table: each node's tree's own
+    first-hop map, keyed by node and then by destination.  No LSP is narrower
+    than the narrowest link of the topology, ``_floor``, so a frame that fits
+    that link crosses every wire without a walk.  Only a larger frame walks
+    the LSP of each wire it is emitted on, hop by hop from ``labels``, from
+    the emitting PE to the wire's remote PE (``vpls_signal.resolve_lsp``), and
+    ``transmit`` decides on those links whether it drops.  Nothing walked is
+    kept, so no path outlives its table.
     """
 
     def __init__(
@@ -294,15 +293,6 @@ class Fabric:
         probe.macs = {pe: dict(table) for pe, table in self.macs.items()}
         probe.trace, probe.drops, probe._log = [], [], None
         return probe
-
-    def relinked(self, topo: Topology, labels: LabelTable) -> "Fabric":
-        """This fabric's bridges over another underlay, with empty MAC
-        tables, carried over the next hops of ``labels``.  Link MTUs never
-        change, so the floor stands.  The trace and drop log go on."""
-        fabric = copy.copy(self)
-        fabric.topo, fabric.labels = topo, labels
-        fabric.macs = {pe: {} for pe in self.bridges}
-        return fabric
 
     def inject(self, asn: int, frame: EthernetFrame, round_no: int = 0) -> InjectResult:
         """Offer a frame at a member port and propagate it everywhere it goes.

@@ -8,40 +8,43 @@ FIRST_FREE_LABEL + P + ve(sender) - 1, from the block that leaves 16 up to
 16 + P - 1 for one transport label per loopback (RFC 8402) that the fabric
 never reads (see vpls_signal), and route reflection is complete by
 construction, so no label, session or VE id depends on what the underlay
-reaches.  converge() rebuilds the fabric and runs one sweep of
-member route exchange; route servers only reflect what members announce,
-so it reads configuration alone and is final.  Each route server collects
-its clients' routes into one table that every client's RIB views (see
-exchange_l3), so a sweep, its comparison with the last one and the RIB
-dump work per server table, not per member and route.  Bilateral and
-transit routes are one object per sender and prefix, whichever RIBs
+reaches.  The bridges are built with the run; converge() only runs one
+sweep of member route exchange, and since route servers only reflect what
+members announce, it reads configuration alone and is final.  Each route
+server collects its clients' routes into one table that every client's RIB
+views (see exchange_l3), so a sweep, its comparison with the last one and
+the RIB dump work per server table, not per member and route.  Bilateral
+and transit routes are one object per sender and prefix, whichever RIBs
 receive it, so the dump renders each once.  A sweep builds RIBs only; the
 report reads the transit members' upstream announcements off them.
 
 Events mutate configuration and re-converge.  A port promotion or a
-withdrawal reruns converge().  A link event keeps the route exchange,
-since no RIB depends on a link, and touches only the shortest-path trees
-the flipped links change: a down repairs each below the links it lost,
-and an up either restores the state from before its down (below) or
-reruns each tree it changes (see underlay).  A new tree has its own maps,
-so the next hops of the fabric built before the event never change under
-it.  The next-hop table is the trees' own first-hop maps, so a new tree
-brings its node's next hops with it.  A pseudo-wire is the pair of its PE
-names; the mesh, every pair in name order, is built once, since the
-labels come from the VE ids alone and the vpls graph export writes them
-from those.  When some new tree reaches a different set of nodes, a
-partition or a heal, the wires that stand are chosen from the mesh again
-by next hops, and each bridge lists their remote PEs.  The run keeps one
-record, the link-dependent state from before the last link event.  Trees
-are canonical, so when an event leaves the same links down as that
-record, as the up of a flap does, the record is that state exactly and
-comes back as it was.  An event that flips no link keeps every table.
-Every link event resets learned MACs: the fabric keeps its bridges,
-which are wiring only, and starts empty MAC tables; the bridges are
-rebuilt only when the standing wires change.  The fabric keeps no walked
-LSP, so no path outlives its table: a frame walks a wire's LSP from the
-current next hops only when it is larger than the topology's narrowest
-link (see dataplane).  Frame injection exercises only the data plane.
+withdrawal reruns converge(); a promotion that changes a port rebuilds the
+bridges first.  A link event keeps the route exchange, since no RIB
+depends on a link, and touches only the shortest-path trees the flipped
+links change: a down repairs each below the links it lost, and an up
+either restores the state from before its down (below) or reruns each tree
+it changes (see underlay).  A new tree has its own maps, so the next hops
+of the fabric built before the event never change under it.  The next-hop
+table is the trees' own first-hop maps, so a new tree brings its node's
+next hops with it.  A pseudo-wire is the pair of its PE names; the mesh,
+every pair in name order, is built once, since the labels come from the VE
+ids alone and the vpls graph export writes them from those.  When some new
+tree reaches a different set of nodes, a partition or a heal, the wires
+that stand are chosen from the mesh again by next hops, and each bridge
+lists their remote PEs.  The run keeps one record, the link-dependent
+state from before the last link event.  Trees are canonical, so when an
+event leaves the same links down as that record, as the up of a flap does,
+the record is that state exactly and comes back as it was.  An event that
+flips no link keeps every table.  Each fabric after the first comes
+from one helper, which carries the trace and the drop log over and starts
+empty MAC tables: after every link event, every withdrawal and every
+promotion that changes a port.  The bridges are wiring only, so each new
+fabric keeps them, unless a port or the standing wires changed.  The
+fabric keeps no walked LSP, so no path outlives its table: a frame walks a
+wire's LSP from the current next hops only when it is larger than the
+topology's narrowest link (see dataplane).  Frame injection exercises only
+the data plane.
 
 There is no randomness anywhere, so two runs of the same scenario produce
 byte-identical reports, RIB dumps, traces and graph exports.
@@ -143,7 +146,7 @@ class Simulation:
         self.ve_ids = propagate(originate_adverts(self.topo.node_names()), self.ibgp_sessions)
         self.mesh = pseudowire_mesh(self.ve_ids)  # every pair; labels never change
         self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
-        self.fabric = Fabric(self.topo, {}, labels)  # bridges come with converge()
+        self.fabric = Fabric(self.topo, self._bridges(), labels)
         self.l3 = _L3State()
         self._down = frozenset(i for i, link in enumerate(self.topo.links)
                                if link.state is LinkState.DOWN)
@@ -173,11 +176,10 @@ class Simulation:
     # -- convergence ---------------------------------------------------------
 
     def converge(self) -> int:
-        """Rebuild the fabric over the current ports and exchange routes.
-        The underlay and signalling stand from construction and from each
-        link event, so a topology change must come as a link event.
-        Returns 1 when the member RIBs changed and 0 when they did not."""
-        self._rebuild_fabric(self.fabric.labels)
+        """Exchange routes over the current ports and sessions.  The
+        underlay, signalling and fabric stand from construction and from
+        events, so a topology change must come as a link event.  Returns
+        1 when the member RIBs changed and 0 when they did not."""
         sweep = self._exchange_routes()
         changed = int(ribs_differ(self.l3.ribs, sweep.ribs))
         self.l3 = sweep
@@ -198,11 +200,11 @@ class Simulation:
         build.  Otherwise repair or rerun the trees the flip changes, take
         each new tree's first hops as its node's next hops, choose the
         standing wires from the mesh again if a reachable set changed, and
-        keep the state from before this event.  The fabric keeps its
-        bridges and starts empty MAC tables when the standing wires are
-        the same, and rebuilds the bridges when they are not."""
+        keep the state from before this event.  The new fabric keeps the
+        bridges when the standing wires are the same, and gets fresh ones
+        when they are not."""
         if not flapped:
-            self.fabric = self.fabric.relinked(self.topo, self.fabric.labels)
+            self._refabric(self.fabric.bridges, self.fabric.labels)
             return
         now = self._underlay()
         down = self._down.symmetric_difference(flapped)
@@ -220,16 +222,18 @@ class Simulation:
         self._before = now
         self._down, self.trees = after.down, after.trees
         self.pseudowires, self.missing_transport = after.pseudowires, after.missing_transport
-        if after.pseudowires != now.pseudowires:
-            self._rebuild_fabric(after.labels)
-        else:
-            self.fabric = self.fabric.relinked(self.topo, after.labels)
+        rewired = after.pseudowires != now.pseudowires
+        self._refabric(self._bridges() if rewired else self.fabric.bridges, after.labels)
 
-    def _rebuild_fabric(self, labels: LabelTable) -> None:
-        """Fresh bridges wired to the current ports and pseudo-wire mesh,
-        carried over the next hops of ``labels``; no bridge is rewired
-        after this (see BridgeState).  Learned MACs do not survive
-        reconvergence; the logs and trace numbering do."""
+    def _refabric(self, bridges: Dict[str, BridgeState], labels: LabelTable) -> None:
+        """A new fabric over ``bridges`` and the next hops of ``labels``,
+        with empty MAC tables.  The trace and the drop log go on."""
+        self.fabric = Fabric(self.topo, bridges, labels, trace=self.fabric.trace,
+                             drops=self.fabric.drops)
+
+    def _bridges(self) -> Dict[str, BridgeState]:
+        """Fresh bridges wired to the current ports and standing wires; no
+        bridge is rewired after this (see BridgeState)."""
         # The standing pairs come in name order, so each PE's remotes do too.
         remotes: Dict[str, List[str]] = {name: [] for name in self.topo.node_names()}
         for a, b in self.pseudowires:
@@ -239,8 +243,7 @@ class Simulation:
                    for name, wires in remotes.items()}
         for port in self.ports.values():
             bridges[port.attach_pe].ports[port.member_asn] = port
-        self.fabric = Fabric(self.topo, bridges, labels, trace=self.fabric.trace,
-                             drops=self.fabric.drops)
+        return bridges
 
     def _exchange_routes(self) -> _L3State:
         """One synchronous sweep of every active session.  Each active
@@ -311,6 +314,7 @@ class Simulation:
             promoted = promote_port(port, observed)
             if promoted is not port:
                 self.ports[asn] = promoted
+                self._refabric(self._bridges(), self.fabric.labels)
                 self.converge()
         elif kind is EventKind.INJECT_FRAME:
             asn, dst_mac, ethertype, size = event.args
@@ -337,6 +341,7 @@ class Simulation:
                 member,
                 announced_prefixes=tuple(p for p in member.announced_prefixes
                                          if p != prefix))
+            self._refabric(self.fabric.bridges, self.fabric.labels)
             self.converge()
         else:
             raise UnknownEntityError("unhandled event kind %s" % kind)
@@ -352,7 +357,6 @@ class Simulation:
     def reachability(self) -> Dict[Tuple[int, str], bool]:
         return reachability_matrix(
             sorted(self.members.values(), key=lambda m: m.asn),
-            self.ports,
             self.l3.ribs,
             self.scenario.external_prefixes,
             self.fabric,

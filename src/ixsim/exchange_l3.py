@@ -393,7 +393,6 @@ def arp_resolve(
 
 def reachability_matrix(
     members: Sequence[MemberAs],
-    ports: Dict[int, MemberPort],
     ribs: Dict[int, MemberRib],
     external_prefixes: Sequence[ipaddress.IPv4Network],
     fabric: Fabric,
@@ -404,8 +403,9 @@ def reachability_matrix(
     A cell (member, prefix) is true only when the member's RIB selects a
     covering route, the member's broadcast ARP request reaches the port
     owning the route's next hop, the owner's unicast reply comes back and
-    a unicast data frame gets to the owner.  Probing runs on a cloned
-    fabric so the real MAC tables and logs stay untouched.
+    a unicast data frame gets to the owner.  A member's port is the one
+    ``fabric.ports`` holds.  Probing runs on a cloned fabric so the real
+    MAC tables and logs stay untouched.
 
     A member floods its request once, for all of its targets, and each
     (member, owner) pair exchanges its reply and data frame once.  Earlier
@@ -425,7 +425,7 @@ def reachability_matrix(
     matrix: Dict[Tuple[int, str], bool] = {}
     legs: Dict[Tuple[int, int], bool] = {}  # (member, owner) -> reply and data got through
     for m in sorted(members, key=lambda m: m.asn):
-        port = ports.get(m.asn)
+        port = probe.ports.get(m.asn)
         rib = ribs.get(m.asn)
         active = port is not None and rib is not None and port.state is PortState.ACTIVE
         heard: Optional[Set[int]] = None  # flooded at the first covering route

@@ -22,14 +22,14 @@ A node name is ASCII letters, digits, ``.``, ``_`` and ``-``, so that every
 output can carry it.  Numbers are ASCII decimal, addresses dotted quads
 without leading zeros and prefixes ``<ipv4>/<len>`` with a length from 0 to
 32, also without leading zeros; a netmask or hostmask after the ``/`` is
-read as ``ipaddress`` reads it.  Entities must be declared before they are referenced.  Cost and MTU
-may be omitted on links: cost defaults by link type (leased 1, radio 10)
-and MTU to the fabric minimum of 1600.  BGP keeps one session per peer
-pair, so a bilateral pair repeated in either order, a second transit
-session for the same member and upstream, and a transit session from a
-member to itself are rejected on the later line.  A repeated ``session rs``
-line is not: the client joins the server's client set, so the repeat
-changes nothing.
+read as ``ipaddress`` reads it.  Entities must be declared before they are
+referenced.  Cost and MTU may be omitted on links: cost defaults by link
+type (leased 1, radio 10) and MTU to the fabric minimum of 1600.  BGP keeps
+one session per peer pair, so a bilateral pair repeated in either order, a
+second transit session for the same member and upstream, and a transit
+session from a member to itself are rejected on the later line.  A repeated
+``session rs`` line is not: the client joins the server's client set, so
+the repeat changes nothing.
 """
 
 from __future__ import annotations

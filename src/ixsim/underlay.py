@@ -11,8 +11,9 @@ each other node its tree reaches, the (neighbour, link) it sends on, and
 nothing else.  An LSP is the chain of these next hops from the ingress
 to the destination, and nothing else records the path.  Because every
 cost is at least 1 and all nodes share the tie-break, the chain is the
-ingress's own shortest path.  No transport label is modelled: the fabric forwards on next hops,
-and only the VPLS label blocks (see vpls_signal) carry numbers.
+ingress's own shortest path.  No transport label is modelled: the fabric
+forwards on next hops, and only the VPLS label blocks (see vpls_signal)
+carry numbers.
 
 A link event touches only the trees it changes (dynamic SPF: Ramalingam
 and Reps, J. Algorithms 21, 1996; Narváez, Siu and Tzeng, IEEE/ACM ToN

@@ -194,7 +194,6 @@ def mutually_visible_pairs(received: Dict[str, Set[str]]) -> set[tuple[str, str]
 
 def reference_reachability(
     members: Sequence[MemberAs],
-    ports: Dict[int, MemberPort],
     ribs: Dict[int, MemberRib],
     external_prefixes: Sequence[ipaddress.IPv4Network],
     fabric: Fabric,
@@ -204,8 +203,9 @@ def reference_reachability(
 
     A cell (member, prefix) is true only when the member's RIB selects a
     covering route and a traced ARP exchange plus unicast delivery to the
-    route's next hop actually succeeds.  Probing runs on a cloned fabric so
-    the real MAC tables and logs stay untouched.
+    route's next hop actually succeeds.  A member's port is found by
+    scanning ``fabric``'s bridges.  Probing runs on a cloned fabric so the
+    real MAC tables and logs stay untouched.
     """
     probe = fabric.clone()
     targets: List[Tuple[str, int]] = []  # (prefix text, owner asn or 0)
@@ -218,7 +218,8 @@ def reference_reachability(
     matrix: Dict[Tuple[int, str], bool] = {}
     seq = 0
     for m in sorted(members, key=lambda m: m.asn):
-        port = ports.get(m.asn)
+        port = next((b.ports[m.asn] for b in probe.bridges.values()
+                     if m.asn in b.ports), None)
         rib = ribs.get(m.asn)
         for text, owner in targets:
             if owner == m.asn:

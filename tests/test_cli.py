@@ -377,21 +377,38 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
-    def ixsim(seed, command, *flags):
+    """whix as it is, and whix with applecross quarantined plus a
+    promotion, a withdrawal and a cut and heal with frames between."""
+    applecross = "member 64505 applecross       port kyle       mac 02:00:00:00:00:0a ip 192.0.2.20"
+    text = WHIX.read_text(encoding="utf-8")
+    assert applecross in text
+    churned = write(tmp_path, text.replace(applecross, applecross + " quarantine") + (
+        "event 4 inject 64498 broadcast arp 64\n"
+        "event 5 promote 64505\n"
+        "event 6 inject 64505 broadcast arp 64\n"
+        "event 7 withdraw 64500 10.96.5.0/24\n"
+        "event 8 inject 64497 02:00:00:00:00:01 ipv4 1400\n"
+        "event 9 link-down mallaig datacentre\n"
+        "event 10 inject 64496 broadcast arp 64\n"
+        "event 11 link-up mallaig datacentre\n"
+        "event 12 inject 64500 02:00:00:00:00:07 ipv4 1200\n"))
+
+    def ixsim(seed, command, path, *flags):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
         return subprocess.run(
-            [sys.executable, "-m", "ixsim.cli", command, GOOD, *flags],
+            [sys.executable, "-m", "ixsim.cli", command, path, *flags],
             env=env, capture_output=True, check=True).stdout
 
-    outputs = []
-    for seed in ("0", "1"):
-        trace = tmp_path / ("trace-%s.csv" % seed)
-        got = [ixsim(seed, "run", "--trace", str(trace)), trace.read_bytes(),
-               ixsim(seed, "ribs")]
-        got += [ixsim(seed, "dot", "--layer", layer) for layer in DOT_LAYERS]
-        outputs.append(got)
-    assert outputs[0] == outputs[1]
-    assert all(outputs[0])
+    for path in (GOOD, churned):
+        outputs = []
+        for seed in ("0", "1"):
+            trace = tmp_path / ("trace-%s.csv" % seed)
+            got = [ixsim(seed, "run", path, "--trace", str(trace)), trace.read_bytes(),
+                   ixsim(seed, "ribs", path)]
+            got += [ixsim(seed, "dot", path, "--layer", layer) for layer in DOT_LAYERS]
+            outputs.append(got)
+        assert outputs[0] == outputs[1]
+        assert all(outputs[0])
 
 
 # SHA-256 of each whix artefact as the simulator emits it today.  Any change
@@ -406,8 +423,9 @@ WHIX_DIGESTS = {
 }
 
 # Event tails appended to whix, and the digests they change.  The cut
-# partitions mallaig from the other PEs; the second tail withdraws a
-# prefix and heals the cut, so the underlay and mesh return to whix's.
+# isolates datacentre, the leaf behind mallaig, from the other PEs; the
+# second tail withdraws a prefix and heals the cut, so the underlay and
+# mesh return to whix's.
 LINK_CUT = ("event 50 link-down mallaig datacentre",)
 CUT_AND_HEAL = LINK_CUT + ("event 51 withdraw 64496 10.96.1.0/24",
                            "event 52 link-up mallaig datacentre")

@@ -777,6 +777,56 @@ def test_promotion_and_withdrawal_rebuild_only_the_fabric(monkeypatch):
     assert digest == PROMOTE_WITHDRAW_TRACE_DIGEST
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bridges_are_rebuilt_only_when_a_port_or_a_standing_wire_changes(seed):
+    """Random link, promote, withdraw and inject events on exchanges with
+    route servers, bilateral sessions and quarantined ports.  After every
+    event but an inject, the fabric keeps the bridges it had exactly when
+    no port and no standing wire changed; each bridge holds the ports at
+    its PE and wires to the rest of its underlay component; no bridge has
+    a learned MAC; and the trace and drop log are the lists the run had.
+    A promotion that changes no port leaves the fabric as it was.
+    Broadcast IPv4 frames are forbidden traffic, which blocks some
+    promotions."""
+    rng = random.Random(seed)
+    sim = random_exchange(rng, rng.randint(2, 7), route_server=True,
+                          bilateral=rng.randint(0, 3), quarantined=rng.randint(0, 3))
+    asns = sorted(sim.ports)
+    for at in range(1, 25):
+        kind = rng.choice(list(EventKind))
+        if kind in (EventKind.LINK_DOWN, EventKind.LINK_UP):
+            args = rng.choice(sim.topo.links).endpoints
+        elif kind is EventKind.PORT_PROMOTE_CHECK:
+            args = (rng.choice(asns),)
+        elif kind is EventKind.MEMBER_WITHDRAW:
+            announcing = [m for m in sim.members.values() if m.announced_prefixes]
+            if not announcing:
+                continue
+            member = rng.choice(announcing)
+            args = (member.asn, rng.choice(member.announced_prefixes))
+        else:
+            dst = rng.choice([BROADCAST_MAC] + [sim.ports[asn].nominated_mac for asn in asns])
+            args = (rng.choice(asns), dst, rng.choice([EtherType.ARP, EtherType.IPV4]), 64)
+        fabric, ports, wires = sim.fabric, dict(sim.ports), sim.pseudowires
+        sim.apply_event(Event(at, kind, args))
+        if kind is EventKind.INJECT_FRAME:
+            continue
+        if kind is EventKind.PORT_PROMOTE_CHECK and sim.ports == ports:
+            assert sim.fabric is fabric  # nothing changed, nothing is reset
+            continue
+        kept = sim.ports == ports and sim.pseudowires == wires
+        assert (sim.fabric.bridges is fabric.bridges) == kept
+        for component in union_find_components(sim.topo):
+            for pe in component:
+                bridge = sim.fabric.bridges[pe]
+                assert bridge.ports == {asn: port for asn, port in sim.ports.items()
+                                        if port.attach_pe == pe}
+                assert bridge.wires == tuple(n for n in component if n != pe)
+        assert not any(sim.fabric.macs.values())
+        assert sim.fabric.trace is fabric.trace and sim.fabric.drops is fabric.drops
+
+
 def test_repeat_runs_are_byte_identical():
     first = Simulation(load_whix())
     second = Simulation(load_whix())

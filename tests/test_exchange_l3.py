@@ -339,7 +339,6 @@ def test_arp_fails_for_unknown_self_or_quarantined():
 def _matrix_state():
     fabric = hand_fabric([("a", "b", 1)], [(64601, "a", 1), (64602, "b", 2)],
                          reflectors={"a"})
-    ports = fabric.ports
     members = [
         MemberAs(64601, "one", False, (_net("10.177.1.0/24"),)),
         MemberAs(64602, "two", False, (_net("10.177.2.0/24"),)),
@@ -347,12 +346,12 @@ def _matrix_state():
     ribs = {64601: MemberRib(64601), 64602: MemberRib(64602)}
     ribs[64601].add(_route("10.177.2.0/24", (64602,), "192.0.2.12", "bgp/64602"))
     ribs[64602].add(_route("10.177.1.0/24", (64601,), "192.0.2.11", "bgp/64601"))
-    return fabric, ports, members, ribs
+    return fabric, members, ribs
 
 
 def test_matrix_requires_route_and_delivery():
-    fabric, ports, members, ribs = _matrix_state()
-    matrix = reachability_matrix(members, ports, ribs, [], fabric)
+    fabric, members, ribs = _matrix_state()
+    matrix = reachability_matrix(members, ribs, [], fabric)
     assert matrix == {
         (64601, "10.177.2.0/24"): True,
         (64602, "10.177.1.0/24"): True,
@@ -361,9 +360,9 @@ def test_matrix_requires_route_and_delivery():
 
 
 def test_matrix_false_without_covering_route():
-    fabric, ports, members, ribs = _matrix_state()
+    fabric, members, ribs = _matrix_state()
     ribs[64602] = MemberRib(64602)
-    matrix = reachability_matrix(members, ports, ribs, [], fabric)
+    matrix = reachability_matrix(members, ribs, [], fabric)
     assert matrix[(64602, "10.177.1.0/24")] is False
     assert matrix[(64601, "10.177.2.0/24")] is True
 
@@ -373,7 +372,6 @@ def test_matrix_false_when_quarantine_blocks_the_next_hop():
         [("a", "b", 1)],
         [(64601, "a", 1), (64602, "b", 2, PortState.QUARANTINE)],
         reflectors={"a"})
-    ports = fabric.ports
     members = [
         MemberAs(64601, "one", False, (_net("10.177.1.0/24"),)),
         MemberAs(64602, "two", False, (_net("10.177.2.0/24"),)),
@@ -381,7 +379,7 @@ def test_matrix_false_when_quarantine_blocks_the_next_hop():
     ribs = {64601: MemberRib(64601), 64602: MemberRib(64602)}
     ribs[64601].add(_route("10.177.2.0/24", (64602,), "192.0.2.12", "bgp/64602"))
     ribs[64602].add(_route("10.177.1.0/24", (64601,), "192.0.2.11", "bgp/64601"))
-    matrix = reachability_matrix(members, ports, ribs, [], fabric)
+    matrix = reachability_matrix(members, ribs, [], fabric)
     # neither direction works: the owner cannot answer ARP, the sender
     # cannot inject at all
     assert matrix[(64601, "10.177.2.0/24")] is False
@@ -389,17 +387,17 @@ def test_matrix_false_when_quarantine_blocks_the_next_hop():
 
 
 def test_matrix_externals_follow_the_default_route():
-    fabric, ports, members, ribs = _matrix_state()
+    fabric, members, ribs = _matrix_state()
     ribs[64601].add(BgpRoute(DEFAULT_ROUTE, (64602,), _ip("192.0.2.12"), "bgp/64602"))
     external = [_net("198.51.100.0/24")]
-    matrix = reachability_matrix(members, ports, ribs, external, fabric)
+    matrix = reachability_matrix(members, ribs, external, fabric)
     assert matrix[(64601, "198.51.100.0/24")] is True
     assert matrix[(64602, "198.51.100.0/24")] is False  # no route at all
 
 
-def _both_probers(members, ports, ribs, externals, fabric, round_no=0):
+def _both_probers(members, ribs, externals, fabric, round_no=0):
     members = sorted(members, key=lambda m: m.asn)
-    args = (members, ports, ribs, externals, fabric)
+    args = (members, ribs, externals, fabric)
     got = reachability_matrix(*args, round_no=round_no)
     want = reference_reachability(*args, round_no=round_no)
     assert list(got.items()) == list(want.items())
@@ -420,20 +418,21 @@ def test_matrix_matches_the_per_cell_reference(seed):
             links[i] = dataclasses.replace(link, state=LinkState.DOWN)
         elif rng.random() < 0.15:
             links[i] = dataclasses.replace(link, mtu=rng.choice([50, 100]))
-    # A fresh Simulation builds its underlay from the edited topology;
-    # after construction, link state only changes through link events.
-    sim = Simulation(dataclasses.replace(
-        sim.scenario, topology=Topology(sim.topo.nodes, tuple(links))))
     # Quarantined before convergence: the route servers drop the member.
-    for asn in list(sim.ports):
-        if rng.random() < 0.15:
-            sim.ports[asn] = dataclasses.replace(sim.ports[asn], state=PortState.QUARANTINE)
+    ports = tuple(dataclasses.replace(port, state=PortState.QUARANTINE)
+                  if rng.random() < 0.15 else port for port in sim.scenario.ports)
+    # A fresh Simulation builds its underlay and bridges from the edited
+    # topology and ports; after construction, link state only changes
+    # through link events.
+    sim = Simulation(dataclasses.replace(
+        sim.scenario, topology=Topology(sim.topo.nodes, tuple(links)), ports=ports))
     sim.converge()
     # Quarantined after it: the RIBs still point at the member.
     for asn, port in list(sim.ports.items()):
         if rng.random() < 0.15:
-            sim.ports[asn] = dataclasses.replace(port, state=PortState.QUARANTINE)
-            sim.fabric.bridges[port.attach_pe].ports[asn] = sim.ports[asn]
+            port = dataclasses.replace(port, state=PortState.QUARANTINE)
+            sim.ports[asn] = sim.fabric.ports[asn] = port
+            sim.fabric.bridges[port.attach_pe].ports[asn] = port
     # Member traffic leaves learned MACs in the real tables; probing late
     # enough lets them age out.
     asns = sorted(sim.ports)
@@ -442,7 +441,7 @@ def test_matrix_matches_the_per_cell_reference(seed):
         sim.fabric.inject(src, EthernetFrame(
             sim.ports[src].nominated_mac, sim.ports[dst].nominated_mac,
             EtherType.IPV4, 64, "warm"), 0)
-    _both_probers(sim.members.values(), sim.ports, sim.l3.ribs,
+    _both_probers(sim.members.values(), sim.l3.ribs,
                   sim.scenario.external_prefixes, sim.fabric,
                   round_no=rng.choice([0, 400]))
 
@@ -480,7 +479,7 @@ def _hand_matrix(placements, changes):
         for asn in ports:
             ribs[asn].add(BgpRoute(m.announced_prefixes[0], (m.asn,),
                                    ports[m.asn].exchange_ip, "bgp/%d" % m.asn))
-    return _both_probers(members, ports, ribs, [], fabric)
+    return _both_probers(members, ribs, [], fabric)
 
 
 def test_group_bit_mac_zeroes_its_cells_in_both_probers():
