@@ -1,12 +1,13 @@
 """The emulated LAN itself: frames, port policy, learning bridges, transport.
 
 Each PE runs a bridge whose attachments are its local member ports plus one
-pseudo-wire to every other participating PE.  A port is named by its
-member's ASN and a wire by its remote PE; a wire holds no path of its own,
-and a frame on it rides the LSP from its PE to the remote PE that the
-underlay's next hops give.  Because the wire mesh is full, flooding needs
-no spanning tree: a flood arriving over a pseudo-wire goes to local ports
-only (split horizon), so it crosses each wire at most once.
+pseudo-wire to every other participating PE; ``build_bridges`` makes each
+from the fabric's read-only port map and the standing wires.  A port
+is named by its member's ASN and a wire by its remote PE; a wire holds no
+path of its own, and a frame on it rides the LSP from its PE to the remote
+PE that the underlay's next hops give.  Because the wire mesh is full,
+flooding needs no spanning tree: a flood arriving over a pseudo-wire goes
+to local ports only (split horizon), so it crosses each wire at most once.
 Split horizon covers floods only: a known-unicast frame arriving over a wire
 goes where its destination was learned, which can be one more wire.  What
 ends every walk is ``Fabric.inject``'s bound on wire crossings.
@@ -17,8 +18,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache, partial
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from functools import lru_cache, partial
+from typing import (Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+                    Tuple, Union)
 
 from ixsim import vpls_signal
 from ixsim.model import Link, MemberPort, PortState, Topology, is_unicast
@@ -79,33 +81,37 @@ class MacEntry(NamedTuple):
     learned_round: int
 
 
-@dataclass
-class BridgeState:
-    """One PE's bridge wiring: its member ports keyed by member ASN, and
-    ``wires``, the remote PEs it has a standing pseudo-wire to, in name
-    order.  A wire is named by its remote PE and holds nothing else.
-
-    A bridge is never rewired once it has forwarded a frame: any change to
-    a port or to the standing wires builds new bridges
-    (``Simulation._bridges``).  Its port targets and local MACs
-    are therefore derived from ``ports`` once, on first use, and every
-    fabric built over the bridge shares them.  What it learns is not here
-    but in ``Fabric.macs``.
-    """
+class BridgeState(NamedTuple):
+    """One PE's bridge wiring: ``port_targets``, its active member ports'
+    ASNs in ASN order; ``local_macs``, the nominated MACs of all its member
+    ports, quarantined ones included; and ``wires``, the remote PEs of its
+    standing pseudo-wires, in name order.  A change to a port or to the
+    standing wires builds new bridges, so every fabric built over a bridge
+    shares it; what it learns is in ``Fabric.macs``."""
 
     pe: str
-    ports: Dict[int, MemberPort] = field(default_factory=dict)
-    wires: Tuple[str, ...] = ()
+    port_targets: Tuple[int, ...]
+    local_macs: FrozenSet[str]
+    wires: Tuple[str, ...]
 
-    @cached_property
-    def local_macs(self) -> FrozenSet[str]:
-        return frozenset(p.nominated_mac for p in self.ports.values())
 
-    @cached_property
-    def port_targets(self) -> Tuple[int, ...]:
-        """Active local ports in ASN order."""
-        return tuple(asn for asn, port in sorted(self.ports.items())
-                     if port.state is PortState.ACTIVE)
+def build_bridges(pes: Iterable[str], ports: Mapping[int, MemberPort],
+                  pairs: Iterable[Tuple[str, str]]) -> Dict[str, BridgeState]:
+    """One bridge per PE of ``pes`` over its ports in ``ports`` and the standing
+    ``pairs``, which come in name order, so each PE's remotes do too."""
+    remotes: Dict[str, List[str]] = {pe: [] for pe in pes}
+    for a, b in pairs:
+        remotes[a].append(b)
+        remotes[b].append(a)
+    targets: Dict[str, List[int]] = {pe: [] for pe in remotes}
+    macs: Dict[str, List[str]] = {pe: [] for pe in remotes}
+    for asn in sorted(ports):
+        port = ports[asn]
+        macs[port.attach_pe].append(port.nominated_mac)
+        if port.state is PortState.ACTIVE:
+            targets[port.attach_pe].append(asn)
+    return {pe: BridgeState(pe, tuple(targets[pe]), frozenset(macs[pe]), tuple(wires))
+            for pe, wires in remotes.items()}
 
 
 def ingress_filter(port: MemberPort, frame: EthernetFrame) -> Optional[DropReason]:
@@ -140,8 +146,8 @@ def bridge_forward(
     Only a unicast source is learned; ``src_unicast`` is whether the source
     MAC is unicast, which holds for the whole walk of a frame, so the
     caller decides it once.  An entry ``DEFAULT_MAC_AGING_ROUNDS`` old is
-    dropped when the destination is looked up, as is one whose port is
-    gone, and the frame floods.
+    dropped when the destination is looked up, and the frame floods.  A
+    port entry is where this bridge accepted a frame, so the port is here.
 
     Split horizon: a flood off a pseudo-wire goes to local ports only, and
     the result is then ``bridge.port_targets`` itself, which callers must
@@ -158,15 +164,12 @@ def bridge_forward(
     if dst != BROADCAST_MAC:
         entry = macs.get(dst)
         if entry is not None:
-            where = entry.where
             if round_no - entry.learned_round >= DEFAULT_MAC_AGING_ROUNDS:
                 del macs[dst]  # aged out
-            elif where == arrived_via:
+            elif entry.where == arrived_via:
                 return ()  # would hairpin; the destination already saw it
-            elif isinstance(where, str) or where in bridge.ports:
-                return (where,)
             else:
-                del macs[dst]  # port went away; relearn
+                return (entry.where,)
 
     if from_wire:
         return bridge.port_targets
@@ -243,9 +246,9 @@ class Fabric:
 
     A run makes every fabric with this constructor and hands each one the
     frame trace and drop log of the last, so its history stays complete.
-    ``ports`` indexes every bridge's member ports by ASN.  ``macs`` is what
-    the bridges learn, one MAC table per PE, and starts empty; the bridges
-    themselves are wiring, shared with every fabric made over them.
+    ``ports`` is the port map by ASN the bridges were built from.  ``macs``
+    is what the bridges learn, one MAC table per PE, and starts empty; the
+    bridges themselves are wiring, shared with every fabric made over them.
     ``labels`` is the underlay's next-hop table: each node's tree's own
     first-hop map, keyed by node and then by destination.  No LSP is narrower
     than the narrowest link of the topology, ``_floor``, so a frame that fits
@@ -259,19 +262,19 @@ class Fabric:
     def __init__(
         self,
         topo: Topology,
+        ports: Mapping[int, MemberPort],
         bridges: Dict[str, BridgeState],
         labels: LabelTable,
         trace: Optional[List[TraceRow]] = None,
         drops: Optional[List[DropRecord]] = None,
     ):
         self.topo = topo
+        self.ports = ports
         self.bridges = bridges
         self.labels = labels
         self.trace: List[TraceRow] = trace if trace is not None else []
         self.drops: List[DropRecord] = drops if drops is not None else []
         self.macs: Dict[str, Dict[str, MacEntry]] = {pe: {} for pe in bridges}
-        self.ports: Dict[int, MemberPort] = {
-            asn: port for bridge in bridges.values() for asn, port in bridge.ports.items()}
         # Without links there are no wires to cross.
         self._floor = min((link.mtu for link in topo.links), default=0)
         self._log = self.trace.append  # None on a probe clone
@@ -287,7 +290,7 @@ class Fabric:
         """Copy for probe traffic, with its own MAC tables and drop log, so
         probing never alters the real history.  The tables start as copies
         of this fabric's.  It shares the bridges, topology, next-hop table
-        and port index.  It records drops but no trace rows: nothing reads
+        and port map.  It records drops but no trace rows: nothing reads
         a probe's rows, so its ``trace`` stays empty."""
         probe = copy.copy(self)
         probe.macs = {pe: dict(table) for pe, table in self.macs.items()}

@@ -8,19 +8,22 @@ FIRST_FREE_LABEL + P + ve(sender) - 1, from the block that leaves 16 up to
 16 + P - 1 for one transport label per loopback (RFC 8402) that the fabric
 never reads (see vpls_signal), and route reflection is complete by
 construction, so no label, session or VE id depends on what the underlay
-reaches.  The bridges are built with the run; converge() only runs one
-sweep of member route exchange, and since route servers only reflect what
-members announce, it reads configuration alone and is final.  Each route
-server collects its clients' routes into one table that every client's RIB
-views (see exchange_l3), so a sweep, its comparison with the last one and
-the RIB dump work per server table, not per member and route.  Bilateral
-and transit routes are one object per sender and prefix, whichever RIBs
-receive it, so the dump renders each once.  A sweep builds RIBs only; the
-report reads the transit members' upstream announcements off them.
+reaches.  Every fabric holds the run's one read-only port map, ``ports``,
+and the bridges are built from it and the standing wires with the run;
+converge() only runs one sweep of member route exchange, and since route
+servers only reflect what members announce, it reads configuration alone
+and is final.  Each route server collects its clients' routes into one
+table that every client's RIB views (see exchange_l3), so a sweep, its
+comparison with the last one and the RIB dump work per server table, not
+per member and route.  Bilateral and transit routes are one object per
+sender and prefix, whichever RIBs receive it, so the dump renders each
+once.  A sweep builds RIBs only; the report reads the transit members'
+upstream announcements off them.
 
 Events mutate configuration and re-converge.  A port promotion or a
-withdrawal reruns converge(); a promotion that changes a port rebuilds the
-bridges first.  A link event keeps the route exchange, since no RIB
+withdrawal reruns converge(); a promotion that changes a port, the one way
+a port changes, first makes a new map with that port replaced and new
+bridges from it.  A link event keeps the route exchange, since no RIB
 depends on a link, and touches only the shortest-path trees the flipped
 links change: a down repairs each below the links it lost, and an up
 either restores the state from before its down (below) or reruns each tree
@@ -40,7 +43,7 @@ flips no link keeps every table.  Each fabric after the first comes
 from one helper, which carries the trace and the drop log over and starts
 empty MAC tables: after every link event, every withdrawal and every
 promotion that changes a port.  The bridges are wiring only, so each new
-fabric keeps them, unless a port or the standing wires changed.  The
+fabric keeps them, unless the port map or the standing wires changed.  The
 fabric keeps no walked LSP, so no path outlives its table: a frame walks a
 wire's LSP from the current next hops only when it is larger than the
 topology's narrowest link (see dataplane).  Frame injection exercises only
@@ -54,6 +57,7 @@ from __future__ import annotations
 
 import ipaddress
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Collection, Dict, FrozenSet, List, NamedTuple, Set, Tuple
 
 from ixsim.dataplane import (
@@ -62,6 +66,7 @@ from ixsim.dataplane import (
     DropReason,
     EthernetFrame,
     Fabric,
+    build_bridges,
     format_trace,
     promote_port,
 )
@@ -82,7 +87,6 @@ from ixsim.model import (
     LinkKind,
     LinkState,
     MemberAs,
-    MemberPort,
     PortState,
     full_mesh_size,
 )
@@ -128,13 +132,14 @@ class _Underlay(NamedTuple):
 
 
 class Simulation:
-    """All state for one scenario run."""
+    """All state for one scenario run.  ``ports``, the read-only port map
+    by ASN, is ``fabric.ports``; only a port-changing promotion replaces it."""
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.topo = scenario.topology
         self.members: Dict[int, MemberAs] = {m.asn: m for m in scenario.members}
-        self.ports: Dict[int, MemberPort] = {p.member_asn: p for p in scenario.ports}
+        self.ports = MappingProxyType({p.member_asn: p for p in scenario.ports})
 
         self.current_round = 0
         self.rounds_total = 0
@@ -146,7 +151,7 @@ class Simulation:
         self.ve_ids = propagate(originate_adverts(self.topo.node_names()), self.ibgp_sessions)
         self.mesh = pseudowire_mesh(self.ve_ids)  # every pair; labels never change
         self.pseudowires, self.missing_transport = derive_pseudowires(self.mesh, labels)
-        self.fabric = Fabric(self.topo, self._bridges(), labels)
+        self.fabric = Fabric(self.topo, self.ports, self._bridges(), labels)
         self.l3 = _L3State()
         self._down = frozenset(i for i, link in enumerate(self.topo.links)
                                if link.state is LinkState.DOWN)
@@ -226,24 +231,14 @@ class Simulation:
         self._refabric(self._bridges() if rewired else self.fabric.bridges, after.labels)
 
     def _refabric(self, bridges: Dict[str, BridgeState], labels: LabelTable) -> None:
-        """A new fabric over ``bridges`` and the next hops of ``labels``,
-        with empty MAC tables.  The trace and the drop log go on."""
-        self.fabric = Fabric(self.topo, bridges, labels, trace=self.fabric.trace,
-                             drops=self.fabric.drops)
+        """A new fabric over the port map, ``bridges`` and the next hops of
+        ``labels``, with empty MAC tables; the trace and drop log go on."""
+        self.fabric = Fabric(self.topo, self.ports, bridges, labels,
+                             trace=self.fabric.trace, drops=self.fabric.drops)
 
     def _bridges(self) -> Dict[str, BridgeState]:
-        """Fresh bridges wired to the current ports and standing wires; no
-        bridge is rewired after this (see BridgeState)."""
-        # The standing pairs come in name order, so each PE's remotes do too.
-        remotes: Dict[str, List[str]] = {name: [] for name in self.topo.node_names()}
-        for a, b in self.pseudowires:
-            remotes[a].append(b)
-            remotes[b].append(a)
-        bridges = {name: BridgeState(name, {}, tuple(wires))
-                   for name, wires in remotes.items()}
-        for port in self.ports.values():
-            bridges[port.attach_pe].ports[port.member_asn] = port
-        return bridges
+        """Bridges built from the port map and the standing wires."""
+        return build_bridges(self.topo.node_names(), self.ports, self.pseudowires)
 
     def _exchange_routes(self) -> _L3State:
         """One synchronous sweep of every active session.  Each active
@@ -313,7 +308,7 @@ class Simulation:
                         and window_start < d.round_no <= event.at_round]
             promoted = promote_port(port, observed)
             if promoted is not port:
-                self.ports[asn] = promoted
+                self.ports = MappingProxyType({**self.ports, asn: promoted})
                 self._refabric(self._bridges(), self.fabric.labels)
                 self.converge()
         elif kind is EventKind.INJECT_FRAME:

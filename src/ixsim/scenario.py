@@ -28,8 +28,9 @@ type (leased 1, radio 10) and MTU to the fabric minimum of 1600.  BGP keeps
 one session per peer pair, so a bilateral pair repeated in either order, a
 second transit session for the same member and upstream, and a transit
 session from a member to itself are rejected on the later line.  A repeated
-``session rs`` line is not: the client joins the server's client set, so
-the repeat changes nothing.
+``session rs`` or ``announce`` line is not: the server keeps each client
+once, and the member each prefix once, in first-declared order, so the
+repeat changes nothing.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class _Builder:
         self.links: List[Link] = []
         self.members: Dict[int, Tuple[str, bool]] = {}  # to (name, is_transit)
         self.ports: Dict[int, MemberPort] = {}
-        self.announced: Dict[int, List[ipaddress.IPv4Network]] = {}
+        self.announced: Dict[int, Dict[ipaddress.IPv4Network, None]] = {}
         self.sessions: Dict[tuple, PeeringSession] = {}  # by (a, b, kind)
         self.rs_clients: Dict[str, Set[int]] = {}
         self.externals: Dict[ipaddress.IPv4Network, int] = {}  # to its source line
@@ -280,12 +281,12 @@ def _parse_member(b: _Builder, tokens: List[str], line: int) -> None:
     b.members[asn] = (tokens[2], "transit" in flags)
     b.ports[asn] = MemberPort(asn, pe, mac, ip, state=(
         PortState.QUARANTINE if "quarantine" in flags else PortState.ACTIVE))
-    b.announced[asn] = []
+    b.announced[asn] = {}
 
 
 def _parse_announce(b: _Builder, tokens: List[str], line: int) -> None:
     _want(tokens, 3, line, "announce")
-    b.announced[_member(b, tokens[1], line)].append(_network(tokens[2], line))
+    b.announced[_member(b, tokens[1], line)][_network(tokens[2], line)] = None
 
 
 def _parse_session(b: _Builder, tokens: List[str], line: int) -> None:

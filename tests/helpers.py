@@ -8,9 +8,10 @@ import sys
 import types
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
-from ixsim.dataplane import BridgeState, Fabric
+from ixsim.dataplane import BROADCAST_MAC, EtherType, Fabric, build_bridges
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import PeerKind, PeeringSession, RouteServer, TransitPolicy
 from ixsim.underlay import allocate_labels, compute_all_spf
@@ -30,7 +31,7 @@ from ixsim.model import (
     PortState,
     Topology,
 )
-from ixsim.scenario import Scenario, load_scenario
+from ixsim.scenario import Event, EventKind, Scenario, load_scenario
 
 WHIX = Path(__file__).resolve().parent.parent / "scenarios" / "whix.scn"
 
@@ -144,17 +145,43 @@ def hand_fabric(edges: Sequence[tuple], placements: Sequence[tuple],
     wires, missing = derive_pseudowires(
         pseudowire_mesh(propagate(adverts, build_session_graph(topo))), table)
     assert missing == ()
-    remotes = {pe: set() for pe in topo.node_names()}
-    for a, b in wires:
-        remotes[a].add(b)
-        remotes[b].add(a)
-    bridges = {pe: BridgeState(pe=pe, wires=tuple(sorted(remotes[pe])))
-               for pe in topo.node_names()}
-    for p in placements:
-        asn, pe, index = p[0], p[1], p[2]
-        state = p[3] if len(p) > 3 else PortState.ACTIVE
-        bridges[pe].ports[asn] = make_port(asn, pe, index, state)
-    return Fabric(topo, bridges, table)
+    ports = MappingProxyType({p[0]: make_port(*p) for p in placements})
+    return Fabric(topo, ports, build_bridges(topo.node_names(), ports, wires), table)
+
+
+def with_ports(fabric: Fabric, ports: Mapping[int, MemberPort]) -> Fabric:
+    """A fresh fabric over ``ports``, with empty MAC tables, on ``fabric``'s
+    topology, next hops and standing wires."""
+    pairs = sorted((pe, remote) for pe, bridge in fabric.bridges.items()
+                   for remote in bridge.wires if pe < remote)
+    ports = MappingProxyType(dict(ports))
+    return Fabric(fabric.topo, ports, build_bridges(fabric.bridges, ports, pairs),
+                  fabric.labels)
+
+
+def random_event(rng: random.Random, sim: Simulation, at: int,
+                 kinds: Sequence[EventKind] = tuple(EventKind)) -> Optional[Event]:
+    """An event at round ``at`` of a kind drawn from ``kinds``: a link event
+    on one of ``sim``'s links, a promotion check of any port, a withdrawal
+    of an announced prefix, or a 64-byte ARP or IPv4 frame from any port to
+    broadcast or to a member's MAC.  None when the draw is a withdrawal
+    and no member announces anything."""
+    asns = sorted(sim.ports)
+    kind = rng.choice(list(kinds))
+    if kind in (EventKind.LINK_DOWN, EventKind.LINK_UP):
+        args = rng.choice(sim.topo.links).endpoints
+    elif kind is EventKind.PORT_PROMOTE_CHECK:
+        args = (rng.choice(asns),)
+    elif kind is EventKind.MEMBER_WITHDRAW:
+        announcing = [m for m in sim.members.values() if m.announced_prefixes]
+        if not announcing:
+            return None
+        member = rng.choice(announcing)
+        args = (member.asn, rng.choice(member.announced_prefixes))
+    else:
+        dst = rng.choice([BROADCAST_MAC] + [sim.ports[asn].nominated_mac for asn in asns])
+        args = (rng.choice(asns), dst, rng.choice([EtherType.ARP, EtherType.IPV4]), 64)
+    return Event(at, kind, args)
 
 
 def converged(scenario: Scenario) -> Simulation:

@@ -10,11 +10,11 @@ than one table per server, transit routes built again for every taker
 rather than once per policy, upstream announcements read off ``chosen()``
 rather than at the member prefixes, a RIB dump that selects over the
 merged candidates by their fields and formats line by line rather than
-once per distinct route, frame forwarding that derives every port
-lookup, flood target, local MAC set and wire path again on each hop
-rather than once per fabric, bridge or wire direction, and reachability
-read off RIBs, port states and underlay components rather than off
-frames.
+once per distinct route, frame forwarding that picks each bridge's
+local ports from the port map by PE and derives their flood targets,
+local MAC set and every wire path again on each hop rather than once per
+bridge or wire direction, and reachability read off RIBs, port states and
+underlay components rather than off frames.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import ipaddress
 import math
 from collections import deque
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ixsim.dataplane import (
     BROADCAST_MAC,
@@ -203,9 +203,9 @@ def reference_reachability(
 
     A cell (member, prefix) is true only when the member's RIB selects a
     covering route and a traced ARP exchange plus unicast delivery to the
-    route's next hop actually succeeds.  A member's port is found by
-    scanning ``fabric``'s bridges.  Probing runs on a cloned fabric so the
-    real MAC tables and logs stay untouched.
+    route's next hop actually succeeds.  A member's port is read from
+    ``fabric.ports``.  Probing runs on a cloned fabric so the real MAC
+    tables and logs stay untouched.
     """
     probe = fabric.clone()
     targets: List[Tuple[str, int]] = []  # (prefix text, owner asn or 0)
@@ -218,8 +218,7 @@ def reference_reachability(
     matrix: Dict[Tuple[int, str], bool] = {}
     seq = 0
     for m in sorted(members, key=lambda m: m.asn):
-        port = next((b.ports[m.asn] for b in probe.bridges.values()
-                     if m.asn in b.ports), None)
+        port = probe.ports.get(m.asn)
         rib = ribs.get(m.asn)
         for text, owner in targets:
             if owner == m.asn:
@@ -419,18 +418,22 @@ def reference_rib_dump(ribs: Dict[int, MemberRib]) -> str:
 
 def reference_forward(
     bridge: BridgeState,
+    ports: Mapping[int, MemberPort],
     macs: Dict[str, MacEntry],
     frame: EthernetFrame,
     arrived_via: Attachment,
     round_no: int = 0,
 ) -> List[Attachment]:
     """Learn into ``macs``, then return the attachments the frame leaves
-    by, with the targets sorted and built again on every flood and the
-    local MACs collected again on every wire arrival."""
+    by.  The bridge's local ports are picked from ``ports`` by their PE
+    again on every hop, its flood targets sorted again on every flood and
+    its local MACs collected again on every wire arrival; of the bridge
+    only its PE and its wires are read."""
+    local = {asn: port for asn, port in ports.items() if port.attach_pe == bridge.pe}
     src = frame.src_mac
     if is_unicast(src):
         remote_claims_local = isinstance(arrived_via, str) and src in {
-            p.nominated_mac for p in bridge.ports.values()}
+            p.nominated_mac for p in local.values()}
         if not remote_claims_local:
             macs[src] = MacEntry(arrived_via, round_no)
 
@@ -440,16 +443,11 @@ def reference_forward(
             del macs[frame.dst_mac]  # aged out
             entry = None
         if entry is not None:
-            if entry.where == arrived_via:
-                return []
-            if isinstance(entry.where, int) and entry.where not in bridge.ports:
-                del macs[frame.dst_mac]
-            else:
-                return [entry.where]
+            return [] if entry.where == arrived_via else [entry.where]
 
     targets: List[Attachment] = [
         asn
-        for asn, port in sorted(bridge.ports.items())
+        for asn, port in sorted(local.items())
         if port.state is PortState.ACTIVE and asn != arrived_via
     ]
     if not isinstance(arrived_via, str):
@@ -463,8 +461,8 @@ def reference_inject(
     frame: EthernetFrame,
     round_no: int = 0,
 ) -> InjectResult:
-    """``Fabric.inject`` with nothing cached: the sender's port is found by
-    scanning every bridge, every hop goes through ``reference_forward``,
+    """``Fabric.inject`` with nothing cached: the sender's port is read from
+    ``fabric.ports``, every hop goes through ``reference_forward``,
     and every wire crossing sizes the frame again, walks its LSP from the
     next-hop table and checks each link's MTU.  Appends to ``fabric.trace``
     and ``fabric.drops``."""
@@ -472,7 +470,7 @@ def reference_inject(
     def log(pe: str, via: str, action: str) -> None:
         fabric.trace.append(TraceRow(round_no, frame.trace_id, pe, via, action))
 
-    port = next(b.ports[asn] for b in fabric.bridges.values() if asn in b.ports)
+    port = fabric.ports[asn]
     via = "port/%d" % asn
     reason = ingress_filter(port, frame)
     if reason is not None:
@@ -485,7 +483,8 @@ def reference_inject(
     queue = deque([(fabric.bridges[port.attach_pe], asn)])
     while queue:
         here, arrived = queue.popleft()
-        for via in reference_forward(here, fabric.macs[here.pe], frame, arrived, round_no):
+        for via in reference_forward(here, fabric.ports, fabric.macs[here.pe], frame,
+                                     arrived, round_no):
             result.emissions += 1
             label = "port/%d" % via if isinstance(via, int) else "pw/%s" % via
             log(here.pe, label, "emit")

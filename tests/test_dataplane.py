@@ -17,13 +17,13 @@ from ixsim.dataplane import (
     DEFAULT_MAC_AGING_ROUNDS,
     ETHERNET_OVERHEAD,
     MPLS_OVERHEAD,
-    BridgeState,
     DropReason,
     EthernetFrame,
     EtherType,
     MacEntry,
     TraceRow,
     bridge_forward,
+    build_bridges,
     format_trace,
     ingress_filter,
     is_broadcast,
@@ -79,48 +79,47 @@ def test_ingress_admits_unicast_and_arp_broadcast():
     assert ingress_filter(port, multicast) is DropReason.FORBIDDEN_TRAFFIC
 
 
+def _bridge(pe, ports, wires=()):
+    """The bridge ``build_bridges`` makes at ``pe`` for ``ports``, with a
+    standing wire to each PE of ``wires``."""
+    pairs = sorted(tuple(sorted((pe, remote))) for remote in wires)
+    return build_bridges([pe, *wires], {p.member_asn: p for p in ports}, pairs)[pe]
+
+
 def test_flood_goes_to_active_ports_and_all_wires_in_stable_order():
-    bridge, macs = BridgeState(pe="a"), {}
-    bridge.ports[63005] = make_port(63005, "a", 5)
-    bridge.ports[63002] = make_port(63002, "a", 2)
-    bridge.ports[63009] = make_port(63009, "a", 9, PortState.QUARANTINE)
-    bridge.wires = ("b", "c")
+    bridge, macs = _bridge("a", [make_port(63005, "a", 5), make_port(63002, "a", 2),
+                                 make_port(63009, "a", 9, PortState.QUARANTINE)],
+                           ("b", "c")), {}
     frame = _frame(_mac(1), _mac(77), trace="t1")
     targets = bridge_forward(bridge, macs, frame, 63001, 0, True)
     assert list(targets) == [63002, 63005, "b", "c"]
 
 
 def test_split_horizon_keeps_wire_arrivals_off_other_wires():
-    bridge, macs = BridgeState(pe="a"), {}
-    bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.wires = ("b", "c")
+    bridge, macs = _bridge("a", [make_port(63001, "a", 1)], ("b", "c")), {}
     frame = _frame(_mac(9), _mac(77))
     targets = bridge_forward(bridge, macs, frame, "b", 0, True)
     assert list(targets) == [63001]
 
 
 def test_known_unicast_uses_single_learned_attachment():
-    bridge, macs = BridgeState(pe="a"), {}
-    bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.wires = ("b",)
+    bridge, macs = _bridge("a", [make_port(63001, "a", 1)], ("b",)), {}
     macs[_mac(7)] = MacEntry("b", 0)
     targets = bridge_forward(bridge, macs, _frame(_mac(1), _mac(7)), 63001, 0, True)
     assert list(targets) == ["b"]
 
 
 def test_hairpin_toward_arrival_is_suppressed():
-    bridge, macs = BridgeState(pe="b"), {}
-    bridge.ports[63002] = make_port(63002, "b", 2)
-    bridge.wires = ("a",)
+    bridge, macs = _bridge("b", [make_port(63002, "b", 2)], ("a",)), {}
     macs[_mac(1)] = MacEntry("a", 0)
     targets = bridge_forward(bridge, macs, _frame(_mac(9), _mac(1)), "a", 0, True)
     assert list(targets) == []
 
 
 def test_learning_records_source_and_protects_local_macs():
-    bridge, macs = BridgeState(pe="a"), {}
-    bridge.ports[63001] = make_port(63001, "a", 1)
-    local_mac = bridge.ports[63001].nominated_mac
+    port = make_port(63001, "a", 1)
+    bridge, macs = _bridge("a", [port]), {}
+    local_mac = port.nominated_mac
     bridge_forward(bridge, macs, _frame(_mac(9), _mac(77)), "b", 0, True)
     assert macs[_mac(9)].where == "b"
     # a wire arrival claiming a locally nominated MAC must not poison the table
@@ -130,31 +129,17 @@ def test_learning_records_source_and_protects_local_macs():
 
 
 def test_broadcast_never_consults_the_mac_table():
-    bridge, macs = BridgeState(pe="a"), {}
-    bridge.ports[63001] = make_port(63001, "a", 1)
+    bridge, macs = _bridge("a", [make_port(63001, "a", 1)]), {}
     macs[BROADCAST_MAC] = MacEntry(63001, 0)  # nonsense entry
     frame = _frame(_mac(9), BROADCAST_MAC, EtherType.ARP)
     targets = bridge_forward(bridge, macs, frame, "b", 0, True)
     assert list(targets) == [63001]
 
 
-def test_entry_for_departed_port_is_dropped_and_relearned():
-    bridge, macs = BridgeState(pe="a"), {}
-    bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.wires = ("b",)
-    macs[_mac(7)] = MacEntry(64000, 0)  # port no longer present
-    targets = bridge_forward(bridge, macs, _frame(_mac(1), _mac(7)), 63001, 0, True)
-    assert _mac(7) not in macs
-    # falls back to flooding; the arrival port itself is never a target
-    assert list(targets) == ["b"]
-
-
 def test_mac_entries_age_out():
     """An entry DEFAULT_MAC_AGING_ROUNDS old is dropped and the frame
     floods; one round younger, the frame goes where it points."""
-    bridge = BridgeState(pe="a")
-    bridge.ports[63001] = make_port(63001, "a", 1)
-    bridge.wires = ("b", "c")
+    bridge = _bridge("a", [make_port(63001, "a", 1)], ("b", "c"))
     frame = _frame(_mac(1), _mac(7))
     macs = {_mac(7): MacEntry("b", learned_round=0)}
     targets = bridge_forward(bridge, macs, frame, 63001, DEFAULT_MAC_AGING_ROUNDS - 1, True)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import hand_fabric, random_exchange
+from helpers import hand_fabric, random_event, random_exchange, with_ports
 from ixsim.dataplane import EtherType, EthernetFrame
 from ixsim.engine import Simulation
 from ixsim.exchange_l3 import (
@@ -31,7 +31,7 @@ from ixsim.exchange_l3 import (
 )
 from ixsim.model import DOC_ASN32_FIRST, DOC_ASN32_LAST
 from ixsim.model import LinkState, MemberAs, PortState, Topology
-from ixsim.scenario import Event, EventKind
+from ixsim.scenario import EventKind
 from oracles import closed_form_reachability, field_order, reference_reachability
 
 
@@ -427,22 +427,23 @@ def test_matrix_matches_the_per_cell_reference(seed):
     sim = Simulation(dataclasses.replace(
         sim.scenario, topology=Topology(sim.topo.nodes, tuple(links)), ports=ports))
     sim.converge()
-    # Quarantined after it: the RIBs still point at the member.
-    for asn, port in list(sim.ports.items()):
+    # Quarantined after it: the RIBs still point at the member, and a fresh
+    # fabric over the edited port map drops its frames.
+    ports = dict(sim.ports)
+    for asn, port in list(ports.items()):
         if rng.random() < 0.15:
-            port = dataclasses.replace(port, state=PortState.QUARANTINE)
-            sim.ports[asn] = sim.fabric.ports[asn] = port
-            sim.fabric.bridges[port.attach_pe].ports[asn] = port
+            ports[asn] = dataclasses.replace(port, state=PortState.QUARANTINE)
+    fabric = with_ports(sim.fabric, ports)
     # Member traffic leaves learned MACs in the real tables; probing late
     # enough lets them age out.
-    asns = sorted(sim.ports)
+    asns = sorted(ports)
     for _ in range(rng.randint(0, 6)):
         src, dst = rng.choice(asns), rng.choice(asns)
-        sim.fabric.inject(src, EthernetFrame(
-            sim.ports[src].nominated_mac, sim.ports[dst].nominated_mac,
+        fabric.inject(src, EthernetFrame(
+            ports[src].nominated_mac, ports[dst].nominated_mac,
             EtherType.IPV4, 64, "warm"), 0)
     _both_probers(sim.members.values(), sim.l3.ribs,
-                  sim.scenario.external_prefixes, sim.fabric,
+                  sim.scenario.external_prefixes, fabric,
                   round_no=rng.choice([0, 400]))
 
 
@@ -452,14 +453,19 @@ def test_matrix_matches_the_closed_form(seed):
     """Every cell against ``closed_form_reachability``, which sends no
     frame and so cannot share a fault with the probes: single and split
     route servers, transit, bilateral sessions and quarantine, after up
-    to four link events, which can leave several links down at once."""
+    to four link, promotion and withdrawal events.  Link events can leave
+    several links down at once; a promotion that changes a port builds
+    the bridges from a new port map."""
     rng = random.Random(seed)
     sim = random_exchange(rng, rng.randint(2, 7), route_server=rng.random() < 0.8,
                           externals=rng.randint(0, 3), bilateral=rng.randint(0, 3),
                           quarantined=rng.randint(0, 2), split_clients=rng.random() < 0.5)
+    kinds = (EventKind.LINK_DOWN, EventKind.LINK_UP, EventKind.PORT_PROMOTE_CHECK,
+             EventKind.MEMBER_WITHDRAW)
     for at in range(1, rng.randint(0, 4) + 1):
-        kind = rng.choice((EventKind.LINK_DOWN, EventKind.LINK_UP))
-        sim.apply_event(Event(at, kind, rng.choice(sim.topo.links).endpoints))
+        event = random_event(rng, sim, at, kinds)
+        if event is not None:
+            sim.apply_event(event)
     assert sim.reachability() == closed_form_reachability(sim)
 
 
@@ -468,10 +474,9 @@ def _hand_matrix(placements, changes):
     other member's prefix.  ``changes`` maps an ASN to port fields that
     validation would reject."""
     fabric = hand_fabric([("a", "b", 1)], placements, reflectors={"a"})
+    fabric = with_ports(fabric, {asn: dataclasses.replace(port, **changes.get(asn, {}))
+                                 for asn, port in fabric.ports.items()})
     ports = fabric.ports
-    for asn, fields in changes.items():
-        port = dataclasses.replace(ports[asn], **fields)
-        ports[asn] = fabric.bridges[port.attach_pe].ports[asn] = port
     members = [MemberAs(asn, "m%d" % asn, False, (_net("10.177.%d.0/24" % (asn - 64600)),))
                for asn in sorted(ports)]
     ribs = {asn: MemberRib(asn) for asn in ports}

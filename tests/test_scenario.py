@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import load_generator, load_whix
+from helpers import WHIX, load_generator, load_whix
 from ixsim.dataplane import BROADCAST_MAC, EtherType
 from ixsim.exchange_l3 import PeerKind, TransitPolicy
 from ixsim.model import LinkKind, PortState
@@ -215,6 +215,17 @@ def test_rs_sessions_get_service_numbers_per_host():
         (64496, 65537, "mallaig"),
         (64497, 65537, "mallaig"),
     }
+
+
+def test_a_repeated_announce_line_changes_nothing():
+    # a member keeps each prefix once, in first-declared order, so a route
+    # server table still holds one route per client and prefix
+    scn = parse(BASE + "announce 64496 10.177.2.0/24\n" + "announce 64496 10.177.1.0/24\n"
+                + "announce 64496 10.177.2.0/24\n")
+    assert [str(p) for p in scn.members[0].announced_prefixes] == [
+        "10.177.2.0/24", "10.177.1.0/24"]
+    assert parse_scenario(WHIX.read_text(encoding="utf-8")
+                          + "announce 64496 10.96.1.0/24\n") == load_whix()
 
 
 def test_transit_session_needs_a_transit_member():
